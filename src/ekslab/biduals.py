@@ -29,18 +29,19 @@ from .modules import (
     Ideal,
     ModuleMap,
     bidual_setup,
+    dual_map,
     dual_module,
     present_submodule,
     solve_map,
 )
 from .rings import (
     Matrix,
+    Solver,
     cochecks_int,
     det_ring,
-    howell_form,
     kernel_int,
+    kernel_matrix,
     membership_int,
-    solve_linear,
     submodule_howell,
     vec_from_base,
     vec_to_base,
@@ -261,10 +262,13 @@ class ExteriorBidual:
 
     Elements are coordinate vectors in ``module``; ``table`` and
     ``from_table`` convert to and from value tables on the wedge monomials of
-    the dual generators, where contraction is cheap.
+    the dual generators, where contraction is cheap.  ``dual_solver`` gives
+    the dual coordinates of a functional vector on X; it and the solver
+    behind ``from_table`` are factored once, on first use.
     """
 
-    __slots__ = ("X", "r", "dual", "Y", "wedge", "module", "YW", "_ev")
+    __slots__ = ("X", "r", "dual", "Y", "wedge", "module", "YW", "_ev",
+                 "_dual_solver", "_table_solver")
 
     def __init__(self, X: FPModule, r: int):
         if r < 0:
@@ -275,6 +279,24 @@ class ExteriorBidual:
         self.wedge = exterior_power(self.dual, r)
         self.module, self.YW = dual_module(self.wedge.module)
         self._ev = None
+        self._dual_solver = None
+        self._table_solver = None
+
+    @property
+    def dual_solver(self) -> Solver:
+        """Solver of Y^T: the coordinates in the dual's generators of a
+        functional vector on X, or None when it does not kill the
+        relations."""
+        if self._dual_solver is None:
+            self._dual_solver = Solver(self.Y.transpose())
+        return self._dual_solver
+
+    @property
+    def table_solver(self) -> Solver:
+        """Solver of YW^T: coordinates of value tables in ``module``."""
+        if self._table_solver is None:
+            self._table_solver = Solver(self.YW.transpose())
+        return self._table_solver
 
     @property
     def ev(self) -> ModuleMap:
@@ -308,10 +330,7 @@ class ExteriorBidual:
                 acc = self.module.ring.add(acc, self.module.ring.mul(c, v))
             if acc != self.module.ring.zero:
                 return None
-        sol = solve_linear(self.YW.transpose(), list(table))
-        if sol is None:
-            return None
-        return sol[0]
+        return self.table_solver.solve(table)
 
     def xi(self) -> ModuleMap:
         """The canonical map from the exterior power into the bidual.
@@ -346,21 +365,41 @@ def exterior_bidual(X: FPModule, r: int) -> ExteriorBidual:
     return ExteriorBidual(X, r)
 
 
-def bidual_functor_map(f: ModuleMap, r: int):
+def bidual_functor_map(f: ModuleMap, r: int, source=None, target=None):
     """The induced map on degree-r biduals, functorially.
 
-    Returns ``(bid_source, bid_target, map)``.  Built by pulling back duals,
-    wedging the pullback, and dualizing again; injective whenever f is, over
-    the self-injective rings used here.
-    """
-    from .modules import dual_map
+    Returns ``(bid_source, bid_target, map)``, the map going from
+    ``bid_source.module`` to ``bid_target.module``.  Built by pulling back
+    duals, wedging the pullback, and dualizing again; injective whenever f
+    is, over the self-injective rings used here.
 
-    bs = ExteriorBidual(f.source, r)
-    bt = ExteriorBidual(f.target, r)
-    pull = dual_map(f, bs.dual, bs.Y, bt.dual, bt.Y)
+    ``source`` and ``target`` are optional degree-r biduals of f.source and
+    f.target (or of modules with the same presentation) that the caller
+    already holds; they are used and returned as they are, together with
+    their factored solvers.  A missing one is built.  A bidual of another
+    degree or another module raises ValueError.
+    """
+    bs = _checked_bidual(f.source, r, source, "source")
+    bt = _checked_bidual(f.target, r, target, "target")
+    pull = dual_map(f, bs.dual, bs.Y, bt.dual, bt.Y, bs.dual_solver)
     _es, _et, wedge_pull = exterior_map(pull, r)
-    push = dual_map(wedge_pull, bt.module, bt.YW, bs.module, bs.YW)
+    push = dual_map(wedge_pull, bt.module, bt.YW, bs.module, bs.YW,
+                    bt.table_solver)
     return bs, bt, push
+
+
+def _checked_bidual(X: FPModule, r: int, bid, role: str) -> ExteriorBidual:
+    """``bid`` if it is a degree-r bidual of X's presentation, a new
+    bidual when it is None."""
+    if bid is None:
+        return ExteriorBidual(X, r)
+    if bid.r != r:
+        raise ValueError(f"{role} bidual has degree {bid.r}, expected {r}")
+    held = bid.X
+    if held is not X and (held.ring != X.ring or held.ngens != X.ngens
+                          or held.relations != X.relations):
+        raise ValueError(f"{role} bidual is over a different module")
+    return bid
 
 
 def bidual_contraction(source: ExteriorBidual, target: ExteriorBidual, phi) -> ModuleMap:
@@ -454,10 +493,9 @@ def bidual_kernel(X: FPModule, f_vec, r: int):
 
     # f as a dual element: solve Y^T c = f (f kills relations of X, so it is
     # an honest functional and the solve succeeds).
-    sol = solve_linear(bid.Y.transpose(), list(f_vec))
-    if sol is None:
+    phi = bid.dual_solver.solve(f_vec)
+    if phi is None:
         raise ValueError("f is not a functional on X")
-    phi = sol[0]
     target = exterior_bidual(X, r - 1)
     cmap = bidual_contraction(bid, target, phi)
     rhs_sub, rhs_incl = module_kernel(cmap)
@@ -560,8 +598,7 @@ def reduce_table(R, S, table) -> list:
 def perp_rows(ring, sub_gens, ncols: int) -> list:
     """Functional vectors vanishing on the span of the given vectors."""
     A = Matrix(ring, [list(v) for v in sub_gens], ncols=ncols)
-    _H, K = howell_form(A)
-    return [list(r) for r in K.rows]
+    return [list(r) for r in kernel_matrix(A).rows]
 
 
 def table_in_sub_bidual(ring, n: int, k: int, table, sub_gens) -> bool:

@@ -4,11 +4,10 @@ formatting.
 
 Artifacts and reports are schema-versioned JSON written canonically
 (sorted keys, fixed separators), so identical configurations produce
-byte-identical files.  Independent suites are dispatched to a worker
-pool sized by the EKS_THREADS environment variable, and every document
-is assembled in sorted order, so parallelism never changes output
-bytes.  The recorded timings are deterministic work counts (checks run
-per suite), never wall-clock readings, keeping reports byte-stable.
+byte-identical files.  Suites run one after another in the calling
+thread, and every document is assembled in sorted order.  The recorded
+timings are deterministic work counts (checks run per suite), never
+wall-clock readings, keeping reports byte-stable.
 
 Exit codes: 0 when every selected check passes, 1 when at least one
 check fails (the report is still written), 2 for invalid parameters or
@@ -16,9 +15,7 @@ unreadable artifacts.
 """
 
 import argparse
-import concurrent.futures
 import json
-import os
 import random
 import sys
 
@@ -109,29 +106,6 @@ def parse_ring_spec(spec: str):
         return make_ring(p, m, orders)
     except (ValueError, ArithmeticError) as exc:
         raise CommandError(f"bad ring parameters: {exc}")
-
-
-def _pool_size() -> int:
-    raw = os.environ.get("EKS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CommandError(f"EKS_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _run_suites(tasks):
-    """Run (name, thunk) pairs on the worker pool; results keyed by name.
-
-    Each thunk is independent and deterministic, so the schedule cannot
-    change any value, and the caller assembles documents in sorted order.
-    """
-    workers = _pool_size()
-    if workers == 1 or len(tasks) <= 1:
-        return {name: thunk() for name, thunk in tasks}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {name: pool.submit(thunk) for name, thunk in tasks}
-        return {name: future.result() for name, future in futures.items()}
 
 
 def _divisor_name(instance, divisor) -> str:
@@ -374,8 +348,8 @@ def cmd_gen(args) -> int:
     ring = parse_ring_spec(args.ring)
     if args.r < 1:
         raise CommandError("--r must be at least 1")
-    if args.s < 0:
-        raise CommandError("--s must be nonnegative")
+    if args.s < 1:
+        raise CommandError("--s must be at least 1")
     _check_modulus_flag(args, ring.p, ring.m)
     profile = args.profile
     if profile in PROFILES:
@@ -399,8 +373,6 @@ def cmd_gen(args) -> int:
             raise CommandError(
                 "profile 'consistent' fixes --mbig at twice the target "
                 "exponent")
-        if args.s < 1:
-            raise CommandError("profile 'consistent' needs at least one prime")
         try:
             tower, system, kdata = consistent_instance(
                 ring.p, ring.m, args.r, args.s, seed=args.seed)
@@ -434,19 +406,18 @@ def cmd_verify(args) -> int:
         instance = instance_from_json(artifact["instance"])
         euler_system = euler_system_from_json(artifact["euler"])
 
-    tasks = []
+    results = {}
     for name in suites:
         if name == "bidual":
-            tasks.append((name, lambda i=instance: suite_bidual(i, args.seed)))
+            results[name] = suite_bidual(instance, args.seed)
         elif name == "selmer":
-            tasks.append((name, lambda i=instance: suite_selmer(i)))
+            results[name] = suite_selmer(instance)
         elif name == "stark":
-            tasks.append((name, lambda i=instance: suite_stark(i)))
+            results[name] = suite_stark(instance)
         elif name == "kolyvagin":
-            tasks.append((name, lambda i=instance: suite_kolyvagin(i)))
+            results[name] = suite_kolyvagin(instance)
         elif name == "euler":
-            tasks.append((name, lambda e=euler_system: suite_euler(e)))
-    results = _run_suites(tasks)
+            results[name] = suite_euler(euler_system)
 
     checks, witnesses, data, timings = {}, {}, {}, {}
     for name in sorted(results):

@@ -47,7 +47,6 @@ from .rings import (
     kernel_int,
     membership_int,
     row_module_size,
-    solve_linear,
     vec_to_base,
 )
 from .selmer import SelmerInstance
@@ -100,16 +99,10 @@ def _sub_inclusion(ring, small, small_incl, big, big_incl) -> ModuleMap:
 
 
 def _dual_coords(bid: ExteriorBidual, row) -> list:
-    sol = solve_linear(bid.Y.transpose(), list(row))
+    sol = bid.dual_solver.solve(row)
     if sol is None:
         raise RuntimeError("functional is not in the dual of the module")
-    return sol[0]
-
-
-def _rebased_push(incl: ModuleMap, degree: int,
-                  source_bid: ExteriorBidual, target_bid: ExteriorBidual) -> ModuleMap:
-    _bs, _bt, push = bidual_functor_map(incl, degree)
-    return ModuleMap(source_bid.module, target_bid.module, push.matrix)
+    return sol
 
 
 class KolyvaginData:
@@ -207,8 +200,8 @@ class KolyvaginData:
         contr = bidual_contraction(bid, lowered, phi)
         smod, sincl = self.strict(with_q, q)
         sub = _sub_inclusion(ring, smod, sincl, module, incl)
-        push = _rebased_push(sub, self.rank - 1,
-                             self.strict_bidual(with_q, q), lowered)
+        _bs, _bt, push = bidual_functor_map(
+            sub, self.rank - 1, self.strict_bidual(with_q, q), lowered)
         cols = []
         for b in range(bid.module.ngens):
             w = contr.apply(bid.module.generator(b))
@@ -297,7 +290,8 @@ def ambient_table(data: KolyvaginData, divisor, coords) -> list:
     module, incl = data.selmer(divisor)
     free = FPModule.free(data.ring, data.instance.ambient_rank)
     ambient_bid = ExteriorBidual(free, data.rank)
-    push = _rebased_push(incl, data.rank, data.bidual(divisor), ambient_bid)
+    _bs, _bt, push = bidual_functor_map(
+        incl, data.rank, data.bidual(divisor), ambient_bid)
     return ambient_bid.table(push.apply(list(coords)))
 
 
@@ -318,7 +312,8 @@ def component_from_ambient_table(data: KolyvaginData, divisor, table):
     coords = ambient_bid.from_table(list(table))
     if coords is None:
         return None
-    push = _rebased_push(incl, data.rank, data.bidual(divisor), ambient_bid)
+    _bs, _bt, push = bidual_functor_map(
+        incl, data.rank, data.bidual(divisor), ambient_bid)
     return solve_map(push, coords)
 
 
@@ -369,7 +364,8 @@ def regulator_component_map(sdata: StarkData, kdata: KolyvaginData,
     contr = bidual_contraction(bid_hi, lowered, phi)
     smod, sincl = kdata.selmer(key)
     sub = _sub_inclusion(ring, smod, sincl, relaxed, relaxed_incl)
-    push = _rebased_push(sub, kdata.rank, kdata.bidual(key), lowered)
+    _bs, _bt, push = bidual_functor_map(
+        sub, kdata.rank, kdata.bidual(key), lowered)
     scale = divisor_sign(ring, key)
     for q in key:
         scale = ring.mul(scale, kdata.effective_unit(q))

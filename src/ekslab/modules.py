@@ -19,9 +19,10 @@ import itertools
 
 from .rings import (
     Matrix,
+    Solver,
     cochecks_int,
-    howell_form,
     kernel_int,
+    kernel_matrix,
     matrix_from_json,
     matrix_to_json,
     membership_int,
@@ -32,7 +33,6 @@ from .rings import (
     row_module_size,
     smith_int,
     solve_int,
-    solve_linear,
     submodule_howell,
     vec_from_base,
     vec_to_base,
@@ -157,10 +157,6 @@ class FPModule:
     def add_elements(self, u, v) -> list:
         r = self.ring
         return [r.add(a, b) for a, b in zip(u, v)]
-
-    def sub_elements(self, u, v) -> list:
-        r = self.ring
-        return [r.sub(a, b) for a, b in zip(u, v)]
 
     def __repr__(self):
         return f"FPModule({self.ring!r}, ngens={self.ngens}, nrels={self.relations.nrows})"
@@ -417,7 +413,7 @@ def chain_invariants(module: FPModule) -> list:
     rel = module.relations
     if rel.nrows == 0:
         return [ring.m] * module.ngens
-    exps, _P, _Q = smith_int(rel.rows, ring.p, ring.m)
+    exps, _P, _Q = smith_int(rel.rows, ring.p, ring.m, left=False)
     full = list(exps) + [ring.m] * (module.ngens - len(exps))
     return sorted((e for e in full if e > 0), reverse=True)
 
@@ -435,7 +431,7 @@ def dual_module(module: FPModule):
     and a dual element with coordinates c evaluates on x as c . (Y . x).
     """
     ring = module.ring
-    _H, K = howell_form(module.relations)
+    K = kernel_matrix(module.relations)
     func_rows = [row for row in K.rows if not _vanishes_on_free(module, row)]
     Y = Matrix(ring, func_rows, ncols=module.ngens)
     syz = syzygies(FPModule.free(ring, module.ngens), [list(r) for r in Y.rows])
@@ -457,25 +453,28 @@ def dual_eval(Y: Matrix, phi_coords, x):
     return acc
 
 
-def dual_map(f: ModuleMap, dual_source, Y_source, dual_target, Y_target):
+def dual_map(f: ModuleMap, dual_source, Y_source, dual_target, Y_target,
+             solver: Solver | None = None):
     """The pullback f* : target* -> source*, phi -> phi o f.
 
     Takes the duals of source and target as produced by ``dual_module``.  The
     pullback of a functional with vector v is the vector M^T . v, which kills
     the source relations because f is well defined; its coordinates in the
-    source dual's generators come from one linear solve per generator.
+    source dual's generators come from solves against Y_source^T, factored
+    once.  A caller that already holds a ``Solver`` of Y_source^T passes it
+    as ``solver``.
     """
     ring = f.source.ring
     Mt = f.matrix.transpose()
-    L = Y_source.transpose()
+    if solver is None:
+        solver = Solver(Y_source.transpose())
     cols = []
     for b in range(dual_target.ngens):
         v = list(Y_target.rows[b])
-        w = Mt.apply(v)
-        sol = solve_linear(L, w)
+        sol = solver.solve(Mt.apply(v))
         if sol is None:
             raise RuntimeError("pullback functional escapes the source dual")
-        cols.append(sol[0])
+        cols.append(sol)
     mat = Matrix(
         ring,
         [[cols[b][a] for b in range(dual_target.ngens)]
@@ -497,13 +496,12 @@ def bidual_setup(module: FPModule):
     dual, Y = dual_module(module)
     double, Yd = dual_module(dual)
     cols = []
-    L = Yd.transpose()
+    solver = Solver(Yd.transpose())
     for i in range(module.ngens):
-        w = [Y.rows[a][i] for a in range(Y.nrows)]
-        sol = solve_linear(L, w)
+        sol = solver.solve([Y.rows[a][i] for a in range(Y.nrows)])
         if sol is None:
             raise RuntimeError("evaluation functional escapes the double dual")
-        cols.append(sol[0])
+        cols.append(sol)
     mat = Matrix(
         ring,
         [[cols[i][b] for i in range(module.ngens)] for b in range(double.ngens)],

@@ -104,15 +104,6 @@ class ChainRing:
             v += 1
         return v
 
-    def unit_part(self, a: int) -> int:
-        """The unit u with a = u * p^val(a); returns 1 for a = 0."""
-        a %= self.n
-        if a == 0:
-            return 1
-        while a % self.p == 0:
-            a //= self.p
-        return a
-
     def is_unit(self, a: int) -> bool:
         return a % self.p != 0
 
@@ -491,19 +482,23 @@ def row_module_size(howell_rows, p: int, m: int) -> int:
     return size
 
 
-def smith_int(A, p: int, m: int):
+def smith_int(A, p: int, m: int, left: bool = True):
     """Smith form over Z/p^m: returns (exps, P, Q) with P.A.Q = diag(p^e).
 
     ``exps`` lists the exponents e of the nonzero-strip diagonal (an entry m
     denotes 0).  P (k x k) and Q (g x g) are invertible over Z/p^m.  Chain
     rings admit this form because the minimal-valuation entry divides every
     other entry, so elimination is exact.
+
+    The row updates of P cost as much as the elimination itself, so callers
+    that only read ``exps`` and Q (kernels, invariant factors) pass
+    ``left=False`` and get None in place of P.
     """
     n = p ** m
     k = len(A)
     g = len(A[0]) if k else 0
     M = [[c % n for c in row] for row in A]
-    P = [[int(i == j) for j in range(k)] for i in range(k)]
+    P = [[int(i == j) for j in range(k)] for i in range(k)] if left else None
     Q = [[int(i == j) for j in range(g)] for i in range(g)]
     exps = []
     top = 0
@@ -524,7 +519,8 @@ def smith_int(A, p: int, m: int):
             break
         if bi != top:
             M[top], M[bi] = M[bi], M[top]
-            P[top], P[bi] = P[bi], P[top]
+            if left:
+                P[top], P[bi] = P[bi], P[top]
         if bj != top:
             for row in M:
                 row[top], row[bj] = row[bj], row[top]
@@ -534,13 +530,15 @@ def smith_int(A, p: int, m: int):
         v = _val(piv, p, m)
         u_inv = pow(piv // (p ** v), -1, n)
         M[top] = [(u_inv * c) % n for c in M[top]]
-        P[top] = [(u_inv * c) % n for c in P[top]]
+        if left:
+            P[top] = [(u_inv * c) % n for c in P[top]]
         pk = p ** v
         for i in range(top + 1, k):
             if M[i][top]:
                 q = M[i][top] // pk
                 M[i] = [(a - q * b) % n for a, b in zip(M[i], M[top])]
-                P[i] = [(a - q * b) % n for a, b in zip(P[i], P[top])]
+                if left:
+                    P[i] = [(a - q * b) % n for a, b in zip(P[i], P[top])]
         for j in range(top + 1, g):
             if M[top][j]:
                 q = M[top][j] // pk
@@ -562,7 +560,7 @@ def kernel_int(A, p: int, m: int) -> list:
         return []
     if k == 0:
         return [[int(i == j) for j in range(g)] for i in range(g)]
-    exps, _P, Q = smith_int(A, p, m)
+    exps, _P, Q = smith_int(A, p, m, left=False)
     gens = []
     for i, e in enumerate(exps):
         if e > 0:
@@ -575,32 +573,39 @@ def kernel_int(A, p: int, m: int) -> list:
     return gens
 
 
+def _back_substitute(smith, b, p: int, m: int):
+    """One x with A.x = b from the Smith data (exps, P, Q) of A, or None.
+
+    The one back-substitution behind every solve: factor A once with
+    ``smith_int`` and call this per right-hand side.  ``b`` must be reduced
+    mod p^m.  With P.A.Q = D the system becomes D.y = P.b, solved entry by
+    entry, and x = Q.y.
+    """
+    exps, P, Q = smith
+    n = p ** m
+    pb = [sum(c * x for c, x in zip(row, b)) % n for row in P]
+    for i in range(len(exps), len(pb)):
+        if pb[i]:
+            return None
+    y = []
+    for i, e in enumerate(exps):
+        if _val(pb[i], p, m) < e:
+            return None
+        # Solve p^e * y_i = pb[i]: any lift of the exact quotient works.
+        y.append(pb[i] // (p ** e) % n)
+    # y vanishes beyond the diagonal, so only the first len(y) columns of Q
+    # contribute.
+    return [sum(c * x for c, x in zip(row, y)) % n for row in Q]
+
+
 def solve_int(A, b, p: int, m: int):
     """One solution x of A.x = b over Z/p^m, or None if none exists."""
     n = p ** m
     k = len(A)
     g = len(A[0]) if k else 0
-    b = [c % n for c in b]
     if k == 0:
         return [0] * g
-    exps, P, Q = smith_int(A, p, m)
-    pb = [sum(P[i][j] * b[j] for j in range(k)) % n for i in range(k)]
-    y = [0] * g
-    for i in range(min(k, g)):
-        if i < len(exps):
-            e = exps[i]
-            if _val(pb[i], p, m) < e:
-                return None
-            # Solve p^e * y_i = pb[i]: any lift of the exact quotient works.
-            y[i] = pb[i] // (p ** e) % n
-        else:
-            if pb[i]:
-                return None
-    for i in range(len(exps), k):
-        if pb[i]:
-            return None
-    x = [sum(Q[t][j] * y[j] for j in range(g)) % n for t in range(g)]
-    return x
+    return _back_substitute(smith_int(A, p, m), [c % n for c in b], p, m)
 
 
 def det_int(A, p: int, m: int) -> int:
@@ -700,9 +705,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.rows!r})"
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.ring, [row[:] for row in self.rows])
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -846,14 +848,26 @@ def submodule_howell(ring, vectors, ncols: int) -> list:
     return howell_int(rows, ncols * ring.rank, base.p, base.m)
 
 
+def kernel_matrix(A: Matrix) -> Matrix:
+    """A Matrix over the ring of A whose rows generate {x : A.x = 0}."""
+    ring = A.ring
+    base = ring.base
+    if A.nrows == 0:
+        return Matrix.identity(ring, A.ncols)
+    ker_base = kernel_int(A.to_base(), base.p, base.m)
+    ker_vecs = [vec_from_base(ring, row) for row in ker_base]
+    ker_vecs = [v for v in ker_vecs if any(x != ring.zero for x in v)]
+    return Matrix(ring, ker_vecs) if ker_vecs else Matrix.zeros(ring, 0, A.ncols)
+
+
 def howell_form(A: Matrix):
     """Canonical form of the row module of A, plus a kernel basis.
 
-    Returns ``(H, kernel)``.  For a chain ring H is a Matrix over the same
-    ring, the unique Howell form of the row span.  For a group ring the row
-    module is canonicalized through restriction of scalars and H is a Matrix
-    over the base ring with ncols * |G| columns.  ``kernel`` is a Matrix over
-    the original ring whose rows generate {x : A.x = 0}.
+    Returns ``(H, kernel_matrix(A))``.  For a chain ring H is a Matrix over
+    the same ring, the unique Howell form of the row span.  For a group ring
+    the row module is canonicalized through restriction of scalars and H is
+    a Matrix over the base ring with ncols * |G| columns.  Callers that only
+    need the kernel call ``kernel_matrix`` directly.
     """
     ring = A.ring
     base = ring.base
@@ -862,34 +876,42 @@ def howell_form(A: Matrix):
         H = Matrix(ring, H_rows) if H_rows else Matrix.zeros(ring, 0, A.ncols)
     else:
         H = Matrix(base, H_rows) if H_rows else Matrix.zeros(base, 0, A.ncols * ring.rank)
-    if A.nrows == 0:
-        return H, Matrix.identity(ring, A.ncols)
-    ker_base = kernel_int(A.to_base(), base.p, base.m)
-    ker_vecs = [vec_from_base(ring, row) for row in ker_base]
-    ker_vecs = [v for v in ker_vecs if any(x != ring.zero for x in v)]
-    K = Matrix(ring, ker_vecs) if ker_vecs else Matrix.zeros(ring, 0, A.ncols)
-    return H, K
+    return H, kernel_matrix(A)
+
+
+class Solver:
+    """Solves A.x = b over the ring of A for many right-hand sides b.
+
+    The Smith form of the restriction of scalars of A is computed once, at
+    construction; each ``solve`` is then one back-substitution.
+    """
+
+    __slots__ = ("ring", "ncols", "_smith")
+
+    def __init__(self, A: Matrix):
+        self.ring = A.ring
+        self.ncols = A.ncols
+        base = A.ring.base
+        self._smith = smith_int(A.to_base(), base.p, base.m) if A.nrows else None
+
+    def solve(self, b):
+        """One solution x of A.x = b, or None when the system has none."""
+        ring = self.ring
+        if self._smith is None:
+            return [ring.zero] * self.ncols
+        base = ring.base
+        x = _back_substitute(self._smith, vec_to_base(ring, b), base.p, base.m)
+        return None if x is None else vec_from_base(ring, x)
 
 
 def solve_linear(A: Matrix, b):
-    """Solve A.x = b over the ring of A.
+    """One solution x of A.x = b over the ring of A, or None when there is
+    none (an empty solution set is a value, not an error).
 
-    Returns ``(particular, kernel_rows)`` where ``kernel_rows`` is a Matrix
-    whose rows generate the homogeneous solution module, or ``None`` when the
-    system has no solution (an empty solution set is a value, not an error).
+    The full solution set is x plus the row span of ``kernel_matrix(A)``.
+    To solve against one matrix repeatedly, build a ``Solver`` once.
     """
-    ring = A.ring
-    base = ring.base
-    if A.nrows == 0:
-        return [ring.zero] * A.ncols, Matrix.identity(ring, A.ncols)
-    Ab = A.to_base()
-    bb = vec_to_base(ring, [ring.reduce(x) for x in b])
-    sol = solve_int(Ab, bb, base.p, base.m)
-    if sol is None:
-        return None
-    particular = vec_from_base(ring, sol)
-    _H, K = howell_form(A)
-    return particular, K
+    return Solver(A).solve(b)
 
 
 def restrict_scalars(ring, x) -> Matrix:

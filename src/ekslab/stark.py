@@ -44,7 +44,7 @@ from .modules import (
     same_submodule,
     solve_map,
 )
-from .rings import Matrix, make_ring, solve_linear
+from .rings import Matrix, make_ring
 from .selmer import PrimeData, SelmerInstance, core_vertices, frobenius_data, min_generators
 
 
@@ -129,15 +129,14 @@ class StarkData:
 
     def functor_map(self, n_div, m_div, degree: int) -> ModuleMap:
         """The induced map on degree-``degree`` biduals along the inclusion,
-        rebuilt on the cached bidual presentations."""
+        built on the cached biduals."""
         n_key, m_key = tuple(sorted(n_div)), tuple(sorted(m_div))
         if (n_key, m_key, degree) not in self._functor:
             _bs, _bt, push = bidual_functor_map(
-                self.inclusion(n_key, m_key), degree)
-            self._functor[(n_key, m_key, degree)] = ModuleMap(
-                self.bidual(n_key, degree).module,
-                self.bidual(m_key, degree).module,
-                push.matrix)
+                self.inclusion(n_key, m_key), degree,
+                source=self.bidual(n_key, degree),
+                target=self.bidual(m_key, degree))
+            self._functor[(n_key, m_key, degree)] = push
         return self._functor[(n_key, m_key, degree)]
 
     def singular_on_relaxed(self, divisor, q: int) -> list:
@@ -178,11 +177,11 @@ class StarkData:
         dual_rows = []
         for q in qs:
             row = self.singular_on_relaxed(m_key, q)
-            sol = solve_linear(bid_hi.Y.transpose(), row)
+            sol = bid_hi.dual_solver.solve(row)
             if sol is None:
                 raise RuntimeError(
                     "a singular functional is not in the dual of the relaxed module")
-            dual_rows.append(sol[0])
+            dual_rows.append(sol)
         phi = wedge_coeffs(ring, dual_rows, bid_hi.dual.ngens)
         contr = bidual_contraction(bid_hi, bid_mid, phi)
         push = self.functor_map(n_key, m_key, deg)
@@ -213,9 +212,9 @@ class StarkData:
         deg = self.degree(key)
         if key not in self._ambient_push:
             _module, incl = self.relaxed(key)
-            _bs, bt, push = bidual_functor_map(incl, deg)
-            self._ambient_push[key] = (bt, ModuleMap(
-                self.bidual(key).module, bt.module, push.matrix))
+            _bs, bt, push = bidual_functor_map(
+                incl, deg, source=self.bidual(key))
+            self._ambient_push[key] = (bt, push)
         bt, push = self._ambient_push[key]
         return bt.table(push.apply(list(coords)))
 

@@ -291,7 +291,7 @@ def _dual_coords(bid, f_vec):
     the degree needed by a one-step contraction."""
     sol = solve_linear(bid.Y.transpose(), list(f_vec))
     assert sol is not None
-    return wedge_coeffs(bid.X.ring, [sol[0]], bid.dual.ngens)[: len(
+    return wedge_coeffs(bid.X.ring, [sol], bid.dual.ngens)[: len(
         r_subsets(bid.dual.ngens, 1))]
 
 
@@ -373,6 +373,70 @@ class TestBidualModule:
         with pytest.raises(ValueError):
             bid.ev
 
+    def test_dual_solver_matches_solve_linear(self):
+        rng = random.Random(44)
+        for ring in RINGS:
+            X = draw_module(ring, rng)
+            bid = exterior_bidual(X, 1)
+            for _ in range(4):
+                f = [ring.random_element(rng) for _ in range(X.ngens)]
+                assert bid.dual_solver.solve(f) == solve_linear(
+                    bid.Y.transpose(), f)
+
+
+class TestBidualFunctorReuse:
+    """Passing biduals the caller already holds must not change the map."""
+
+    @staticmethod
+    def _inclusion(ring, rng):
+        ambient = draw_module(ring, rng, max_gens=3)
+        vectors = [ambient.random_element(rng) for _ in range(2)]
+        return present_submodule(ambient, vectors)[1]
+
+    def test_cached_biduals_give_the_same_map(self):
+        rng = random.Random(61)
+        for ring in RINGS:
+            for r in (1, 2):
+                incl = self._inclusion(ring, rng)
+                _bs, _bt, fresh = bidual_functor_map(incl, r)
+                bs = exterior_bidual(incl.source, r)
+                bt = exterior_bidual(incl.target, r)
+                got_s, got_t, push = bidual_functor_map(incl, r, bs, bt)
+                assert got_s is bs and got_t is bt
+                assert push.source is bs.module and push.target is bt.module
+                assert push.matrix == fresh.matrix
+                only_source = bidual_functor_map(incl, r, source=bs)[2]
+                assert only_source.matrix == fresh.matrix
+
+    def test_same_presentation_is_accepted(self):
+        X = FPModule(Z9, 2, Matrix(Z9, [[3, 0]]))
+        twin = FPModule(Z9, 2, Matrix(Z9, [[3, 0]]))
+        f = ModuleMap.identity(X)
+        push = bidual_functor_map(f, 1, exterior_bidual(twin, 1))[2]
+        assert push.matrix == bidual_functor_map(f, 1)[2].matrix
+
+    def test_wrong_degree_rejected(self):
+        incl = self._inclusion(Z9, random.Random(62))
+        with pytest.raises(ValueError, match="degree"):
+            bidual_functor_map(incl, 1, source=exterior_bidual(incl.source, 2))
+        with pytest.raises(ValueError, match="degree"):
+            bidual_functor_map(incl, 2, target=exterior_bidual(incl.target, 1))
+
+    def test_wrong_module_rejected(self):
+        incl = self._inclusion(Z9, random.Random(63))
+        other = FPModule(Z9, incl.source.ngens,
+                         Matrix(Z9, [[3] * incl.source.ngens]))
+        with pytest.raises(ValueError, match="different module"):
+            bidual_functor_map(incl, 1, source=exterior_bidual(other, 1))
+        # The source's bidual is not one of the target.
+        if incl.source.ngens != incl.target.ngens:
+            with pytest.raises(ValueError, match="different module"):
+                bidual_functor_map(
+                    incl, 1, target=exterior_bidual(incl.source, 1))
+        over_z4 = FPModule.free(Z4, incl.target.ngens)
+        with pytest.raises(ValueError, match="different module"):
+            bidual_functor_map(incl, 1, target=exterior_bidual(over_z4, 1))
+
 
 class TestBidualContraction:
     def test_naturality_square_with_xi(self):
@@ -421,7 +485,7 @@ def _wedge_dual_coords(bid, f_vecs):
     for f in f_vecs:
         sol = solve_linear(bid.Y.transpose(), list(f))
         assert sol is not None
-        rows.append(sol[0])
+        rows.append(sol)
     return wedge_coeffs(ring, rows, bid.dual.ngens)
 
 
@@ -592,7 +656,7 @@ class TestAlternatingFormOracle:
                 for i in t:
                     sol = solve_linear(bid.Y.transpose(), list(funcs[i]))
                     assert sol is not None
-                    rows.append(sol[0])
+                    rows.append(sol)
                 W = wedge_coeffs(ring, rows, bid.dual.ngens)
                 val = ring.zero
                 for c, v in zip(W, tbl):

@@ -15,12 +15,14 @@ from ekslab.rings import (
     ChainRing,
     GroupRing,
     Matrix,
+    Solver,
     cochecks_int,
     det_int,
     det_ring,
     howell_form,
     howell_int,
     kernel_int,
+    kernel_matrix,
     make_ring,
     matrix_from_json,
     matrix_to_json,
@@ -35,6 +37,7 @@ from ekslab.rings import (
     solve_linear,
     span_rows_base,
     submodule_howell,
+    vec_from_base,
     vec_to_base,
 )
 from oracles import (
@@ -210,6 +213,15 @@ class TestSmithKernel:
                         assert D[i][j] == 0
 
     @pytest.mark.parametrize("R", CHAIN_RINGS)
+    def test_smith_without_left_transform_keeps_exps_and_q(self, R):
+        rng = random.Random(29 + R.n)
+        for _ in range(40):
+            k, g = rng.randint(1, 4), rng.randint(1, 4)
+            A = [[rng.randrange(R.n) for _ in range(g)] for _ in range(k)]
+            exps, _P, Q = smith_int(A, R.p, R.m)
+            assert smith_int(A, R.p, R.m, left=False) == (exps, None, Q)
+
+    @pytest.mark.parametrize("R", CHAIN_RINGS)
     def test_kernel_matches_enumeration(self, R):
         rng = random.Random(37 + R.n)
         for _ in range(20):
@@ -228,9 +240,10 @@ class TestSmithKernel:
 class TestSolve:
     def test_frozen_2x_eq_2_over_z4(self):
         R = make_ring(2, 2)
-        sol = solve_linear(Matrix(R, [[2]]), [2])
-        assert sol is not None
-        particular, K = sol
+        A = Matrix(R, [[2]])
+        particular = solve_linear(A, [2])
+        assert particular is not None
+        K = kernel_matrix(A)
         sols = {(particular[0] + c * K.rows[0][0]) % 4 for c in range(4)} if K.nrows else {particular[0]}
         assert sols == {1, 3}
 
@@ -240,9 +253,10 @@ class TestSolve:
 
     def test_frozen_diag_5_1_over_z25(self):
         R = make_ring(5, 2)
-        sol = solve_linear(Matrix(R, [[5, 0], [0, 1]]), [0, 3])
-        assert sol is not None
-        particular, K = sol
+        A = Matrix(R, [[5, 0], [0, 1]])
+        particular = solve_linear(A, [0, 3])
+        assert particular is not None
+        K = kernel_matrix(A)
         got = set()
         for c in range(25):
             x = particular[:]
@@ -267,7 +281,7 @@ class TestSolve:
                 assert got is None, f"solver found a solution where none exists: {got}"
             else:
                 assert got is not None, "solver missed a solvable system"
-                particular, K = got
+                particular, K = got, kernel_matrix(A)
                 assert A.apply(particular) == [R.reduce(x) for x in b]
                 # particular + kernel span must equal the solution set.
                 ker_set = span_set(R, K.rows, g) if K.nrows else frozenset(
@@ -281,6 +295,74 @@ class TestSolve:
                 assert shifted == frozenset(
                     tuple(vec_to_base(R, s)) for s in expected
                 )
+
+
+class TestSolver:
+    """One factorization, many right-hand sides: the answers must be those
+    of a fresh elimination per right-hand side."""
+
+    @staticmethod
+    def _rhs(R, rng, A, count):
+        # Half the right-hand sides are images (always solvable), the rest
+        # random (often not, over a non-field).
+        out = []
+        for t in range(count):
+            if t % 2:
+                out.append([R.random_element(rng) for _ in range(A.nrows)])
+            else:
+                out.append(A.apply([R.random_element(rng) for _ in range(A.ncols)]))
+        return out
+
+    @pytest.mark.parametrize("R", CHAIN_RINGS + [make_ring(3, 2, (3,))])
+    def test_many_rhs_match_solve_int(self, R):
+        rng = random.Random(47 + R.size)
+        base = R.base
+        nones = 0
+        for _ in range(10):
+            A = rand_matrix(R, rng, rng.randint(1, 4), rng.randint(1, 4))
+            solver = Solver(A)
+            Ab = A.to_base()
+            for b in self._rhs(R, rng, A, 8):
+                got = solver.solve(b)
+                want = solve_int(Ab, vec_to_base(R, b), base.p, base.m)
+                if want is None:
+                    nones += 1
+                    assert got is None
+                else:
+                    assert got == vec_from_base(R, want)
+                    assert A.apply(got) == [R.reduce(x) for x in b]
+                assert solve_linear(A, b) == got
+        if base.m > 1:
+            assert nones, "no unsolvable right-hand side was drawn"
+
+    @pytest.mark.parametrize("R", RINGS)
+    def test_many_rhs_against_enumeration(self, R):
+        rng = random.Random(53 + R.size)
+        max_cols = 1 if R.size > 256 else 2
+        for _ in range(6):
+            A = rand_matrix(R, rng, rng.randint(1, 2), rng.randint(1, max_cols))
+            solver = Solver(A)
+            K = kernel_matrix(A)
+            g = A.ncols
+            ker_set = span_set(R, K.rows, g) if K.nrows else frozenset(
+                {(0,) * (g * R.rank)})
+            for b in self._rhs(R, rng, A, 4):
+                expected = enumerate_solutions(A, b)
+                got = solver.solve(b)
+                if not expected:
+                    assert got is None
+                    continue
+                part = vec_to_base(R, got)
+                shifted = frozenset(
+                    tuple((a + c) % R.base.n for a, c in zip(part, kv))
+                    for kv in ker_set)
+                assert shifted == frozenset(
+                    tuple(vec_to_base(R, s)) for s in expected)
+
+    def test_empty_matrix_solves_everything(self):
+        R = make_ring(3, 2)
+        solver = Solver(Matrix.zeros(R, 0, 3))
+        assert solver.solve([]) == [0, 0, 0]
 
 
 class TestGroupRingLinear:
