@@ -86,11 +86,27 @@ def _write_text(path: str, text: str) -> None:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CommandError(f"{path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise CommandError(f"{path} is not a JSON object")
+    return doc
+
+
+def _parse_artifact(parse, doc, part=None):
+    """``parse(doc)``, or ``parse(doc[part])`` for one part of a bundle, with
+    the errors of malformed data (missing keys, wrong types, ragged rows,
+    bad ring parameters) reported as a CommandError."""
+    try:
+        return parse(doc if part is None else doc[part])
+    except (KeyError, TypeError, IndexError, ValueError,
+            ArithmeticError) as exc:
+        where = f" (part {part!r})" if part is not None else ""
+        raise CommandError(
+            f"malformed artifact{where}: {type(exc).__name__}: {exc}")
 
 
 def parse_ring_spec(spec: str):
@@ -399,12 +415,13 @@ def cmd_verify(args) -> int:
     instance = None
     euler_system = None
     if schema == "selmer-instance/1":
-        instance = instance_from_json(artifact)
+        instance = _parse_artifact(instance_from_json, artifact)
     elif schema == "euler-system/1":
-        euler_system = euler_system_from_json(artifact)
+        euler_system = _parse_artifact(euler_system_from_json, artifact)
     elif schema == "eks-bundle/1":
-        instance = instance_from_json(artifact["instance"])
-        euler_system = euler_system_from_json(artifact["euler"])
+        instance = _parse_artifact(instance_from_json, artifact, "instance")
+        euler_system = _parse_artifact(euler_system_from_json, artifact,
+                                       "euler")
 
     results = {}
     for name in suites:
@@ -454,8 +471,8 @@ def _load_derive_inputs(paths):
             raise CommandError(
                 "derive needs a bundle artifact or a tower-family artifact "
                 "plus an instance artifact")
-        return (euler_system_from_json(docs[0]["euler"]),
-                instance_from_json(docs[0]["instance"]))
+        return (_parse_artifact(euler_system_from_json, docs[0], "euler"),
+                _parse_artifact(instance_from_json, docs[0], "instance"))
     if len(docs) != 2:
         raise CommandError("derive takes one bundle or exactly two artifacts")
     by_schema = {doc.get("schema"): doc for doc in docs}
@@ -464,8 +481,10 @@ def _load_derive_inputs(paths):
         raise CommandError(
             "derive needs one euler-system/1 and one selmer-instance/1 "
             "artifact")
-    return (euler_system_from_json(by_schema["euler-system/1"]),
-            instance_from_json(by_schema["selmer-instance/1"]))
+    return (_parse_artifact(euler_system_from_json,
+                            by_schema["euler-system/1"]),
+            _parse_artifact(instance_from_json,
+                            by_schema["selmer-instance/1"]))
 
 
 def cmd_derive(args) -> int:
@@ -538,7 +557,7 @@ def cmd_graph(args) -> int:
     artifact = _load_json(args.artifact)
     if artifact.get("schema") != "selmer-instance/1":
         raise CommandError("graph needs a selmer-instance/1 artifact")
-    instance = instance_from_json(artifact)
+    instance = _parse_artifact(instance_from_json, artifact)
     cores = core_vertices(instance)
     core_set = set(cores)
     edges = []

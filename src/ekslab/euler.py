@@ -832,6 +832,10 @@ def consistent_instance(p: int, m: int, rank: int, n_primes: int, seed: int,
     M = p ** m
     m_big = 2 * m
     n = rank + n_primes
+    if p == 3 and n % 2:
+        # Every middle eigenvalue d of _instance_frobenius has d = 2 and
+        # 1 - d = 2 mod 3, so the last one is 1 + (-1)^(n-2) = 0 mod 3.
+        raise ValueError("p = 3 needs r + s even")
     orders = (M,) * n_primes
     Rbar = make_ring(p, m)
     monomials = r_subsets(n, rank)

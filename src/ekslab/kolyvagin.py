@@ -51,6 +51,7 @@ from .rings import (
 )
 from .selmer import SelmerInstance
 from .stark import StarkData, StarkSystem
+from .stark import system_ideals as kolyvagin_ideals
 
 
 def _scalar(ring, a: int):
@@ -115,8 +116,8 @@ class KolyvaginData:
     """
 
     __slots__ = ("instance", "ring", "rank", "sigma_exponents", "_selmer",
-                 "_strict", "_bidual", "_strict_bidual", "_v", "_fs",
-                 "_reg_map")
+                 "_strict", "_bidual", "_lowered", "_strict_bidual", "_v",
+                 "_fs", "_reg_map")
 
     def __init__(self, instance: SelmerInstance, sigma_exponents=None):
         self.instance = instance
@@ -130,6 +131,7 @@ class KolyvaginData:
         self._selmer = {}
         self._strict = {}
         self._bidual = {}
+        self._lowered = {}
         self._strict_bidual = {}
         self._v = {}
         self._fs = {}
@@ -179,6 +181,15 @@ class KolyvaginData:
             self._bidual[key] = ExteriorBidual(module, self.rank)
         return self._bidual[key]
 
+    def lowered_bidual(self, divisor) -> ExteriorBidual:
+        """The degree-(r-1) bidual of the divisor's Selmer module, where the
+        contractions of ``_drop_map`` land."""
+        key = tuple(sorted(divisor))
+        if key not in self._lowered:
+            module, _incl = self.selmer(key)
+            self._lowered[key] = ExteriorBidual(module, self.rank - 1)
+        return self._lowered[key]
+
     def strict_bidual(self, divisor, q: int) -> ExteriorBidual:
         key = (tuple(sorted(divisor)), q)
         if key not in self._strict_bidual:
@@ -196,7 +207,7 @@ class KolyvaginData:
         module, incl = self.selmer(divisor)
         restricted = _restrict_functional(ring, row, incl)
         phi = _dual_coords(bid, restricted)
-        lowered = ExteriorBidual(module, self.rank - 1)
+        lowered = self.lowered_bidual(divisor)
         contr = bidual_contraction(bid, lowered, phi)
         smod, sincl = self.strict(with_q, q)
         sub = _sub_inclusion(ring, smod, sincl, module, incl)
@@ -447,20 +458,6 @@ def core_projection_invert(sdata: StarkData, kdata: KolyvaginData,
         raise RuntimeError(
             "core projection failed to invert: model violation")
     return stark_from_top(sdata, top)
-
-
-def kolyvagin_ideals(system: KolyvaginSystem) -> list:
-    """Content ideals by level: the i-th entry is generated by all values of
-    all components at divisors with i primes."""
-    data = system.data
-    out = []
-    for level in range(data.instance.n_primes + 1):
-        acc = Ideal.zero(data.ring)
-        for d in data.instance.divisors():
-            if len(d) == level:
-                acc = acc.add(content_ideal(data.bidual(d), system.component(d)))
-        out.append(acc)
-    return out
 
 
 def verify_main_theorem(system: KolyvaginSystem) -> dict:

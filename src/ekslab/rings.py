@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 
 def _is_prime(n: int) -> bool:
@@ -147,6 +147,29 @@ class ChainRing:
         return f"Z/{self.p}^{self.m}" if self.m > 1 else f"Z/{self.p}"
 
 
+@cache
+def _group_table(orders: tuple) -> tuple:
+    """Multiplication table of the abelian group with cyclic factor ``orders``
+    on mixed-radix indices: t[i][j] = index of g_i*g_j.
+
+    Built block by block from the least significant factor up.  If t is the
+    table of the factors built so far, of size S, and d is the order of the
+    next factor, then index(g_(a*S+i) * g_(b*S+j)) = ((a+b) mod d)*S + t[i][j].
+    Every caller shares the result, so it is a tuple of tuples.
+    """
+    table = ((0,),)
+    for d in reversed(orders):
+        size = len(table)
+        blocks = [[[c * size + x for x in row] for c in range(d)]
+                  for row in table]
+        table = tuple(
+            tuple([x for c in range(a, a + d) for x in shifted[c % d]])
+            for a in range(d)
+            for shifted in blocks
+        )
+    return table
+
+
 @dataclass(frozen=True)
 class GroupRing:
     """(Z/p^m)[G] for G a finite abelian p-group given by cyclic orders.
@@ -209,18 +232,13 @@ class GroupRing:
         return tuple(out)
 
     @cached_property
-    def _mul_index(self) -> list:
-        """Table of group multiplication on indices: t[i][j] = index of g_i*g_j."""
-        n = self.rank
-        table = [[0] * n for _ in range(n)]
-        exps = [self.index_to_exp(i) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                combined = tuple(
-                    (a + b) % d for a, b, d in zip(exps[i], exps[j], self.orders)
-                )
-                table[i][j] = self.exp_to_index(combined)
-        return table
+    def _mul_index(self) -> tuple:
+        """Table of group multiplication on indices: t[i][j] = index of g_i*g_j.
+
+        The table depends only on ``orders``, so every ring over the same
+        group, whatever its modulus, shares one table object.
+        """
+        return _group_table(self.orders)
 
     @property
     def zero(self) -> tuple:

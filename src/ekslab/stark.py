@@ -288,9 +288,12 @@ def system_compatible(system: StarkSystem) -> bool:
     return True
 
 
-def system_ideals(system: StarkSystem) -> list:
+def system_ideals(system) -> list:
     """The content ideals of the system, one per level: the i-th entry is
-    generated by all values of all components at divisors with i primes."""
+    generated by all values of all components at divisors with i primes.
+
+    Any family of bidual elements indexed by divisors works: a Stark
+    system, or a Kolyvagin system (``kolyvagin.kolyvagin_ideals``)."""
     data = system.data
     out = []
     for level in range(data.instance.n_primes + 1):

@@ -1,11 +1,13 @@
 """Command-line contract: golden output bytes and parameter rejection.
 
 The golden digests were recorded from the CLI before the elimination layer
-was reworked to factor each matrix once; any change to the bytes of an
+was reworked to factor each matrix once (the tower-derive pass's before the
+group multiplication tables were shared); any change to the bytes of an
 artifact, a report or a derivation shows up here as a digest mismatch.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -24,6 +26,16 @@ GOLDEN = {
         "ef5d118303492764a3a84af0e991bfecb66b647409fa02a9a015e317468cd673",
     "bundle-z9-r2-s2.derive.json":
         "755d44aaaa6a1ef6abb438db2581db781aac1871f51384bb4696add7b233fa56",
+    # The tower-derive pass: tower and consistent Z/9 r1 s3, the bundle's
+    # five-suite report, and its derivation (level rings (Z/81)[C9^k]).
+    "tower-z9-r1-s3.json":
+        "0012ecd68f15974a3490be3bdb589f876481958439479af31df8bba89c864e8c",
+    "bundle-z9-r1-s3.json":
+        "da073baedcd13ba87e57d72509e03c5292dd7b1e529cb94b5deab8bbc2088645",
+    "bundle-z9-r1-s3.report.json":
+        "fc51348dde0a9b50b967c4d4dd9caeb345d3a20dd9a78e0fc08508ad7d587ac8",
+    "bundle-z9-r1-s3.derive.json":
+        "292847014a241e5aa603579c27c5128d33c810cd1081dcb350a74a94e3275a6c",
 }
 
 
@@ -60,6 +72,92 @@ class TestGoldenBytes:
         out = tmp_path / "bundle-z9-r2-s2.derive.json"
         assert cli.main(["derive", str(bundle), "--out", str(out)]) == 0
         assert _digest(out) == GOLDEN["bundle-z9-r2-s2.derive.json"]
+
+
+    def test_tower_derive_pass(self, tmp_path):
+        tower = _gen(tmp_path, "tower-z9-r1-s3.json", "3,2", 1, 3,
+                     profile="tower")
+        assert _digest(tower) == GOLDEN["tower-z9-r1-s3.json"]
+        bundle = _gen(tmp_path, "bundle-z9-r1-s3.json", "3,2", 1, 3,
+                      profile="consistent")
+        assert _digest(bundle) == GOLDEN["bundle-z9-r1-s3.json"]
+        report = tmp_path / "bundle-z9-r1-s3.report.json"
+        assert cli.main(["verify", str(bundle), "--suite", "all",
+                         "--seed", "0", "--out", str(report)]) == 0
+        assert _digest(report) == GOLDEN["bundle-z9-r1-s3.report.json"]
+        out = tmp_path / "bundle-z9-r1-s3.derive.json"
+        assert cli.main(["derive", str(bundle), "--out", str(out)]) == 0
+        assert _digest(out) == GOLDEN["bundle-z9-r1-s3.derive.json"]
+
+
+class TestConsistentProfile:
+    @pytest.mark.parametrize("r, s", [(1, 2), (2, 1), (2, 3)])
+    def test_p3_odd_width_rejected_up_front(self, tmp_path, capsys, r, s):
+        out = tmp_path / "a.json"
+        code = cli.main(["gen", "--ring", "3,2", "--r", str(r), "--s", str(s),
+                         "--profile", "consistent", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "p = 3 needs r + s even" in capsys.readouterr().err
+
+
+def _drop_core_rank(doc):
+    del doc["core_rank"]
+
+
+def _composite_p(doc):
+    doc["ring"]["p"] = 4
+
+
+def _ragged_rows(doc):
+    doc["finite"][0].pop()
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A generic instance and a consistent bundle, as parsed JSON."""
+    root = tmp_path_factory.mktemp("artifacts")
+    instance = _gen(root, "instance.json", "3,2", 1, 2)
+    bundle = _gen(root, "bundle.json", "3,2", 2, 2, profile="consistent")
+    return {"instance": json.loads(instance.read_text()),
+            "bundle": json.loads(bundle.read_text())}
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize("mutate", [
+        _drop_core_rank, _composite_p, _ragged_rows,
+    ])
+    @pytest.mark.parametrize("command", ["verify", "graph", "derive"])
+    def test_exit_2_without_traceback(self, tmp_path, capsys, artifacts,
+                                      command, mutate):
+        if command == "derive":
+            doc = json.loads(json.dumps(artifacts["bundle"]))
+            mutate(doc["instance"])
+        else:
+            doc = json.loads(json.dumps(artifacts["instance"]))
+            mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed artifact" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bundle_without_euler_part(self, tmp_path, capsys, artifacts):
+        doc = json.loads(json.dumps(artifacts["bundle"]))
+        del doc["euler"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify", str(path), "--out", "-"]) == 2
+        assert "part 'euler'" in capsys.readouterr().err
+
+    def test_json_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert cli.main(["verify", str(path), "--out", "-"]) == 2
+        assert "not a JSON object" in capsys.readouterr().err
 
 
 class TestGenRejectsNoPrimes:

@@ -5,6 +5,7 @@ oracles.py before the fast paths existed; the random-instance tests then pit
 the two against each other on fresh inputs every run (fixed seeds).
 """
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from ekslab.rings import (
     GroupRing,
     Matrix,
     Solver,
+    _group_table,
     cochecks_int,
     det_int,
     det_ring,
@@ -89,6 +91,28 @@ class TestMakeRing:
         s = G.generator(0)
         assert G.mul(s, G.mul(s, s)) == G.one
         assert G.mul(G.one, s) == s
+
+
+class TestGroupTable:
+    @pytest.mark.parametrize("orders", [
+        (3,), (4,), (2, 2), (8, 2), (3, 9, 3), (9, 9),
+    ])
+    def test_matches_exponentwise_sum(self, orders):
+        # Mixed-radix order: the last factor varies fastest, as in product().
+        exps = list(itertools.product(*(range(d) for d in orders)))
+        index = {e: i for i, e in enumerate(exps)}
+        expected = tuple(
+            tuple(index[tuple((a + b) % d for a, b, d in zip(x, y, orders))]
+                  for y in exps)
+            for x in exps
+        )
+        assert _group_table(orders) == expected
+
+    def test_one_table_per_group(self):
+        low, high = make_ring(3, 2, (9, 3)), make_ring(3, 4, (9, 3))
+        assert low._mul_index is high._mul_index
+        assert low._mul_index is _group_table((9, 3))
+        assert make_ring(3, 2, (3, 9))._mul_index is not low._mul_index
 
 
 class TestUnits:
