@@ -324,11 +324,9 @@ class ExteriorBidual:
         wedge module; tables failing that are rejected, which is how malformed
         derived classes are detected downstream.
         """
+        ring = self.module.ring
         for rel in self.wedge.module.relations.rows:
-            acc = self.module.ring.zero
-            for c, v in zip(rel, table):
-                acc = self.module.ring.add(acc, self.module.ring.mul(c, v))
-            if acc != self.module.ring.zero:
+            if ring.dot(rel, table) != ring.zero:
                 return None
         return self.table_solver.solve(table)
 

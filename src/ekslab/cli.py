@@ -44,6 +44,7 @@ from .rings import make_ring
 from .selmer import (
     PROFILES,
     core_vertices,
+    divisor_name,
     five_term_exact,
     fitt_recursion_holds,
     generate_instance,
@@ -124,12 +125,6 @@ def parse_ring_spec(spec: str):
         raise CommandError(f"bad ring parameters: {exc}")
 
 
-def _divisor_name(instance, divisor) -> str:
-    if not divisor:
-        return "1"
-    return ".".join(instance.primes[q].label for q in sorted(divisor))
-
-
 def _level_name(divisor) -> str:
     if not divisor:
         return "()"
@@ -202,7 +197,7 @@ def suite_selmer(instance):
     Fitting-ideal recursion, and the constant residue-rank difference."""
     checks = {}
     for d in instance.divisors():
-        name = _divisor_name(instance, d)
+        name = divisor_name(instance, d)
         lam, lam_star = instance.residue_ranks(d)
         checks[f"rank-difference/{name}"] = (
             lam - lam_star == instance.core_rank)
@@ -257,7 +252,7 @@ def suite_kolyvagin(instance):
     checks["comparison-relation"] = holds
     if failures:
         witnesses["comparison-relation"] = [
-            f"{_divisor_name(instance, d)}@{instance.primes[q].label}"
+            f"{divisor_name(instance, d)}@{instance.primes[q].label}"
             for d, q in failures]
     for key, value in verify_main_theorem(ksystem).items():
         checks[f"theorem/{key.replace('_', '-')}"] = value
@@ -593,7 +588,7 @@ def cmd_graph(args) -> int:
         "// schema: eks-graph/1",
         f"// cores: {len(cores)}",
         f"// connected: {'true' if connected else 'false'}",
-        "// isolated: " + (",".join(_divisor_name(instance, d)
+        "// isolated: " + (",".join(divisor_name(instance, d)
                                     for d in isolated) or "none"),
         "digraph core_vertices {",
         "  rankdir=BT;",
@@ -602,12 +597,12 @@ def cmd_graph(args) -> int:
         lam, lam_star = instance.residue_ranks(d)
         style = ', color="red", peripheries=3' if d in isolated else ""
         lines.append(
-            f'  "{_divisor_name(instance, d)}" '
-            f'[label="{_divisor_name(instance, d)}\\n{lam}/{lam_star}"'
+            f'  "{divisor_name(instance, d)}" '
+            f'[label="{divisor_name(instance, d)}\\n{lam}/{lam_star}"'
             f'{style}];')
     for a, b in edges:
-        lines.append(f'  "{_divisor_name(instance, a)}" -> '
-                     f'"{_divisor_name(instance, b)}";')
+        lines.append(f'  "{divisor_name(instance, a)}" -> '
+                     f'"{divisor_name(instance, b)}";')
     lines.append("}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0

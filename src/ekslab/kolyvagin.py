@@ -74,15 +74,9 @@ def divisor_sign(ring, divisor):
     return ring.one if total % 2 == 0 else ring.neg(ring.one)
 
 
-def _restrict_functional(ring, row, incl: ModuleMap) -> list:
+def _restrict_functional(row, incl: ModuleMap) -> list:
     """A functional on the free ambient composed with an inclusion."""
-    out = []
-    for j in range(incl.matrix.ncols):
-        acc = ring.zero
-        for i in range(incl.matrix.nrows):
-            acc = ring.add(acc, ring.mul(row[i], incl.matrix.rows[i][j]))
-        out.append(acc)
-    return out
+    return incl.matrix.transpose().apply(row)
 
 
 def _sub_inclusion(ring, small, small_incl, big, big_incl) -> ModuleMap:
@@ -205,7 +199,7 @@ class KolyvaginData:
         with_q = tuple(sorted(set(divisor) | {q}))
         bid = self.bidual(divisor)
         module, incl = self.selmer(divisor)
-        restricted = _restrict_functional(ring, row, incl)
+        restricted = _restrict_functional(row, incl)
         phi = _dual_coords(bid, restricted)
         lowered = self.lowered_bidual(divisor)
         contr = bidual_contraction(bid, lowered, phi)
@@ -367,7 +361,7 @@ def regulator_component_map(sdata: StarkData, kdata: KolyvaginData,
     qs = sorted(key, reverse=True)
     dual_rows = [
         _dual_coords(bid_hi, _restrict_functional(
-            ring, inst.finite_functional(q), relaxed_incl))
+            inst.finite_functional(q), relaxed_incl))
         for q in qs
     ]
     phi = wedge_coeffs(ring, dual_rows, bid_hi.dual.ngens)

@@ -16,6 +16,7 @@ to exact linear algebra over Z/p^m through restriction of scalars:
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from .rings import (
     Matrix,
@@ -228,6 +229,14 @@ class ModuleMap:
 # ---------------------------------------------------------------------------
 
 
+def _cocheck_conditions(C, Mb, width: int, n: int) -> list:
+    """The int rows C.Mb mod n: the cochecks C of a target applied to the
+    base matrix Mb of ``width`` columns.  With no rows, Mb still has
+    ``width`` (empty) columns."""
+    cols = list(zip(*Mb)) if Mb else [()] * width
+    return [[sum(map(mul, crow, col)) % n for col in cols] for crow in C]
+
+
 def syzygies(ambient: FPModule, vectors) -> list:
     """Generators of {c in R^t : sum c_i . v_i = 0 in ambient}.
 
@@ -241,13 +250,8 @@ def syzygies(ambient: FPModule, vectors) -> list:
         return []
     V = Matrix(ring, [[vec[j] for vec in vectors] for j in range(ambient.ngens)],
                ncols=t)
-    Vb = V.to_base()
-    C = ambient.cochecks
-    cond = [
-        [sum(crow[u] * Vb[u][w] for u in range(len(Vb))) % base.n
-         for w in range(t * ring.rank)]
-        for crow in C
-    ]
+    cond = _cocheck_conditions(ambient.cochecks, V.to_base(), t * ring.rank,
+                               base.n)
     ker = kernel_int(cond, base.p, base.m) if cond else kernel_int(
         [[0] * (t * ring.rank)], base.p, base.m
     )
@@ -288,15 +292,10 @@ def kernel(f: ModuleMap):
     ring = f.source.ring
     base = ring.base
     g = f.source.ngens
-    Mb = f.matrix.to_base()
-    C = f.target.cochecks
     if g == 0:
         return present_submodule(f.source, [])
-    cond = [
-        [sum(crow[u] * Mb[u][w] for u in range(len(Mb))) % base.n
-         for w in range(g * ring.rank)]
-        for crow in C
-    ]
+    cond = _cocheck_conditions(f.target.cochecks, f.matrix.to_base(),
+                               g * ring.rank, base.n)
     ker_base = kernel_int(cond, base.p, base.m) if cond else [
         [int(i == j) for j in range(g * ring.rank)] for i in range(g * ring.rank)
     ]
@@ -445,12 +444,7 @@ def _vanishes_on_free(module: FPModule, row) -> bool:
 
 def dual_eval(Y: Matrix, phi_coords, x):
     """Evaluate the dual element with the given coordinates at x."""
-    ring = Y.ring
-    vals = Y.apply(x)
-    acc = ring.zero
-    for c, v in zip(phi_coords, vals):
-        acc = ring.add(acc, ring.mul(c, v))
-    return acc
+    return Y.ring.dot(phi_coords, Y.apply(x))
 
 
 def dual_map(f: ModuleMap, dual_source, Y_source, dual_target, Y_target,

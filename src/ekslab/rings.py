@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import mul
 
 
 def _is_prime(n: int) -> bool:
@@ -85,6 +86,10 @@ class ChainRing:
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.n
+
+    def dot(self, xs, ys) -> int:
+        """sum_i xs[i]*ys[i], reduced once; ``zero`` for empty vectors."""
+        return sum(map(mul, xs, ys)) % self.n
 
     def neg(self, a: int) -> int:
         return (-a) % self.n
@@ -281,18 +286,23 @@ class GroupRing:
         return tuple((c * x) % n for x in a)
 
     def mul(self, a, b) -> tuple:
-        n = self.base.n
+        return self.dot((a,), (b,))
+
+    def dot(self, xs, ys) -> tuple:
+        """sum_i xs[i]*ys[i]: products accumulate in one int list through the
+        group table, zero coordinates skipped, and are reduced once."""
         out = [0] * self.rank
         table = self._mul_index
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            row = table[i]
-            for j, y in enumerate(b):
-                if y == 0:
-                    continue
-                out[row[j]] += x * y
-        return tuple(c % n for c in out)
+        for a, b in zip(xs, ys):
+            if any(a) and any(b):
+                for i, x in enumerate(a):
+                    if x:
+                        row = table[i]
+                        for j, y in enumerate(b):
+                            if y:
+                                out[row[j]] += x * y
+        n = self.base.n
+        return tuple([c % n for c in out])
 
     def augmentation(self, a) -> int:
         """Sum of coordinates: the image under G -> 1."""
@@ -601,7 +611,7 @@ def _back_substitute(smith, b, p: int, m: int):
     """
     exps, P, Q = smith
     n = p ** m
-    pb = [sum(c * x for c, x in zip(row, b)) % n for row in P]
+    pb = [sum(map(mul, row, b)) % n for row in P]
     for i in range(len(exps), len(pb)):
         if pb[i]:
             return None
@@ -613,7 +623,7 @@ def _back_substitute(smith, b, p: int, m: int):
         y.append(pb[i] // (p ** e) % n)
     # y vanishes beyond the diagonal, so only the first len(y) columns of Q
     # contribute.
-    return [sum(c * x for c, x in zip(row, y)) % n for row in Q]
+    return [sum(map(mul, row, y)) % n for row in Q]
 
 
 def solve_int(A, b, p: int, m: int):
@@ -768,31 +778,18 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.shape} by {other.shape}: inner dims differ"
             )
-        r = self.ring
-        out = []
-        bt = other.transpose().rows
-        for row in self.rows:
-            orow = []
-            for col in bt:
-                acc = r.zero
-                for a, b in zip(row, col):
-                    acc = r.add(acc, r.mul(a, b))
-                orow.append(acc)
-            out.append(orow)
-        return Matrix(r, out, ncols=other.ncols)
+        dot = self.ring.dot
+        # Columns of ``other``; with no rows, zip would give no columns at all.
+        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
+        return Matrix(self.ring, [[dot(row, col) for col in cols]
+                                  for row in self.rows], ncols=other.ncols)
 
     def apply(self, vec) -> list:
         """Matrix-vector product A.x with x a length-ncols column vector."""
         if len(vec) != self.ncols:
             raise ValueError(f"vector length {len(vec)} != ncols {self.ncols}")
-        r = self.ring
-        out = []
-        for row in self.rows:
-            acc = r.zero
-            for a, x in zip(row, vec):
-                acc = r.add(acc, r.mul(a, x))
-            out.append(acc)
-        return out
+        dot = self.ring.dot
+        return [dot(row, vec) for row in self.rows]
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
@@ -842,12 +839,15 @@ def translates_base(ring, vec) -> list:
     """
     if ring.rank == 1:
         return [[x % ring.n for x in vec]]
+    n = ring.base.n
+    xs = [[c % n for c in x] for x in vec]
+    table = ring._mul_index
     rows = []
-    for t in range(ring.rank):
-        g = [0] * ring.rank
-        g[t] = 1
-        g = tuple(g)
-        rows.append(vec_to_base(ring, [ring.mul(g, x) for x in vec]))
+    for trow in table:
+        # g_t * g_j = g_trow[j], so g_t * x has x[j] at coordinate trow[j]:
+        # read through the inverse permutation, the row of g_t^-1.
+        inv = table[trow.index(0)]
+        rows.append([x[j] for x in xs for j in inv])
     return rows
 
 

@@ -34,6 +34,7 @@ from .modules import (
 )
 from .rings import (
     Matrix,
+    _is_power_of,
     howell_int,
     make_ring,
     matrix_from_json,
@@ -61,12 +62,10 @@ def _poly_mul(ring, a, b):
 
 
 def _poly_eval(ring, poly, x):
-    acc = ring.zero
-    power = ring.one
-    for c in poly:
-        acc = ring.add(acc, ring.mul(c, power))
-        power = ring.mul(power, x)
-    return acc
+    powers = [ring.one]
+    for _ in poly[1:]:
+        powers.append(ring.mul(powers[-1], x))
+    return ring.dot(poly, powers)
 
 
 def _det_one_minus_x(ring, rows):
@@ -295,11 +294,7 @@ def five_term_data(instance: SelmerInstance, divisor, q: int):
     line = FPModule.free(ring, 1)
     vals = []
     for j in range(selq.ngens):
-        vec = inclq.apply(selq.generator(j))
-        acc = ring.zero
-        for c, x in zip(row_q, vec):
-            acc = ring.add(acc, ring.mul(c, x))
-        vals.append(acc)
+        vals.append(ring.dot(row_q, inclq.apply(selq.generator(j))))
     m2 = ModuleMap(selq, line, Matrix(ring, [vals], ncols=selq.ngens))
 
     dual = instance.dual_selmer(divisor)
@@ -362,10 +357,12 @@ def core_vertices(instance: SelmerInstance) -> list:
     return [d for d in instance.divisors() if instance.is_core(d)]
 
 
-def _divisor_name(instance: SelmerInstance, divisor) -> str:
+def divisor_name(instance: SelmerInstance, divisor) -> str:
+    """The divisor's prime labels in index order, joined by dots; "1" when
+    it is empty."""
     if not divisor:
         return "1"
-    return ".".join(instance.primes[q].label for q in divisor)
+    return ".".join(instance.primes[q].label for q in sorted(divisor))
 
 
 def core_graph(instance: SelmerInstance) -> str:
@@ -379,8 +376,8 @@ def core_graph(instance: SelmerInstance) -> str:
         lam, lam_star = instance.residue_ranks(d)
         shape = ", peripheries=2" if instance.is_core(d) else ""
         lines.append(
-            f'  "{_divisor_name(instance, d)}" '
-            f'[label="{_divisor_name(instance, d)}\\n{lam}/{lam_star}"{shape}];'
+            f'  "{divisor_name(instance, d)}" '
+            f'[label="{divisor_name(instance, d)}\\n{lam}/{lam_star}"{shape}];'
         )
     for d in instance.divisors():
         for q in range(instance.n_primes):
@@ -388,8 +385,8 @@ def core_graph(instance: SelmerInstance) -> str:
                 continue
             up = tuple(sorted(d + (q,)))
             lines.append(
-                f'  "{_divisor_name(instance, d)}" -> '
-                f'"{_divisor_name(instance, up)}";'
+                f'  "{divisor_name(instance, d)}" -> '
+                f'"{divisor_name(instance, up)}";'
             )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -474,6 +471,15 @@ def instance_to_json(instance: SelmerInstance) -> dict:
     }
 
 
+def _group_order(ring, value) -> int:
+    """A symbol-group order as serialized: an int p^k with k >= 1, the rule
+    ``generate_instance`` draws from."""
+    if type(value) is not int or value < ring.p or not _is_power_of(value, ring.p):
+        raise ValueError(
+            f"group_order {value!r} is not a positive power of p = {ring.p}")
+    return value
+
+
 def instance_from_json(data: dict) -> SelmerInstance:
     if data.get("schema") != "selmer-instance/1":
         raise ValueError("not a serialized Selmer instance")
@@ -481,7 +487,7 @@ def instance_from_json(data: dict) -> SelmerInstance:
     primes = [
         PrimeData(
             pd["label"],
-            int(pd["group_order"]),
+            _group_order(ring, pd["group_order"]),
             frobenius_data(ring, matrix_from_json(ring, pd["frobenius"]).rows),
         )
         for pd in data["primes"]

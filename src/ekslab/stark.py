@@ -142,17 +142,9 @@ class StarkData:
     def singular_on_relaxed(self, divisor, q: int) -> list:
         """The singular functional at q restricted to the relaxed module,
         as a functional vector on its generators."""
-        module, incl = self.relaxed(divisor)
+        _module, incl = self.relaxed(divisor)
         row = self.instance.singular_functional(q)
-        ring = self.ring
-        out = []
-        for j in range(module.ngens):
-            col = [incl.matrix.rows[i][j] for i in range(incl.matrix.nrows)]
-            acc = ring.zero
-            for c, x in zip(row, col):
-                acc = ring.add(acc, ring.mul(c, x))
-            out.append(acc)
-        return out
+        return incl.matrix.transpose().apply(row)
 
     def transition(self, m_div, n_div) -> ModuleMap:
         """The transition from the bidual at the larger divisor to the one at

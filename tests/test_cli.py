@@ -2,8 +2,10 @@
 
 The golden digests were recorded from the CLI before the elimination layer
 was reworked to factor each matrix once (the tower-derive pass's before the
-group multiplication tables were shared); any change to the bytes of an
-artifact, a report or a derivation shows up here as a digest mismatch.
+group multiplication tables were shared, the (Z/9)[C3] r1 s2, (Z/8)[C4] r1 s1
+and graph ones before the ring arithmetic was fused into ``ring.dot``); any
+change to the bytes of an artifact, a report, a graph or a derivation shows
+up here as a digest mismatch.
 """
 
 import hashlib
@@ -22,6 +24,18 @@ GOLDEN = {
         "360f5d2cac341e011fee3705c4ba2e7410d664680822b36d159cfe954be414b0",
     "z9c3-r1-s1.report.json":
         "188cc4c59bc6b06bdc4c1c033df147c80a3d1391dce2a58b5082ef24a539a7a8",
+    # Two more group-ring shapes, recorded before the ring arithmetic was
+    # fused into ring.dot: two primes over (Z/9)[C3], and p = 2.
+    "z9c3-r1-s2.json":
+        "79f8080b4ac9ac55ce4ba8889ddf4bae03746ff03b34d7955c1100015fb3f67d",
+    "z9c3-r1-s2.report.json":
+        "0e9f59cda91b7e4894b1604a8fabe5cd7674bff2f5fea5d33e07eb0e0209f36a",
+    "z8c4-r1-s1.json":
+        "3430b509a2759ee01c7f71deb077be22ae410091e9a3f2888e6ba92f5d3f3821",
+    "z8c4-r1-s1.report.json":
+        "42f7ad8f9e81b2126cfac15d7dde5590475daf7fa6b329d04e14a39b6134fbf7",
+    "z9-r1-s3.dot":
+        "69fa59ed03d42f0b341ea1a82a099ad7cc9fa0183a684cf6c1d7c0d192e0c518",
     "bundle-z9-r2-s2.json":
         "ef5d118303492764a3a84af0e991bfecb66b647409fa02a9a015e317468cd673",
     "bundle-z9-r2-s2.derive.json":
@@ -55,6 +69,8 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("stem, ring, s", [
         ("z9-r1-s3", "3,2", 3),
         ("z9c3-r1-s1", "3,2,3", 1),
+        ("z9c3-r1-s2", "3,2,3", 2),
+        ("z8c4-r1-s1", "2,3,4", 1),
     ])
     def test_gen_then_verify_all(self, tmp_path, stem, ring, s):
         artifact = _gen(tmp_path, f"{stem}.json", ring, 1, s)
@@ -64,6 +80,12 @@ class TestGoldenBytes:
                          "--seed", "0", "--out", str(report)])
         assert code == 0
         assert _digest(report) == GOLDEN[f"{stem}.report.json"]
+
+    def test_graph(self, tmp_path):
+        artifact = _gen(tmp_path, "z9-r1-s3.json", "3,2", 1, 3)
+        out = tmp_path / "z9-r1-s3.dot"
+        assert cli.main(["graph", str(artifact), "--out", str(out)]) == 0
+        assert _digest(out) == GOLDEN["z9-r1-s3.dot"]
 
     def test_consistent_bundle_derive(self, tmp_path):
         bundle = _gen(tmp_path, "bundle-z9-r2-s2.json", "3,2", 2, 2,
@@ -142,6 +164,26 @@ class TestMalformedArtifacts:
         assert cli.main([command, str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "malformed artifact" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", [5, 0, 1, -9, "9"])
+    @pytest.mark.parametrize("command", ["verify", "graph", "derive"])
+    def test_group_order_not_a_power_of_p(self, tmp_path, capsys, artifacts,
+                                          command, order):
+        # Z/9 artifacts: a symbol-group order must be an int 3^k, k >= 1.
+        if command == "derive":
+            doc = json.loads(json.dumps(artifacts["bundle"]))
+            doc["instance"]["primes"][0]["group_order"] = order
+        else:
+            doc = json.loads(json.dumps(artifacts["instance"]))
+            doc["primes"][0]["group_order"] = order
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "group_order" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -39,8 +39,16 @@ from ekslab.rings import (
     solve_linear,
     span_rows_base,
     submodule_howell,
+    translates_base,
     vec_from_base,
     vec_to_base,
+)
+from ekslab.modules import (
+    FPModule,
+    ModuleMap,
+    _cocheck_conditions,
+    kernel,
+    syzygies,
 )
 from oracles import (
     additive_closure,
@@ -528,3 +536,113 @@ class TestIdealOracle:
                 {(0,) * R.rank}
             )
             assert got == ideal_elements(R, gens)
+
+
+def _oracle_mul(ring, a, b):
+    """Product from exponent arithmetic, independent of the group table."""
+    if ring.rank == 1:
+        return (a * b) % ring.n
+    out = [0] * ring.rank
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            e = [u + v for u, v in zip(ring.index_to_exp(i), ring.index_to_exp(j))]
+            out[ring.exp_to_index(e)] += x * y
+    return tuple(c % ring.base.n for c in out)
+
+
+def _naive_dot(ring, xs, ys):
+    acc = ring.zero
+    for x, y in zip(xs, ys):
+        acc = ring.add(acc, _oracle_mul(ring, x, y))
+    return acc
+
+
+def _unreduced(ring, rng):
+    """An element with entries in [-2n, 2n]: negative and unreduced."""
+    n = ring.base.n
+    if ring.rank == 1:
+        return rng.randint(-2 * n, 2 * n)
+    return tuple(rng.choice((0, 0, rng.randint(-2 * n, 2 * n)))
+                 for _ in range(ring.rank))
+
+
+DOT_RINGS = [
+    make_ring(3, 2),               # Z/9
+    make_ring(2, 3),               # Z/8
+    make_ring(3, 2, (3,)),         # (Z/9)[C3]
+    make_ring(2, 3, (4,)),         # (Z/8)[C4]
+    make_ring(2, 2, (2, 2)),       # (Z/4)[C2xC2]
+    make_ring(3, 1, (9, 3)),       # (Z/3)[C9xC3]
+]
+
+
+class TestRingDot:
+    """``ring.dot`` against the add/mul fold, and the products built on it."""
+
+    @pytest.mark.parametrize("R", DOT_RINGS, ids=str)
+    def test_dot_matches_naive_fold(self, R):
+        assert R.dot([], []) == R.zero
+        rng = random.Random(4 + R.rank)
+        for length in (1, 2, 5):
+            for _ in range(10):
+                xs = [_unreduced(R, rng) for _ in range(length)]
+                ys = [_unreduced(R, rng) for _ in range(length)]
+                assert R.dot(xs, ys) == _naive_dot(R, xs, ys)
+                assert R.mul(xs[0], ys[0]) == _oracle_mul(R, xs[0], ys[0])
+
+    @pytest.mark.parametrize("R", DOT_RINGS, ids=str)
+    def test_matrix_apply_and_mul(self, R):
+        rng = random.Random(40 + R.rank)
+        for k, g, h in [(2, 3, 2), (1, 1, 4), (3, 0, 2), (0, 2, 3), (2, 2, 0)]:
+            A = Matrix(R, [[_unreduced(R, rng) for _ in range(g)]
+                           for _ in range(k)], ncols=g)
+            B = Matrix(R, [[_unreduced(R, rng) for _ in range(h)]
+                           for _ in range(g)], ncols=h)
+            vec = [_unreduced(R, rng) for _ in range(g)]
+            assert A.apply(vec) == [_naive_dot(R, row, vec) for row in A.rows]
+            AB = A.mul(B)
+            assert AB.shape == (k, h)
+            assert AB.rows == [
+                [_naive_dot(R, row, [B.rows[i][j] for i in range(g)])
+                 for j in range(h)]
+                for row in A.rows
+            ]
+
+    @pytest.mark.parametrize("R", DOT_RINGS, ids=str)
+    def test_translates_match_mul_by_basis_elements(self, R):
+        rng = random.Random(400 + R.rank)
+        for length in (0, 1, 3):
+            vec = [_unreduced(R, rng) for _ in range(length)]
+            expected = []
+            for t in range(R.rank):
+                g = R.from_int(1) if R.rank == 1 else tuple(
+                    int(i == t) for i in range(R.rank))
+                expected.append(vec_to_base(R, [_oracle_mul(R, g, x) for x in vec]))
+            assert translates_base(R, vec) == expected
+
+    def test_conditions_keep_width_without_rows(self):
+        # zip(*[]) has no columns: the width must come from the caller.
+        assert _cocheck_conditions([], [], 4, 9) == []
+        assert _cocheck_conditions([[]], [], 4, 9) == [[0, 0, 0, 0]]
+
+    @pytest.mark.parametrize("R", DOT_RINGS, ids=str)
+    def test_syzygies_in_zero_ambient(self, R):
+        # Every coefficient vector is a syzygy of vectors in a zero module.
+        syz = syzygies(FPModule.zero(R), [[], [], []])
+        assert all(len(v) == 3 for v in syz)
+        identity = [[R.one if i == j else R.zero for j in range(3)]
+                    for i in range(3)]
+        assert submodule_howell(R, syz, 3) == submodule_howell(R, identity, 3)
+
+    # kernel() presents its |G| * ngens lifted generators again, which takes
+    # over a minute over (Z/3)[C9xC3]; the smaller rings cover the shapes.
+    @pytest.mark.parametrize("R", DOT_RINGS[:-1], ids=str)
+    def test_kernel_with_zero_target_or_source(self, R):
+        free = FPModule.free(R, 2)
+        to_zero = ModuleMap(free, FPModule.zero(R), Matrix.zeros(R, 0, 2))
+        ker, incl = kernel(to_zero)
+        assert incl.matrix.nrows == 2
+        assert ker.size == free.size
+        from_zero = ModuleMap(FPModule.zero(R), free, Matrix.zeros(R, 2, 0))
+        ker, incl = kernel(from_zero)
+        assert ker.ngens == 0 and incl.matrix.shape == (0, 0)
