@@ -5,9 +5,17 @@ formatting.
 Artifacts and reports are schema-versioned JSON written canonically
 (sorted keys, fixed separators), so identical configurations produce
 byte-identical files.  Suites run one after another in the calling
-thread, and every document is assembled in sorted order.  The recorded
-timings are deterministic work counts (checks run per suite), never
-wall-clock readings, keeping reports byte-stable.
+thread, in the fixed order bidual, selmer, kolyvagin, stark, euler,
+whatever order ``--suite`` names them in.  The kolyvagin and stark suites
+share one ``StarkData`` (and both read the instance's memoized Selmer
+modules), so kolyvagin runs first: it needs only the transitions from the
+top divisor and frees its own data before stark builds every transition.
+Every cached object is a deterministic function of the instance, so the
+order changes which suite builds it, never its value; the report is
+assembled in sorted order and ``config.suites`` keeps the requested list,
+so the bytes do not depend on the order either.  The recorded timings are
+deterministic work counts (checks run per suite), never wall-clock
+readings, keeping reports byte-stable.
 
 Exit codes: 0 when every selected check passes, 1 when at least one
 check fails (the report is still written), 2 for invalid parameters or
@@ -211,12 +219,11 @@ def suite_selmer(instance):
     return _suite_result(checks)
 
 
-def suite_stark(instance):
+def suite_stark(data: StarkData):
     """The transition-compatible side: cocycle identity of the transition
     maps, bijectivity of the core projections, and the structure theorem
     for the canonical basis family's content ideals."""
     checks, witnesses = {}, {}
-    data = StarkData(instance)
     checks["cocycle"] = verify_cocycle(data)
     checks["core-projections"] = core_projections_bijective(data)
     try:
@@ -233,12 +240,12 @@ def suite_stark(instance):
     return _suite_result(checks, witnesses)
 
 
-def suite_kolyvagin(instance):
+def suite_kolyvagin(sdata: StarkData):
     """The contraction side: the comparison relation for the regulator
     image of the canonical basis family, and the Fitting-ideal facts of
     the structure theorem."""
     checks, witnesses, data = {}, {}, {}
-    sdata = StarkData(instance)
+    instance = sdata.instance
     kdata = KolyvaginData(instance)
     try:
         stark_system = canonical_basis_system(sdata)
@@ -286,6 +293,7 @@ def suite_euler(system):
 
 
 SUITE_NAMES = ("bidual", "selmer", "stark", "kolyvagin", "euler")
+RUN_ORDER = ("bidual", "selmer", "kolyvagin", "stark", "euler")
 
 
 def _applicable_suites(schema: str):
@@ -418,18 +426,17 @@ def cmd_verify(args) -> int:
         euler_system = _parse_artifact(euler_system_from_json, artifact,
                                        "euler")
 
-    results = {}
-    for name in suites:
-        if name == "bidual":
-            results[name] = suite_bidual(instance, args.seed)
-        elif name == "selmer":
-            results[name] = suite_selmer(instance)
-        elif name == "stark":
-            results[name] = suite_stark(instance)
-        elif name == "kolyvagin":
-            results[name] = suite_kolyvagin(instance)
-        elif name == "euler":
-            results[name] = suite_euler(euler_system)
+    sdata = None
+    if {"stark", "kolyvagin"} & set(suites):
+        sdata = StarkData(instance)
+    runners = {
+        "bidual": lambda: suite_bidual(instance, args.seed),
+        "selmer": lambda: suite_selmer(instance),
+        "kolyvagin": lambda: suite_kolyvagin(sdata),
+        "stark": lambda: suite_stark(sdata),
+        "euler": lambda: suite_euler(euler_system),
+    }
+    results = {name: runners[name]() for name in RUN_ORDER if name in suites}
 
     checks, witnesses, data, timings = {}, {}, {}, {}
     for name in sorted(results):
@@ -614,6 +621,11 @@ def cmd_report(args) -> int:
         raise CommandError("report needs an eks-report/1 document")
     checks = doc.get("checks", {})
     witnesses = doc.get("witnesses", {})
+    if not (isinstance(checks, dict) and isinstance(witnesses, dict)
+            and all(type(v) is bool for v in checks.values())):
+        raise CommandError(
+            f"malformed report {args.artifact}: 'checks' must map names to "
+            "booleans and 'witnesses' must be an object")
     lines = []
     for name in sorted(checks):
         if checks[name]:

@@ -101,17 +101,21 @@ def _dual_coords(bid: ExteriorBidual, row) -> list:
 
 
 class KolyvaginData:
-    """Modified Selmer modules of an instance, their degree-r biduals, and
-    the two maps of the defining relation, all cached.
+    """Modified Selmer modules of an instance, their biduals, and the two
+    maps of the defining relation.
+
+    The Selmer modules are the instance's own (it memoizes them); the
+    strict modules, the biduals and the regulator maps are cached here.
+    The singular-value and finite-singular maps are built on demand:
+    ``verify_fs`` reads each (divisor, prime) pair once.
 
     ``sigma_exponents`` records the chosen generator of each prime's symbol
     group as a unit exponent relative to the default choice; it twists the
     effective comparison units but nothing else.
     """
 
-    __slots__ = ("instance", "ring", "rank", "sigma_exponents", "_selmer",
-                 "_strict", "_bidual", "_lowered", "_strict_bidual", "_v",
-                 "_fs", "_reg_map")
+    __slots__ = ("instance", "ring", "rank", "sigma_exponents", "_strict",
+                 "_bidual", "_lowered", "_strict_bidual", "_reg_map")
 
     def __init__(self, instance: SelmerInstance, sigma_exponents=None):
         self.instance = instance
@@ -122,13 +126,10 @@ class KolyvaginData:
             if a % instance.ring.p == 0:
                 raise ValueError("generator exponent must be a unit")
         self.sigma_exponents = exps
-        self._selmer = {}
         self._strict = {}
         self._bidual = {}
         self._lowered = {}
         self._strict_bidual = {}
-        self._v = {}
-        self._fs = {}
         self._reg_map = {}
 
     def effective_unit(self, q: int):
@@ -140,10 +141,7 @@ class KolyvaginData:
         return self.ring.mul(u, _scalar_inverse(self.ring, a))
 
     def selmer(self, divisor):
-        key = tuple(sorted(divisor))
-        if key not in self._selmer:
-            self._selmer[key] = self.instance.selmer_module(key)
-        return self._selmer[key]
+        return self.instance.selmer_module(divisor)
 
     def strict(self, divisor, q: int):
         """The module strict at q: both local conditions at q, transverse at
@@ -223,26 +221,19 @@ class KolyvaginData:
     def v_map(self, divisor, q: int) -> ModuleMap:
         """The singular-value map at q |  divisor: contraction by the
         singular functional, into the strict bidual."""
-        key = (tuple(sorted(divisor)), q)
-        if q not in key[0]:
+        if q not in divisor:
             raise ValueError("the singular-value map needs q inside the divisor")
-        if key not in self._v:
-            self._v[key] = self._drop_map(
-                key[0], q, self.instance.singular_functional(q), self.ring.one)
-        return self._v[key]
+        return self._drop_map(
+            divisor, q, self.instance.singular_functional(q), self.ring.one)
 
     def fs_map(self, divisor, q: int) -> ModuleMap:
         """The finite-singular map at q for a divisor not containing q:
         contraction by the finite-part functional times the comparison
         unit, into the strict bidual at divisor + q."""
-        key = (tuple(sorted(divisor)), q)
-        if q in key[0]:
+        if q in divisor:
             raise ValueError("the finite-singular map needs q outside the divisor")
-        if key not in self._fs:
-            self._fs[key] = self._drop_map(
-                key[0], q, self.instance.finite_functional(q),
-                self.effective_unit(q))
-        return self._fs[key]
+        return self._drop_map(divisor, q, self.instance.finite_functional(q),
+                              self.effective_unit(q))
 
 
 class KolyvaginSystem:

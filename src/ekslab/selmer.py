@@ -174,7 +174,8 @@ def all_divisors(n_primes: int) -> list:
 
 
 class SelmerInstance:
-    __slots__ = ("ring", "core_rank", "primes", "finite", "transverse")
+    __slots__ = ("ring", "core_rank", "primes", "finite", "transverse",
+                 "_modules")
 
     def __init__(self, ring, core_rank: int, primes, finite: Matrix,
                  transverse: Matrix):
@@ -191,6 +192,7 @@ class SelmerInstance:
         self.primes = list(primes)
         self.finite = finite
         self.transverse = transverse
+        self._modules = {}
 
     @property
     def n_primes(self) -> int:
@@ -234,16 +236,27 @@ class SelmerInstance:
         return ModuleMap(FPModule.free(self.ring, self.ambient_rank),
                          FPModule.free(self.ring, V.nrows), V)
 
+    def _memo(self, kind, build, divisor, drop):
+        """``build(condition map)``, once per kind and condition key, so
+        every caller shares one module (and its lazily computed Howell
+        data).  The key records each prime as transverse, finite or
+        dropped: ``(d, drop=q)`` and ``(d + (q,), drop=q)`` share one."""
+        inside = set(divisor)
+        key = (kind,) + tuple(None if q == drop else q in inside
+                              for q in range(self.n_primes))
+        if key not in self._modules:
+            self._modules[key] = build(self._condition_map(divisor, drop=drop))
+        return self._modules[key]
+
     def selmer_module(self, divisor, drop=None):
         """The Selmer module at a divisor: ``(module, inclusion)`` into the
         free ambient."""
-        return kernel(self._condition_map(divisor, drop=drop))
+        return self._memo("selmer", kernel, divisor, drop)
 
     def dual_selmer(self, divisor, drop=None) -> FPModule:
         """The dual Selmer module: cokernel of the same condition matrix,
         presented on one generator per kept prime."""
-        quot, _proj = cokernel(self._condition_map(divisor, drop=drop))
-        return quot
+        return self._memo("dual", lambda f: cokernel(f)[0], divisor, drop)
 
     def residue_ranks(self, divisor):
         """(Selmer rank, dual Selmer rank) of the reduction to the residue

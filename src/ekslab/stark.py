@@ -51,22 +51,20 @@ from .selmer import PrimeData, SelmerInstance, core_vertices, frobenius_data, mi
 class StarkData:
     """Relaxed modules, their biduals, and the transition maps of an instance.
 
-    Everything is cached: relaxed modules per divisor, biduals per
-    (divisor, degree), inclusion maps and bidual functor maps per divisor
-    pair, and the transitions themselves.  Divisors are sorted tuples of
-    prime indices.
+    Cached: relaxed modules per divisor, biduals per (divisor, degree), the
+    transitions, and the pushes into the free ambient.  Inclusion and
+    bidual functor maps are built on demand: each one feeds a single cached
+    transition.  Divisors are sorted tuples of prime indices.
     """
 
-    __slots__ = ("instance", "ring", "_relaxed", "_bidual", "_incl",
-                 "_functor", "_transition", "_ambient_push")
+    __slots__ = ("instance", "ring", "_relaxed", "_bidual", "_transition",
+                 "_ambient_push")
 
     def __init__(self, instance: SelmerInstance):
         self.instance = instance
         self.ring = instance.ring
         self._relaxed = {}
         self._bidual = {}
-        self._incl = {}
-        self._functor = {}
         self._transition = {}
         self._ambient_push = {}
 
@@ -110,34 +108,28 @@ class StarkData:
         n_key, m_key = tuple(sorted(n_div)), tuple(sorted(m_div))
         if not set(n_key) <= set(m_key):
             raise ValueError("inclusion requires nested divisors")
-        if (n_key, m_key) not in self._incl:
-            small, incl_small = self.relaxed(n_key)
-            big, incl_big = self.relaxed(m_key)
-            cols = []
-            for j in range(small.ngens):
-                vec = incl_small.apply(small.generator(j))
-                sol = solve_map(incl_big, vec)
-                if sol is None:
-                    raise RuntimeError(
-                        "relaxed module escapes the more relaxed one")
-                cols.append(sol)
-            mat = Matrix(self.ring,
-                         [[cols[j][i] for j in range(small.ngens)]
-                          for i in range(big.ngens)], ncols=small.ngens)
-            self._incl[(n_key, m_key)] = ModuleMap(small, big, mat)
-        return self._incl[(n_key, m_key)]
+        small, incl_small = self.relaxed(n_key)
+        big, incl_big = self.relaxed(m_key)
+        cols = []
+        for j in range(small.ngens):
+            vec = incl_small.apply(small.generator(j))
+            sol = solve_map(incl_big, vec)
+            if sol is None:
+                raise RuntimeError(
+                    "relaxed module escapes the more relaxed one")
+            cols.append(sol)
+        mat = Matrix(self.ring,
+                     [[cols[j][i] for j in range(small.ngens)]
+                      for i in range(big.ngens)], ncols=small.ngens)
+        return ModuleMap(small, big, mat)
 
     def functor_map(self, n_div, m_div, degree: int) -> ModuleMap:
         """The induced map on degree-``degree`` biduals along the inclusion,
         built on the cached biduals."""
-        n_key, m_key = tuple(sorted(n_div)), tuple(sorted(m_div))
-        if (n_key, m_key, degree) not in self._functor:
-            _bs, _bt, push = bidual_functor_map(
-                self.inclusion(n_key, m_key), degree,
-                source=self.bidual(n_key, degree),
-                target=self.bidual(m_key, degree))
-            self._functor[(n_key, m_key, degree)] = push
-        return self._functor[(n_key, m_key, degree)]
+        return bidual_functor_map(
+            self.inclusion(n_div, m_div), degree,
+            source=self.bidual(n_div, degree),
+            target=self.bidual(m_div, degree))[2]
 
     def singular_on_relaxed(self, divisor, q: int) -> list:
         """The singular functional at q restricted to the relaxed module,

@@ -3,9 +3,11 @@
 The golden digests were recorded from the CLI before the elimination layer
 was reworked to factor each matrix once (the tower-derive pass's before the
 group multiplication tables were shared, the (Z/9)[C3] r1 s2, (Z/8)[C4] r1 s1
-and graph ones before the ring arithmetic was fused into ``ring.dot``); any
-change to the bytes of an artifact, a report, a graph or a derivation shows
-up here as a digest mismatch.
+and graph ones before the ring arithmetic was fused into ``ring.dot``, the
+Z/9 r1 s4 ones before the Selmer modules were memoized and the stark and
+kolyvagin suites shared one ``StarkData``); any change to the bytes of an
+artifact, a report, a graph or a derivation shows up here as a digest
+mismatch.
 """
 
 import hashlib
@@ -34,6 +36,12 @@ GOLDEN = {
         "3430b509a2759ee01c7f71deb077be22ae410091e9a3f2888e6ba92f5d3f3821",
     "z8c4-r1-s1.report.json":
         "42f7ad8f9e81b2126cfac15d7dde5590475daf7fa6b329d04e14a39b6134fbf7",
+    # The first golden with 16 divisors, recorded before the Selmer modules
+    # were memoized and the stark and kolyvagin suites shared a StarkData.
+    "z9-r1-s4.json":
+        "5a3476fdc6e23b62970fbe2aa6fe41f90e5a8dc628572a871738d1c74f9c45d1",
+    "z9-r1-s4.report.json":
+        "80bc809d310c31102246dc020534d9c45e6c2adc7cb9d3d725434f312ddae8ba",
     "z9-r1-s3.dot":
         "69fa59ed03d42f0b341ea1a82a099ad7cc9fa0183a684cf6c1d7c0d192e0c518",
     "bundle-z9-r2-s2.json":
@@ -68,6 +76,7 @@ def _gen(tmp_path, name, ring, r, s, profile="generic"):
 class TestGoldenBytes:
     @pytest.mark.parametrize("stem, ring, s", [
         ("z9-r1-s3", "3,2", 3),
+        ("z9-r1-s4", "3,2", 4),
         ("z9c3-r1-s1", "3,2,3", 1),
         ("z9c3-r1-s2", "3,2,3", 2),
         ("z8c4-r1-s1", "2,3,4", 1),
@@ -110,6 +119,109 @@ class TestGoldenBytes:
         out = tmp_path / "bundle-z9-r1-s3.derive.json"
         assert cli.main(["derive", str(bundle), "--out", str(out)]) == 0
         assert _digest(out) == GOLDEN["bundle-z9-r1-s3.derive.json"]
+
+
+def _verify(tmp_path, artifact, suite, name):
+    out = tmp_path / name
+    code = cli.main(["verify", str(artifact), "--suite", suite,
+                     "--seed", "0", "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def _suite_part(report, suite):
+    """One suite's checks, witnesses and data from a report."""
+    prefix = f"{suite}/"
+    return (
+        {k: v for k, v in report["checks"].items() if k.startswith(prefix)},
+        {k: v for k, v in report["witnesses"].items()
+         if k.startswith(prefix)},
+        report["data"].get(suite),
+    )
+
+
+class TestSuiteOrder:
+    """Suites run in one fixed order and share the instance's modules and
+    one StarkData, so the order and the subset requested change nothing
+    in any suite's results."""
+
+    def test_subsets_and_orders_match_all(self, tmp_path):
+        artifact = _gen(tmp_path, "z9-r1-s3.json", "3,2", 1, 3)
+        _code, full = _verify(tmp_path, artifact, "all", "all.json")
+        for i, suite in enumerate(["kolyvagin,stark", "stark,kolyvagin",
+                                   "kolyvagin"]):
+            code, report = _verify(tmp_path, artifact, suite, f"{i}.json")
+            assert code == 0
+            assert report["config"]["suites"] == suite.split(",")
+            for name in suite.split(","):
+                assert _suite_part(report, name) == _suite_part(full, name)
+                assert report["timings"][name] == full["timings"][name]
+
+
+@pytest.fixture(scope="module")
+def passing_report(tmp_path_factory):
+    root = tmp_path_factory.mktemp("report")
+    artifact = _gen(root, "z9-r1-s3.json", "3,2", 1, 3)
+    code, doc = _verify(root, artifact, "all", "report.json")
+    assert code == 0
+    return doc
+
+
+class TestReportContract:
+    def _report(self, tmp_path, doc, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.txt"
+        code = cli.main(["report", str(path), "--out", str(out)])
+        text = out.read_text() if out.exists() else None
+        return code, text, capsys.readouterr().err
+
+    def test_passing_report_exits_0(self, tmp_path, capsys, passing_report):
+        code, text, _err = self._report(tmp_path, passing_report, capsys)
+        n = len(passing_report["checks"])
+        assert code == 0
+        assert text.splitlines()[-1] == f"{n}/{n} checks passed"
+        assert text.count("PASS ") == n
+
+    def test_failed_check_exits_1_with_witness(self, tmp_path, capsys,
+                                               passing_report):
+        doc = json.loads(json.dumps(passing_report))
+        doc["checks"]["kolyvagin/comparison-relation"] = False
+        doc["witnesses"]["kolyvagin/comparison-relation"] = ["q1.q2@q2"]
+        doc["passed"] = False
+        code, text, _err = self._report(tmp_path, doc, capsys)
+        n = len(doc["checks"])
+        assert code == 1
+        lines = text.splitlines()
+        assert ("FAIL kolyvagin/comparison-relation  witness: ['q1.q2@q2']"
+                in lines)
+        assert lines[-1] == f"{n - 1}/{n} checks passed"
+
+    def test_not_a_report_exits_2(self, tmp_path, capsys):
+        artifact = _gen(tmp_path, "z9-r1-s3.json", "3,2", 1, 3)
+        out = tmp_path / "out.txt"
+        assert cli.main(["report", str(artifact), "--out", str(out)]) == 2
+        assert "eks-report/1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_path_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        missing = tmp_path / "missing.json"
+        assert cli.main(["report", str(missing), "--out", str(out)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"schema": "eks-report/1", "checks": ["a"]},
+        {"schema": "eks-report/1", "checks": 5},
+        {"schema": "eks-report/1", "checks": {"a": "yes"}},
+        {"schema": "eks-report/1", "checks": {"a": False}, "witnesses": []},
+    ])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, doc):
+        code, text, err = self._report(tmp_path, doc, capsys)
+        assert code == 2
+        assert "malformed report" in err
+        assert "Traceback" not in err
+        assert text is None
 
 
 class TestConsistentProfile:

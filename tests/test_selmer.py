@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from ekslab.modules import Ideal, fitting_ideal
+from ekslab.kolyvagin import KolyvaginData
+from ekslab.modules import Ideal, cokernel, fitting_ideal, kernel
 from ekslab.rings import Matrix, make_ring
 from ekslab.selmer import (
     PROFILES,
@@ -142,6 +143,49 @@ class TestInstanceShape:
                 n, s = inst.ambient_rank, inst.n_primes
                 assert sel.size * ring.size ** s == \
                     dual.size * ring.size ** n
+
+
+class TestModuleMemo:
+    """Selmer and dual Selmer modules are memoized by condition key: one
+    module per condition matrix, shared by every caller."""
+
+    @pytest.mark.parametrize("ring, s", [(Z9, 3), (Z9C3, 2)])
+    def test_dropped_prime_ignores_its_side(self, ring, s):
+        inst = generate_instance(ring, 1, s, "generic", 0)
+        for d in inst.divisors():
+            for q in range(s):
+                if q in d:
+                    continue
+                up = tuple(sorted(d + (q,)))
+                assert inst.dual_selmer(d, drop=q) is \
+                    inst.dual_selmer(up, drop=q)
+                assert inst.selmer_module(up, drop=q) is \
+                    inst.selmer_module(d, drop=q)
+                # the divisor is a set of primes: its order does not matter
+                assert inst.selmer_module(up[::-1]) is inst.selmer_module(up)
+        assert inst.dual_selmer((), drop=0) is not inst.dual_selmer(())
+
+    @pytest.mark.parametrize("ring, s", [(Z9, 3), (Z9C3, 2)])
+    def test_memo_matches_fresh_kernel_and_cokernel(self, ring, s):
+        inst = generate_instance(ring, 1, s, "generic", 0)
+        for d in inst.divisors():
+            for drop in (None,) + tuple(range(s)):
+                sel, incl = inst.selmer_module(d, drop=drop)
+                fresh, fresh_incl = kernel(inst._condition_map(d, drop=drop))
+                assert sel.relations == fresh.relations
+                assert incl.matrix == fresh_incl.matrix
+                dual = inst.dual_selmer(d, drop=drop)
+                fresh_dual, _proj = cokernel(
+                    inst._condition_map(d, drop=drop))
+                assert dual.relations == fresh_dual.relations
+                assert dual.size == fresh_dual.size
+
+    @pytest.mark.parametrize("ring, s", [(Z9, 3), (Z9C3, 2)])
+    def test_kolyvagin_data_reads_the_instance(self, ring, s):
+        inst = generate_instance(ring, 1, s, "generic", 0)
+        kdata = KolyvaginData(inst)
+        for d in inst.divisors():
+            assert kdata.selmer(d) is inst.selmer_module(d)
 
 
 class TestRankIdentity:
