@@ -19,7 +19,8 @@ readings, keeping reports byte-stable.
 
 Exit codes: 0 when every selected check passes, 1 when at least one
 check fails (the report is still written), 2 for invalid parameters or
-unreadable artifacts.
+unreadable artifacts.  ``report`` takes its exit code from the report's
+checks, and exits 2 when the report's ``passed`` flag disagrees with them.
 """
 
 import argparse
@@ -626,6 +627,11 @@ def cmd_report(args) -> int:
         raise CommandError(
             f"malformed report {args.artifact}: 'checks' must map names to "
             "booleans and 'witnesses' must be an object")
+    passed = all(checks.values())
+    if doc.get("passed") is not passed:
+        raise CommandError(
+            f"malformed report {args.artifact}: 'passed' is "
+            f"{doc.get('passed')!r} but the checks give {passed!r}")
     lines = []
     for name in sorted(checks):
         if checks[name]:
@@ -633,10 +639,10 @@ def cmd_report(args) -> int:
         else:
             extra = f"  witness: {witnesses[name]}" if name in witnesses else ""
             lines.append(f"FAIL {name}{extra}")
-    passed = sum(1 for v in checks.values() if v)
-    lines.append(f"{passed}/{len(checks)} checks passed")
+    count = sum(1 for v in checks.values() if v)
+    lines.append(f"{count}/{len(checks)} checks passed")
     _write_text(args.out, "\n".join(lines) + "\n")
-    return 0 if doc.get("passed") else 1
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,11 @@ from .modules import (
     FPModule,
     Ideal,
     ModuleMap,
+    factor_through,
     fitting_ideal,
-    kernel,
     solve_map,
 )
 from .rings import (
-    Matrix,
     howell_int,
     kernel_int,
     membership_int,
@@ -79,20 +78,6 @@ def _restrict_functional(row, incl: ModuleMap) -> list:
     return incl.matrix.transpose().apply(row)
 
 
-def _sub_inclusion(ring, small, small_incl, big, big_incl) -> ModuleMap:
-    """The map between two presented submodules of the same free ambient."""
-    cols = []
-    for j in range(small.ngens):
-        vec = small_incl.apply(small.generator(j))
-        sol = solve_map(big_incl, vec)
-        if sol is None:
-            raise RuntimeError("submodule does not sit inside the larger one")
-        cols.append(sol)
-    mat = Matrix(ring, [[cols[j][i] for j in range(small.ngens)]
-                        for i in range(big.ngens)], ncols=small.ngens)
-    return ModuleMap(small, big, mat)
-
-
 def _dual_coords(bid: ExteriorBidual, row) -> list:
     sol = bid.dual_solver.solve(row)
     if sol is None:
@@ -101,21 +86,21 @@ def _dual_coords(bid: ExteriorBidual, row) -> list:
 
 
 class KolyvaginData:
-    """Modified Selmer modules of an instance, their biduals, and the two
+    """Biduals of the modified Selmer modules of an instance, and the two
     maps of the defining relation.
 
-    The Selmer modules are the instance's own (it memoizes them); the
-    strict modules, the biduals and the regulator maps are cached here.
-    The singular-value and finite-singular maps are built on demand:
-    ``verify_fs`` reads each (divisor, prime) pair once.
+    The Selmer and strict modules are the instance's own (``selmer_module``
+    and ``strict_module`` memoize them); the biduals and the regulator maps
+    are cached here.  The singular-value and finite-singular maps are built
+    on demand: ``verify_fs`` reads each (divisor, prime) pair once.
 
     ``sigma_exponents`` records the chosen generator of each prime's symbol
     group as a unit exponent relative to the default choice; it twists the
     effective comparison units but nothing else.
     """
 
-    __slots__ = ("instance", "ring", "rank", "sigma_exponents", "_strict",
-                 "_bidual", "_lowered", "_strict_bidual", "_reg_map")
+    __slots__ = ("instance", "ring", "rank", "sigma_exponents", "_bidual",
+                 "_lowered", "_strict_bidual", "_reg_map")
 
     def __init__(self, instance: SelmerInstance, sigma_exponents=None):
         self.instance = instance
@@ -126,7 +111,6 @@ class KolyvaginData:
             if a % instance.ring.p == 0:
                 raise ValueError("generator exponent must be a unit")
         self.sigma_exponents = exps
-        self._strict = {}
         self._bidual = {}
         self._lowered = {}
         self._strict_bidual = {}
@@ -142,29 +126,6 @@ class KolyvaginData:
 
     def selmer(self, divisor):
         return self.instance.selmer_module(divisor)
-
-    def strict(self, divisor, q: int):
-        """The module strict at q: both local conditions at q, transverse at
-        the rest of the divisor, finite outside."""
-        key = (tuple(sorted(divisor)), q)
-        if key not in self._strict:
-            inst = self.instance
-            ring = self.ring
-            inside = set(key[0])
-            rows = []
-            for qq in range(inst.n_primes):
-                if qq == q:
-                    rows.append(inst.singular_functional(qq))
-                    rows.append(inst.finite_functional(qq))
-                elif qq in inside:
-                    rows.append(inst.finite_functional(qq))
-                else:
-                    rows.append(inst.singular_functional(qq))
-            f = ModuleMap(FPModule.free(ring, inst.ambient_rank),
-                          FPModule.free(ring, len(rows)),
-                          Matrix(ring, rows, ncols=inst.ambient_rank))
-            self._strict[key] = kernel(f)
-        return self._strict[key]
 
     def bidual(self, divisor) -> ExteriorBidual:
         key = tuple(sorted(divisor))
@@ -185,7 +146,7 @@ class KolyvaginData:
     def strict_bidual(self, divisor, q: int) -> ExteriorBidual:
         key = (tuple(sorted(divisor)), q)
         if key not in self._strict_bidual:
-            module, _incl = self.strict(*key)
+            module, _incl = self.instance.strict_module(*key)
             self._strict_bidual[key] = ExteriorBidual(module, self.rank - 1)
         return self._strict_bidual[key]
 
@@ -193,30 +154,20 @@ class KolyvaginData:
         """Contract the divisor's bidual by an ambient functional and land in
         the strict bidual at (divisor + q); ``divisor`` may or may not
         contain q, ``row`` is the ambient functional, ``scale`` a unit."""
-        ring = self.ring
         with_q = tuple(sorted(set(divisor) | {q}))
         bid = self.bidual(divisor)
-        module, incl = self.selmer(divisor)
-        restricted = _restrict_functional(row, incl)
-        phi = _dual_coords(bid, restricted)
+        _module, incl = self.selmer(divisor)
+        phi = _dual_coords(bid, _restrict_functional(row, incl))
         lowered = self.lowered_bidual(divisor)
         contr = bidual_contraction(bid, lowered, phi)
-        smod, sincl = self.strict(with_q, q)
-        sub = _sub_inclusion(ring, smod, sincl, module, incl)
+        sub = factor_through(self.instance.strict_module(with_q, q)[1], incl,
+                             "submodule does not sit inside the larger one")
         _bs, _bt, push = bidual_functor_map(
             sub, self.rank - 1, self.strict_bidual(with_q, q), lowered)
-        cols = []
-        for b in range(bid.module.ngens):
-            w = contr.apply(bid.module.generator(b))
-            v = solve_map(push, w)
-            if v is None:
-                raise RuntimeError(
-                    "contracted element does not lie in the strict bidual")
-            cols.append([ring.mul(scale, c) for c in v])
-        mat = Matrix(ring, [[cols[b][a] for b in range(bid.module.ngens)]
-                            for a in range(push.source.ngens)],
-                     ncols=bid.module.ngens)
-        return ModuleMap(bid.module, push.source, mat)
+        h = factor_through(
+            contr, push,
+            "contracted element does not lie in the strict bidual")
+        return ModuleMap(h.source, h.target, h.matrix.scale(scale))
 
     def v_map(self, divisor, q: int) -> ModuleMap:
         """The singular-value map at q |  divisor: contraction by the
@@ -348,7 +299,7 @@ def regulator_component_map(sdata: StarkData, kdata: KolyvaginData,
     ring = kdata.ring
     inst = kdata.instance
     bid_hi = sdata.bidual(key)
-    relaxed, relaxed_incl = sdata.relaxed(key)
+    relaxed_incl = inst.relaxed_module(key)[1]
     qs = sorted(key, reverse=True)
     dual_rows = [
         _dual_coords(bid_hi, _restrict_functional(
@@ -358,25 +309,16 @@ def regulator_component_map(sdata: StarkData, kdata: KolyvaginData,
     phi = wedge_coeffs(ring, dual_rows, bid_hi.dual.ngens)
     lowered = sdata.bidual(key, kdata.rank)
     contr = bidual_contraction(bid_hi, lowered, phi)
-    smod, sincl = kdata.selmer(key)
-    sub = _sub_inclusion(ring, smod, sincl, relaxed, relaxed_incl)
+    sub = factor_through(kdata.selmer(key)[1], relaxed_incl,
+                         "submodule does not sit inside the larger one")
     _bs, _bt, push = bidual_functor_map(
         sub, kdata.rank, kdata.bidual(key), lowered)
     scale = divisor_sign(ring, key)
     for q in key:
         scale = ring.mul(scale, kdata.effective_unit(q))
-    cols = []
-    for b in range(bid_hi.module.ngens):
-        w = contr.apply(bid_hi.module.generator(b))
-        v = solve_map(push, w)
-        if v is None:
-            raise RuntimeError(
-                "regulator component does not lie in the modified bidual")
-        cols.append([ring.mul(scale, c) for c in v])
-    mat = Matrix(ring, [[cols[b][a] for b in range(bid_hi.module.ngens)]
-                        for a in range(push.source.ngens)],
-                 ncols=bid_hi.module.ngens)
-    out = ModuleMap(bid_hi.module, push.source, mat)
+    h = factor_through(
+        contr, push, "regulator component does not lie in the modified bidual")
+    out = ModuleMap(h.source, h.target, h.matrix.scale(scale))
     kdata._reg_map[key] = out
     return out
 

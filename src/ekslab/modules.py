@@ -292,13 +292,13 @@ def kernel(f: ModuleMap):
     ring = f.source.ring
     base = ring.base
     g = f.source.ngens
-    if g == 0:
-        return present_submodule(f.source, [])
     cond = _cocheck_conditions(f.target.cochecks, f.matrix.to_base(),
-                               g * ring.rank, base.n)
-    ker_base = kernel_int(cond, base.p, base.m) if cond else [
-        [int(i == j) for j in range(g * ring.rank)] for i in range(g * ring.rank)
-    ]
+                               g * ring.rank, base.n) if g else []
+    if not cond:
+        # A map into the zero module (or from no generators): the kernel is
+        # the whole source, presented as it is.
+        return f.source, ModuleMap.identity(f.source)
+    ker_base = kernel_int(cond, base.p, base.m)
     gens = []
     for row in ker_base:
         vec = vec_from_base(ring, row)
@@ -357,6 +357,22 @@ def solve_map(f: ModuleMap, target_vec):
     if sol is None:
         return None
     return vec_from_base(ring, sol[:ncols_x])
+
+
+def factor_through(f: ModuleMap, g: ModuleMap, message: str) -> ModuleMap:
+    """The map h with g o h = f, solved one source generator of f at a time;
+    raises ``RuntimeError(message)`` when a generator's image does not lift
+    along g."""
+    cols = []
+    for i in range(f.source.ngens):
+        sol = solve_map(g, f.apply(f.source.generator(i)))
+        if sol is None:
+            raise RuntimeError(message)
+        cols.append(sol)
+    mat = Matrix(f.source.ring,
+                 [[col[a] for col in cols] for a in range(g.source.ngens)],
+                 ncols=f.source.ngens)
+    return ModuleMap(f.source, g.source, mat)
 
 
 def is_injective(f: ModuleMap) -> bool:
@@ -695,23 +711,6 @@ def module_from_json(data: dict) -> FPModule:
     g = data["gens"]
     rel = matrix_from_json(ring, data["relations"])
     return FPModule(ring, g, Matrix(ring, rel.rows, ncols=g))
-
-
-def ideal_to_json(ideal: Ideal) -> dict:
-    from .rings import element_to_json
-
-    return {
-        "ring": ring_to_json(ideal.ring),
-        "gens": [element_to_json(ideal.ring, g) for g in ideal.gens],
-        "canonical": [list(row) for row in ideal.howell],
-    }
-
-
-def ideal_from_json(data: dict) -> Ideal:
-    from .rings import element_from_json
-
-    ring = ring_from_json(data["ring"])
-    return Ideal(ring, [element_from_json(ring, g) for g in data["gens"]])
 
 
 # ---------------------------------------------------------------------------

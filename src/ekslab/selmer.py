@@ -25,12 +25,12 @@ from .modules import (
     Ideal,
     ModuleMap,
     cokernel,
+    factor_through,
     fitting_ideal,
     is_injective,
     is_surjective,
     kernel,
     same_submodule,
-    solve_map,
 )
 from .rings import (
     Matrix,
@@ -165,6 +165,13 @@ class PrimeData:
 # ---------------------------------------------------------------------------
 
 
+# The local condition at one prime, as the condition rows it imposes there.
+_FINITE = ("finite",)
+_TRANSVERSE = ("transverse",)
+_RELAXED = ()
+_STRICT = ("finite", "transverse")
+
+
 def all_divisors(n_primes: int) -> list:
     """Every subset of prime indices as a sorted tuple, by size then lex."""
     out = []
@@ -221,42 +228,66 @@ class SelmerInstance:
         Transverse rows at primes inside the divisor, finite rows outside;
         ``drop`` removes the row of one prime entirely (the relaxed
         structure used by the comparison sequence).
+
+        Every module cut out of the ambient by local conditions is built
+        from one such matrix, with one of four states at each prime: finite
+        (the finite row), transverse (the transverse row), relaxed (no row)
+        or strict (the finite row, then the transverse row).  The Selmer
+        modules are transverse inside the divisor and finite outside,
+        ``relaxed_module`` is relaxed inside, and ``strict_module`` is strict
+        at one prime of the divisor.
         """
-        inside = set(divisor)
-        rows = []
-        for q in range(self.n_primes):
-            if q == drop:
-                continue
-            src = self.transverse if q in inside else self.finite
-            rows.append(list(src.rows[q]))
+        return self._conditions(self._states(divisor, drop))
+
+    def _states(self, divisor, drop=None, inside=_TRANSVERSE) -> tuple:
+        """The state of each prime: ``inside`` at the primes of the divisor,
+        finite outside, relaxed at ``drop``."""
+        primes = set(divisor)
+        return tuple(_RELAXED if q == drop else inside if q in primes
+                     else _FINITE for q in range(self.n_primes))
+
+    def _conditions(self, states) -> Matrix:
+        rows = [list(getattr(self, side).rows[q])
+                for q, state in enumerate(states) for side in state]
         return Matrix(self.ring, rows, ncols=self.ambient_rank)
 
-    def _condition_map(self, divisor, drop=None) -> ModuleMap:
-        V = self.condition_matrix(divisor, drop=drop)
-        return ModuleMap(FPModule.free(self.ring, self.ambient_rank),
-                         FPModule.free(self.ring, V.nrows), V)
-
-    def _memo(self, kind, build, divisor, drop):
-        """``build(condition map)``, once per kind and condition key, so
-        every caller shares one module (and its lazily computed Howell
-        data).  The key records each prime as transverse, finite or
-        dropped: ``(d, drop=q)`` and ``(d + (q,), drop=q)`` share one."""
-        inside = set(divisor)
-        key = (kind,) + tuple(None if q == drop else q in inside
-                              for q in range(self.n_primes))
+    def _memo(self, kind, build, states):
+        """``build(condition map)``, once per kind and tuple of prime
+        states, so every caller shares one module (and its lazily computed
+        Howell data): ``(d, drop=q)`` and ``(d + (q,), drop=q)`` share one,
+        and so do the relaxed module at ``(q,)`` and ``((), drop=q)``."""
+        key = (kind, states)
         if key not in self._modules:
-            self._modules[key] = build(self._condition_map(divisor, drop=drop))
+            V = self._conditions(states)
+            self._modules[key] = build(ModuleMap(
+                FPModule.free(self.ring, self.ambient_rank),
+                FPModule.free(self.ring, V.nrows), V))
         return self._modules[key]
 
     def selmer_module(self, divisor, drop=None):
         """The Selmer module at a divisor: ``(module, inclusion)`` into the
         free ambient."""
-        return self._memo("selmer", kernel, divisor, drop)
+        return self._memo("kernel", kernel, self._states(divisor, drop))
+
+    def relaxed_module(self, divisor):
+        """The module relaxed at the primes of the divisor and finite
+        outside: ``(module, inclusion)`` into the free ambient; at the
+        divisor of all primes it is the free ambient itself."""
+        return self._memo("kernel", kernel,
+                          self._states(divisor, inside=_RELAXED))
+
+    def strict_module(self, divisor, q: int):
+        """The module strict at q, transverse at the rest of the divisor and
+        finite outside: ``(module, inclusion)`` into the free ambient."""
+        states = list(self._states(divisor))
+        states[q] = _STRICT
+        return self._memo("kernel", kernel, tuple(states))
 
     def dual_selmer(self, divisor, drop=None) -> FPModule:
         """The dual Selmer module: cokernel of the same condition matrix,
         presented on one generator per kept prime."""
-        return self._memo("dual", lambda f: cokernel(f)[0], divisor, drop)
+        return self._memo("cokernel", lambda f: cokernel(f)[0],
+                          self._states(divisor, drop))
 
     def residue_ranks(self, divisor):
         """(Selmer rank, dual Selmer rank) of the reduction to the residue
@@ -289,18 +320,10 @@ def five_term_data(instance: SelmerInstance, divisor, q: int):
     two modules are cokernels of the condition matrices.
     """
     ring = instance.ring
-    sel, incl = instance.selmer_module(divisor)
+    _sel, incl = instance.selmer_module(divisor)
     selq, inclq = instance.selmer_module(divisor, drop=q)
-    cols = []
-    for i in range(sel.ngens):
-        vec = incl.apply(sel.generator(i))
-        sol = solve_map(inclq, vec)
-        if sol is None:
-            raise RuntimeError("stricter Selmer module escapes the relaxed one")
-        cols.append(sol)
-    m1 = ModuleMap(sel, selq, Matrix(
-        ring, [[cols[j][i] for j in range(sel.ngens)]
-               for i in range(selq.ngens)], ncols=sel.ngens))
+    m1 = factor_through(incl, inclq,
+                        "stricter Selmer module escapes the relaxed one")
 
     inside = set(divisor)
     row_q = (instance.transverse if q in inside else instance.finite).rows[q]
@@ -376,33 +399,6 @@ def divisor_name(instance: SelmerInstance, divisor) -> str:
     if not divisor:
         return "1"
     return ".".join(instance.primes[q].label for q in sorted(divisor))
-
-
-def core_graph(instance: SelmerInstance) -> str:
-    """The divisor lattice as a DOT digraph.
-
-    Nodes carry the residue ranks; core divisors (vanishing dual Selmer) are
-    doubly circled.  Edges go from each divisor to its one-prime extensions.
-    """
-    lines = ["digraph divisors {", "  rankdir=BT;"]
-    for d in instance.divisors():
-        lam, lam_star = instance.residue_ranks(d)
-        shape = ", peripheries=2" if instance.is_core(d) else ""
-        lines.append(
-            f'  "{divisor_name(instance, d)}" '
-            f'[label="{divisor_name(instance, d)}\\n{lam}/{lam_star}"{shape}];'
-        )
-    for d in instance.divisors():
-        for q in range(instance.n_primes):
-            if q in d:
-                continue
-            up = tuple(sorted(d + (q,)))
-            lines.append(
-                f'  "{divisor_name(instance, d)}" -> '
-                f'"{divisor_name(instance, up)}";'
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -35,38 +35,40 @@ from .biduals import (
     wedge_coeffs,
 )
 from .modules import (
-    FPModule,
     Ideal,
     ModuleMap,
+    factor_through,
     fitting_ideal,
     is_isomorphism,
-    kernel,
     same_submodule,
-    solve_map,
 )
 from .rings import Matrix, make_ring
 from .selmer import PrimeData, SelmerInstance, core_vertices, frobenius_data, min_generators
 
 
 class StarkData:
-    """Relaxed modules, their biduals, and the transition maps of an instance.
+    """Biduals of the relaxed modules, the transition maps, and the
+    canonical basis system of an instance.
 
-    Cached: relaxed modules per divisor, biduals per (divisor, degree), the
-    transitions, and the pushes into the free ambient.  Inclusion and
-    bidual functor maps are built on demand: each one feeds a single cached
-    transition.  Divisors are sorted tuples of prime indices.
+    The relaxed modules are the instance's own (``relaxed_module`` memoizes
+    them with the Selmer modules they coincide with).  Cached here: biduals
+    per (divisor, degree), the transitions, the pushes into the free
+    ambient, and the canonical basis system that the kolyvagin and stark
+    suites share.  Inclusion and bidual functor maps are built on demand:
+    each one feeds a single cached transition.  Divisors are sorted tuples
+    of prime indices.
     """
 
-    __slots__ = ("instance", "ring", "_relaxed", "_bidual", "_transition",
-                 "_ambient_push")
+    __slots__ = ("instance", "ring", "_bidual", "_transition",
+                 "_ambient_push", "_canonical")
 
     def __init__(self, instance: SelmerInstance):
         self.instance = instance
         self.ring = instance.ring
-        self._relaxed = {}
         self._bidual = {}
         self._transition = {}
         self._ambient_push = {}
+        self._canonical = None
 
     @property
     def top_divisor(self) -> tuple:
@@ -76,29 +78,11 @@ class StarkData:
         """Bidual degree attached to a divisor: core rank + prime count."""
         return self.instance.core_rank + len(divisor)
 
-    def relaxed(self, divisor):
-        """The relaxed module at a divisor: ``(module, inclusion)`` into the
-        free ambient, cut out by the singular functionals outside."""
-        key = tuple(sorted(divisor))
-        if key not in self._relaxed:
-            ring = self.ring
-            n = self.instance.ambient_rank
-            free = FPModule.free(ring, n)
-            rows = [self.instance.singular_functional(q)
-                    for q in range(self.instance.n_primes) if q not in key]
-            if not rows:
-                self._relaxed[key] = (free, ModuleMap.identity(free))
-            else:
-                f = ModuleMap(free, FPModule.free(ring, len(rows)),
-                              Matrix(ring, rows, ncols=n))
-                self._relaxed[key] = kernel(f)
-        return self._relaxed[key]
-
     def bidual(self, divisor, degree=None) -> ExteriorBidual:
         key = tuple(sorted(divisor))
         deg = self.degree(key) if degree is None else degree
         if (key, deg) not in self._bidual:
-            module, _incl = self.relaxed(key)
+            module, _incl = self.instance.relaxed_module(key)
             self._bidual[(key, deg)] = ExteriorBidual(module, deg)
         return self._bidual[(key, deg)]
 
@@ -108,20 +92,9 @@ class StarkData:
         n_key, m_key = tuple(sorted(n_div)), tuple(sorted(m_div))
         if not set(n_key) <= set(m_key):
             raise ValueError("inclusion requires nested divisors")
-        small, incl_small = self.relaxed(n_key)
-        big, incl_big = self.relaxed(m_key)
-        cols = []
-        for j in range(small.ngens):
-            vec = incl_small.apply(small.generator(j))
-            sol = solve_map(incl_big, vec)
-            if sol is None:
-                raise RuntimeError(
-                    "relaxed module escapes the more relaxed one")
-            cols.append(sol)
-        mat = Matrix(self.ring,
-                     [[cols[j][i] for j in range(small.ngens)]
-                      for i in range(big.ngens)], ncols=small.ngens)
-        return ModuleMap(small, big, mat)
+        return factor_through(self.instance.relaxed_module(n_key)[1],
+                              self.instance.relaxed_module(m_key)[1],
+                              "relaxed module escapes the more relaxed one")
 
     def functor_map(self, n_div, m_div, degree: int) -> ModuleMap:
         """The induced map on degree-``degree`` biduals along the inclusion,
@@ -134,7 +107,7 @@ class StarkData:
     def singular_on_relaxed(self, divisor, q: int) -> list:
         """The singular functional at q restricted to the relaxed module,
         as a functional vector on its generators."""
-        _module, incl = self.relaxed(divisor)
+        _module, incl = self.instance.relaxed_module(divisor)
         row = self.instance.singular_functional(q)
         return incl.matrix.transpose().apply(row)
 
@@ -155,7 +128,6 @@ class StarkData:
             return ModuleMap.identity(bid_hi.module)
         deg = self.degree(n_key)
         bid_mid = self.bidual(m_key, deg)
-        bid_lo = self.bidual(n_key)
 
         qs = sorted(set(m_key) - set(n_key), reverse=True)
         dual_rows = []
@@ -174,19 +146,10 @@ class StarkData:
         t = sum(1 for q in qs for qp in outside if qp < q)
         sign = ring.one if t % 2 == 0 else ring.neg(ring.one)
 
-        cols = []
-        for b in range(bid_hi.module.ngens):
-            w = contr.apply(bid_hi.module.generator(b))
-            v = solve_map(push, w)
-            if v is None:
-                raise RuntimeError(
-                    "a contracted element does not lie in the smaller bidual")
-            cols.append([ring.mul(sign, c) for c in v])
-        mat = Matrix(ring,
-                     [[cols[b][a] for b in range(bid_hi.module.ngens)]
-                      for a in range(bid_lo.module.ngens)],
-                     ncols=bid_hi.module.ngens)
-        return ModuleMap(bid_hi.module, bid_lo.module, mat)
+        h = factor_through(
+            contr, push,
+            "a contracted element does not lie in the smaller bidual")
+        return ModuleMap(h.source, h.target, h.matrix.scale(sign))
 
     def ambient_shadow(self, divisor, coords) -> list:
         """The value table of a component pushed into the bidual of the free
@@ -195,7 +158,7 @@ class StarkData:
         key = tuple(sorted(divisor))
         deg = self.degree(key)
         if key not in self._ambient_push:
-            _module, incl = self.relaxed(key)
+            _module, incl = self.instance.relaxed_module(key)
             _bs, bt, push = bidual_functor_map(
                 incl, deg, source=self.bidual(key))
             self._ambient_push[key] = (bt, push)
@@ -240,12 +203,15 @@ def stark_from_top(data: StarkData, top_coords) -> StarkSystem:
 def canonical_basis_system(data: StarkData) -> StarkSystem:
     """The system whose top component is the canonical generator of the top
     bidual of the free ambient: the functional with value one on the single
-    top wedge monomial."""
-    bid = data.bidual(data.top_divisor)
-    coords = bid.from_table([data.ring.one])
-    if coords is None:
-        raise RuntimeError("the canonical top table is not a functional")
-    return stark_from_top(data, coords)
+    top wedge monomial.  Built once per ``StarkData``; a failure caches
+    nothing, so every caller sees it."""
+    if data._canonical is None:
+        bid = data.bidual(data.top_divisor)
+        coords = bid.from_table([data.ring.one])
+        if coords is None:
+            raise RuntimeError("the canonical top table is not a functional")
+        data._canonical = stark_from_top(data, coords)
+    return data._canonical
 
 
 def system_is_basis(system: StarkSystem) -> bool:

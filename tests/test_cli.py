@@ -215,6 +215,12 @@ class TestReportContract:
         {"schema": "eks-report/1", "checks": 5},
         {"schema": "eks-report/1", "checks": {"a": "yes"}},
         {"schema": "eks-report/1", "checks": {"a": False}, "witnesses": []},
+        # The exit code comes from the checks: a ``passed`` flag that
+        # disagrees with them (or is missing) is malformed.
+        {"schema": "eks-report/1", "checks": {"a": False}, "passed": True},
+        {"schema": "eks-report/1", "checks": {"a": True}, "passed": False},
+        {"schema": "eks-report/1", "checks": {"a": True}},
+        {"schema": "eks-report/1", "checks": {}, "passed": 1},
     ])
     def test_malformed_report_exits_2(self, tmp_path, capsys, doc):
         code, text, err = self._report(tmp_path, doc, capsys)
@@ -327,3 +333,24 @@ class TestGenRejectsNoPrimes:
         assert code == 2
         assert not out.exists()
         assert "--s must be at least 1" in capsys.readouterr().err
+
+
+class TestTracerTargets:
+    """``perfbench/tracer.py`` wraps ekslab functions by name; every name it
+    lists must still resolve, or the traced benchmark run breaks."""
+
+    def test_every_target_resolves(self):
+        import importlib
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.TARGETS
+        for _layer, module, attribute, _mode, _hook in tracer.TARGETS:
+            owner = importlib.import_module(f"ekslab.{module}")
+            for part in attribute.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), f"ekslab.{module}.{attribute}"

@@ -634,14 +634,12 @@ class TestRingDot:
                     for i in range(3)]
         assert submodule_howell(R, syz, 3) == submodule_howell(R, identity, 3)
 
-    # kernel() presents its |G| * ngens lifted generators again, which takes
-    # over a minute over (Z/3)[C9xC3]; the smaller rings cover the shapes.
-    @pytest.mark.parametrize("R", DOT_RINGS[:-1], ids=str)
+    @pytest.mark.parametrize("R", DOT_RINGS, ids=str)
     def test_kernel_with_zero_target_or_source(self, R):
         free = FPModule.free(R, 2)
         to_zero = ModuleMap(free, FPModule.zero(R), Matrix.zeros(R, 0, 2))
         ker, incl = kernel(to_zero)
-        assert incl.matrix.nrows == 2
+        assert incl.matrix == Matrix.identity(R, 2)
         assert ker.size == free.size
         from_zero = ModuleMap(FPModule.zero(R), free, Matrix.zeros(R, 2, 0))
         ker, incl = kernel(from_zero)

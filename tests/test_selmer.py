@@ -1,5 +1,5 @@
 """Selmer structures: condition matrices, comparison sequences, Fitting
-recursion, divisor graph, deterministic generation.
+recursion, core-vertex graph, deterministic generation.
 
 The frozen Frobenius values were computed by hand (2x2 determinants and one
 polynomial division); the frozen Fitting ideals come from listing the minors
@@ -11,14 +11,21 @@ import random
 
 import pytest
 
+from ekslab import cli
 from ekslab.kolyvagin import KolyvaginData
-from ekslab.modules import Ideal, cokernel, fitting_ideal, kernel
+from ekslab.modules import (
+    FPModule,
+    Ideal,
+    ModuleMap,
+    cokernel,
+    fitting_ideal,
+    kernel,
+)
 from ekslab.rings import Matrix, make_ring
 from ekslab.selmer import (
     PROFILES,
     SelmerInstance,
     all_divisors,
-    core_graph,
     core_vertices,
     fitt_recursion_holds,
     five_term_data,
@@ -145,6 +152,13 @@ class TestInstanceShape:
                     dual.size * ring.size ** n
 
 
+def _condition_map(inst, rows):
+    """The map from the free ambient by the given condition rows."""
+    V = Matrix(inst.ring, rows, ncols=inst.ambient_rank)
+    return ModuleMap(FPModule.free(inst.ring, inst.ambient_rank),
+                     FPModule.free(inst.ring, V.nrows), V)
+
+
 class TestModuleMemo:
     """Selmer and dual Selmer modules are memoized by condition key: one
     module per condition matrix, shared by every caller."""
@@ -170,15 +184,60 @@ class TestModuleMemo:
         inst = generate_instance(ring, 1, s, "generic", 0)
         for d in inst.divisors():
             for drop in (None,) + tuple(range(s)):
+                cond = inst.condition_matrix(d, drop=drop).rows
                 sel, incl = inst.selmer_module(d, drop=drop)
-                fresh, fresh_incl = kernel(inst._condition_map(d, drop=drop))
+                fresh, fresh_incl = kernel(_condition_map(inst, cond))
                 assert sel.relations == fresh.relations
                 assert incl.matrix == fresh_incl.matrix
                 dual = inst.dual_selmer(d, drop=drop)
-                fresh_dual, _proj = cokernel(
-                    inst._condition_map(d, drop=drop))
+                fresh_dual, _proj = cokernel(_condition_map(inst, cond))
                 assert dual.relations == fresh_dual.relations
                 assert dual.size == fresh_dual.size
+
+    @pytest.mark.parametrize("ring, s", [(Z9, 3), (Z9C3, 2)])
+    def test_relaxed_modules_share_the_selmer_memo(self, ring, s):
+        inst = generate_instance(ring, 1, s, "generic", 0)
+        assert inst.relaxed_module(()) is inst.selmer_module(())
+        for q in range(s):
+            assert inst.relaxed_module((q,)) is \
+                inst.selmer_module((), drop=q)
+        top, incl = inst.relaxed_module(tuple(range(s)))
+        assert top.relations.nrows == 0
+        assert incl.matrix == Matrix.identity(ring, inst.ambient_rank)
+
+    @pytest.mark.parametrize("ring, s", [(Z9, 3), (Z9C3, 2)])
+    def test_relaxed_module_matches_fresh_kernel(self, ring, s):
+        # Finite rows outside the divisor, none inside.
+        inst = generate_instance(ring, 1, s, "generic", 0)
+        for d in inst.divisors():
+            rows = [list(inst.finite.rows[q]) for q in range(s) if q not in d]
+            module, incl = inst.relaxed_module(d)
+            fresh, fresh_incl = kernel(_condition_map(inst, rows))
+            assert module.relations == fresh.relations
+            assert incl.matrix == fresh_incl.matrix
+
+    @pytest.mark.parametrize("ring, s", [(Z9, 3), (Z9C3, 2)])
+    def test_strict_module_matches_fresh_kernel(self, ring, s):
+        # Both rows at q (finite, then transverse), transverse at the rest
+        # of the divisor, finite outside.
+        inst = generate_instance(ring, 1, s, "generic", 0)
+        for d in inst.divisors():
+            for q in d:
+                rows = []
+                for qq in range(s):
+                    if qq == q:
+                        rows.append(list(inst.finite.rows[qq]))
+                        rows.append(list(inst.transverse.rows[qq]))
+                    elif qq in d:
+                        rows.append(list(inst.transverse.rows[qq]))
+                    else:
+                        rows.append(list(inst.finite.rows[qq]))
+                module, incl = inst.strict_module(d, q)
+                fresh, fresh_incl = kernel(_condition_map(inst, rows))
+                assert module.relations == fresh.relations
+                assert incl.matrix == fresh_incl.matrix
+                assert inst.strict_module(d[::-1], q) is \
+                    inst.strict_module(d, q)
 
     @pytest.mark.parametrize("ring, s", [(Z9, 3), (Z9C3, 2)])
     def test_kolyvagin_data_reads_the_instance(self, ring, s):
@@ -293,16 +352,30 @@ class TestProfiles:
 
 
 class TestGraph:
-    def test_node_and_edge_counts(self):
-        inst = generate_instance(Z25, 1, 3, "generic", 41)
-        dot = core_graph(inst)
-        assert dot.count("->") == 3 * 4      # s * 2^(s-1)
-        assert dot.count("label=") == 8
-        assert dot.count("peripheries=2") == len(core_vertices(inst))
+    """The core-vertex graph of ``ekslab graph``, the one DOT renderer."""
 
-    def test_graph_deterministic(self):
-        a = core_graph(generate_instance(Z9C3, 1, 2, "generic", 43))
-        b = core_graph(generate_instance(Z9C3, 1, 2, "generic", 43))
+    def _graph(self, tmp_path, inst, name):
+        artifact = tmp_path / f"{name}.json"
+        artifact.write_text(json.dumps(instance_to_json(inst)))
+        out = tmp_path / f"{name}.dot"
+        assert cli.main(["graph", str(artifact), "--out", str(out)]) == 0
+        return out.read_text()
+
+    def test_node_and_edge_counts(self, tmp_path):
+        inst = generate_instance(Z25, 1, 3, "generic", 41)
+        dot = self._graph(tmp_path, inst, "g")
+        cores = set(core_vertices(inst))
+        edges = sum(1 for d in cores for q in range(3)
+                    if q not in d and tuple(sorted(d + (q,))) in cores)
+        assert dot.count("label=") == len(cores)
+        assert dot.count("->") == edges
+        assert f"// cores: {len(cores)}" in dot.splitlines()
+
+    def test_graph_deterministic(self, tmp_path):
+        a = self._graph(tmp_path, generate_instance(Z9C3, 1, 2, "generic", 43),
+                        "a")
+        b = self._graph(tmp_path, generate_instance(Z9C3, 1, 2, "generic", 43),
+                        "b")
         assert a == b
 
 

@@ -4,6 +4,7 @@ projections, and coefficient towers."""
 
 import pytest
 
+from ekslab.biduals import ExteriorBidual
 from ekslab.modules import Ideal, fitting_ideal, is_isomorphism, same_submodule
 from ekslab.rings import Matrix, make_ring
 from ekslab.selmer import (
@@ -67,7 +68,7 @@ class TestRelaxedModules:
     def test_top_divisor_is_free_ambient(self):
         inst = generate_instance(Z25, 2, 3, profile="generic", seed=0)
         data = StarkData(inst)
-        module, incl = data.relaxed(data.top_divisor)
+        module, incl = inst.relaxed_module(data.top_divisor)
         assert module.ngens == inst.ambient_rank
         assert module.relations.nrows == 0
         assert incl.matrix.rows == Matrix.identity(Z25, 5).rows
@@ -75,9 +76,9 @@ class TestRelaxedModules:
     def test_empty_divisor_matches_strict_selmer(self):
         inst = generate_instance(Z25, 1, 3, profile="generic", seed=1)
         data = StarkData(inst)
-        module, incl = data.relaxed(())
+        module, incl = inst.relaxed_module(())
         sel, sel_incl = inst.selmer_module(())
-        ambient, _ = data.relaxed(data.top_divisor)
+        ambient, _ = inst.relaxed_module(data.top_divisor)
         gens_a = [incl.apply(module.generator(i)) for i in range(module.ngens)]
         gens_b = [sel_incl.apply(sel.generator(i)) for i in range(sel.ngens)]
         assert same_submodule(ambient, gens_a, gens_b)
@@ -125,6 +126,19 @@ class TestTransitions:
         basis = canonical_basis_system(data)
         bid = data.bidual(())
         assert bid.table(basis.component(())) == [24]
+
+    def test_canonical_basis_built_once(self, monkeypatch):
+        inst = generate_instance(Z25, 1, 2, profile="generic", seed=3)
+        data = StarkData(inst)
+        # A failed build caches nothing: every caller sees the failure.
+        monkeypatch.setattr(ExteriorBidual, "from_table",
+                            lambda self, table: None)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="not a functional"):
+                canonical_basis_system(data)
+        monkeypatch.undo()
+        basis = canonical_basis_system(data)
+        assert canonical_basis_system(data) is basis
 
     def test_transition_is_linear(self):
         inst = generate_instance(Z9C3, 1, 2, profile="generic", seed=4)
