@@ -23,6 +23,7 @@ Euler/Kolyvagin/Stark engines run on.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from .modules import (
     FPModule,
@@ -109,23 +110,35 @@ def wedge_mult_matrix(ring, n: int, k: int, r: int, phi) -> Matrix:
     return Matrix(ring, out, ncols=len(cols_idx))
 
 
+@cache
+def _contraction_plan(n: int, k: int, r: int) -> tuple:
+    """Per (k-r)-subset B of range(n), in order, the triples (a, sign, c)
+    over the r-subsets A (index a) disjoint from B, with sign the merge sign
+    of A and B and c the position of A u B among the k-subsets."""
+    pos_k = subset_position(n, k)
+    subsets_r = r_subsets(n, r)
+    return tuple(
+        tuple((a, s, pos_k[tuple(sorted(A + B))])
+              for a, A in enumerate(subsets_r)
+              if (s := merge_sign(A, B)))
+        for B in r_subsets(n, k - r)
+    )
+
+
 def contract_table(ring, n: int, k: int, r: int, phi, table) -> list:
     """Value table of (Phi . F) from a degree-k table F on R^n.
 
     (Phi . F)(Psi) = F(Phi wedge Psi): the output table on (k-r)-subsets B is
     the signed sum over r-subsets A disjoint from B of phi_A F_{A u B}.
     """
-    pos_k = subset_position(n, k)
+    zero = ring.zero
     out = []
-    for B in r_subsets(n, k - r):
-        acc = ring.zero
-        for a, A in enumerate(r_subsets(n, r)):
-            if phi[a] == ring.zero:
+    for terms in _contraction_plan(n, k, r):
+        acc = zero
+        for a, s, c in terms:
+            if phi[a] == zero:
                 continue
-            s = merge_sign(A, B)
-            if s == 0:
-                continue
-            v = ring.mul(phi[a], table[pos_k[tuple(sorted(A + B))]])
+            v = ring.mul(phi[a], table[c])
             acc = ring.add(acc, v) if s == 1 else ring.sub(acc, v)
         out.append(acc)
     return out

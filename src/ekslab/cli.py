@@ -18,8 +18,9 @@ deterministic work counts (checks run per suite), never wall-clock
 readings, keeping reports byte-stable.
 
 Exit codes: 0 when every selected check passes, 1 when at least one
-check fails (the report is still written), 2 for invalid parameters or
-unreadable artifacts.  ``report`` takes its exit code from the report's
+check fails (the report is still written), 2 for invalid parameters (an
+empty suite list among them), unreadable artifacts or an output path that
+cannot be written.  ``report`` takes its exit code from the report's
 checks, and exits 2 when the report's ``passed`` flag disagrees with them.
 """
 
@@ -72,7 +73,8 @@ from .stark import (
 
 
 class CommandError(Exception):
-    """Invalid configuration or unreadable artifact; exits with code 2."""
+    """Invalid configuration, unreadable artifact or unwritable output;
+    exits with code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +90,12 @@ def canonical_json(doc) -> str:
 def _write_text(path: str, text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc}")
 
 
 def _load_json(path: str) -> dict:
@@ -312,6 +317,8 @@ def _select_suites(requested: str, schema: str):
     if requested == "all":
         return list(applicable)
     names = [s for s in requested.split(",") if s]
+    if not names:
+        raise CommandError("no suite selected")
     for name in names:
         if name not in SUITE_NAMES:
             raise CommandError(f"unknown suite {name!r}")
@@ -677,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", default="all",
                         help="comma-separated: bidual,selmer,stark,"
                              "kolyvagin,euler; 'all' for every applicable "
-                             "suite; empty for none")
+                             "suite")
     verify.add_argument("--seed", type=int, default=0,
                         help="seed for the sampled identity checks")
     verify.add_argument("--out", default="-")

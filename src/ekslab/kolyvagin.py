@@ -164,10 +164,10 @@ class KolyvaginData:
                              "submodule does not sit inside the larger one")
         _bs, _bt, push = bidual_functor_map(
             sub, self.rank - 1, self.strict_bidual(with_q, q), lowered)
-        h = factor_through(
+        return factor_through(
             contr, push,
-            "contracted element does not lie in the strict bidual")
-        return ModuleMap(h.source, h.target, h.matrix.scale(scale))
+            "contracted element does not lie in the strict bidual",
+            scale=scale)
 
     def v_map(self, divisor, q: int) -> ModuleMap:
         """The singular-value map at q |  divisor: contraction by the
@@ -316,9 +316,9 @@ def regulator_component_map(sdata: StarkData, kdata: KolyvaginData,
     scale = divisor_sign(ring, key)
     for q in key:
         scale = ring.mul(scale, kdata.effective_unit(q))
-    h = factor_through(
-        contr, push, "regulator component does not lie in the modified bidual")
-    out = ModuleMap(h.source, h.target, h.matrix.scale(scale))
+    out = factor_through(
+        contr, push, "regulator component does not lie in the modified bidual",
+        scale=scale)
     kdata._reg_map[key] = out
     return out
 

@@ -21,6 +21,7 @@ from operator import mul
 from .rings import (
     Matrix,
     Solver,
+    back_substitute,
     cochecks_int,
     kernel_int,
     kernel_matrix,
@@ -33,7 +34,6 @@ from .rings import (
     ring_to_json,
     row_module_size,
     smith_int,
-    solve_int,
     submodule_howell,
     vec_from_base,
     vec_to_base,
@@ -170,9 +170,16 @@ class ModuleMap:
     of the i-th source generator.  Construction verifies well-definedness:
     every defining relation of the source must land in the target's relation
     module, otherwise the data does not describe a map at all.
+
+    Besides its data a map keeps, from its first ``solve_map`` on, the Smith
+    data of its lifting system [A | target relations] at the base level:
+    P, the exponents, and the part of Q that back-substitution reads (the
+    rows of the source coordinates, the columns of the diagonal).  Every
+    later ``solve_map`` and ``factor_through`` along the map is then one
+    back-substitution.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_lift")
 
     def __init__(self, source: FPModule, target: FPModule, matrix: Matrix):
         if matrix.shape != (target.ngens, source.ngens):
@@ -183,9 +190,26 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._lift = None
         for rel in source.relations.rows:
             if not target.element_is_zero(matrix.apply(rel)):
                 raise ValueError("map is not well defined: a relation does not die")
+
+    @property
+    def lift_data(self):
+        """Smith data (exps, P, Q cut to the source coordinates and the
+        diagonal) of the base system [A | target relations], built once."""
+        if self._lift is None:
+            ring = self.source.ring
+            base = ring.base
+            ncols_x = self.source.ngens * ring.rank
+            rel_cols = self.target.rel_howell
+            aug = self.matrix.to_base()
+            for u, row in enumerate(aug):
+                row.extend([rc[u] for rc in rel_cols])
+            exps, P, Q = smith_int(aug, base.p, base.m)
+            self._lift = (exps, P, [row[:len(exps)] for row in Q[:ncols_x]])
+        return self._lift
 
     @classmethod
     def identity(cls, module: FPModule) -> "ModuleMap":
@@ -337,41 +361,35 @@ def solve_map(f: ModuleMap, target_vec):
     """One x with f(x) = target_vec in the target module, or None.
 
     Equality means up to the target's relations, so the base-level system
-    augments the map's matrix with the relation generators.
+    augments the map's matrix with the relation generators; the map factors
+    that system once (``ModuleMap.lift_data``) and each call back-substitutes.
     """
     ring = f.source.ring
     base = ring.base
-    g = f.source.ngens
     if f.target.ngens == 0:
-        return [ring.zero] * g
-    A = f.matrix.to_base()
-    rel_cols = [list(row) for row in f.target.rel_howell]
-    ncols_x = g * ring.rank
-    aug = []
-    for u in range(f.target.ngens * ring.rank):
-        row = [A[u][w] for w in range(ncols_x)] if A else []
-        row.extend(rc[u] for rc in rel_cols)
-        aug.append(row)
-    b = vec_to_base(ring, [ring.reduce(x) for x in target_vec])
-    sol = solve_int(aug, b, base.p, base.m)
-    if sol is None:
-        return None
-    return vec_from_base(ring, sol[:ncols_x])
+        return [ring.zero] * f.source.ngens
+    sol = back_substitute(f.lift_data, vec_to_base(ring, target_vec),
+                          base.p, base.m)
+    return None if sol is None else vec_from_base(ring, sol)
 
 
-def factor_through(f: ModuleMap, g: ModuleMap, message: str) -> ModuleMap:
-    """The map h with g o h = f, solved one source generator of f at a time;
-    raises ``RuntimeError(message)`` when a generator's image does not lift
-    along g."""
+def factor_through(f: ModuleMap, g: ModuleMap, message: str,
+                   scale=None) -> ModuleMap:
+    """The map h with g o h = f, solved one source generator of f at a time,
+    or ``scale`` times it when a scalar is given; raises
+    ``RuntimeError(message)`` when a generator's image does not lift along
+    g."""
+    ring = f.source.ring
     cols = []
     for i in range(f.source.ngens):
-        sol = solve_map(g, f.apply(f.source.generator(i)))
+        sol = solve_map(g, [row[i] for row in f.matrix.rows])
         if sol is None:
             raise RuntimeError(message)
+        if scale is not None:
+            sol = [ring.mul(scale, x) for x in sol]
         cols.append(sol)
-    mat = Matrix(f.source.ring,
-                 [[col[a] for col in cols] for a in range(g.source.ngens)],
-                 ncols=f.source.ngens)
+    mat = Matrix(ring, [[col[a] for col in cols] for a in range(g.source.ngens)],
+                 ncols=f.source.ngens, reduced=True)
     return ModuleMap(f.source, g.source, mat)
 
 

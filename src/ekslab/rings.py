@@ -4,8 +4,11 @@ Elements of ``ChainRing(p, m)`` are plain ints in ``[0, p**m)``.  Elements of
 ``GroupRing`` are tuples of ints of length ``|G|``, the coordinates in the
 group basis (mixed-radix order on the generator exponents).  Every heavy
 computation — canonical row forms, kernels, linear solving — is performed on
-integer matrices over the base chain ring; group rings are handled by
-restriction of scalars, never by elimination over the group ring itself.
+integer matrices over the base chain ring.  Group rings get there by
+restriction of scalars, never by elimination over the group ring itself; a
+chain ring is its own base, so its matrices and vectors are used as they are
+(each ring class says how in ``matrix_to_base``, ``vec_to_base`` and
+``vec_from_base``).
 
 The canonical form used throughout is the Howell form: the unique reduced
 row form attached to a row module over Z/p^m.  Two generating sets span the
@@ -141,6 +144,20 @@ class ChainRing:
     def action_matrix(self, a: int) -> list:
         """Base-ring matrix of multiplication by a (1x1 for a chain ring)."""
         return [[a % self.n]]
+
+    # Restriction of scalars: the ring is its own base, so these copy.
+
+    def matrix_to_base(self, rows, ncols: int) -> list:
+        """The int matrix of a matrix with reduced entries: a copy."""
+        return [row[:] for row in rows]
+
+    def vec_to_base(self, vec) -> list:
+        n = self.n
+        return [x % n for x in vec]
+
+    def vec_from_base(self, flat) -> list:
+        n = self.n
+        return [x % n for x in flat]
 
     def from_int(self, c: int) -> int:
         return c % self.n
@@ -340,6 +357,34 @@ class GroupRing:
 
     def from_vec(self, vec) -> tuple:
         return tuple(c % self.base.n for c in vec)
+
+    # Restriction of scalars: each element becomes |G| base coordinates.
+
+    def matrix_to_base(self, rows, ncols: int) -> list:
+        """Int matrix B with B.vec(x) = vec(A.x): the action matrix of each
+        entry of A as a |G| x |G| block."""
+        d = self.rank
+        out = [[0] * (ncols * d) for _ in range(len(rows) * d)]
+        for i, row in enumerate(rows):
+            for j in range(ncols):
+                block = self.action_matrix(row[j])
+                for a in range(d):
+                    orow = out[i * d + a]
+                    brow = block[a]
+                    for b in range(d):
+                        orow[j * d + b] = brow[b]
+        return out
+
+    def vec_to_base(self, vec) -> list:
+        out = []
+        for x in vec:
+            out.extend(self.to_vec(x))
+        return out
+
+    def vec_from_base(self, flat) -> list:
+        d = self.rank
+        return [self.from_vec(tuple(flat[i * d : (i + 1) * d]))
+                for i in range(len(flat) // d)]
 
     def from_int(self, c: int) -> tuple:
         return (c % self.base.n,) + (0,) * (self.rank - 1)
@@ -601,7 +646,7 @@ def kernel_int(A, p: int, m: int) -> list:
     return gens
 
 
-def _back_substitute(smith, b, p: int, m: int):
+def back_substitute(smith, b, p: int, m: int):
     """One x with A.x = b from the Smith data (exps, P, Q) of A, or None.
 
     The one back-substitution behind every solve: factor A once with
@@ -622,7 +667,8 @@ def _back_substitute(smith, b, p: int, m: int):
         # Solve p^e * y_i = pb[i]: any lift of the exact quotient works.
         y.append(pb[i] // (p ** e) % n)
     # y vanishes beyond the diagonal, so only the first len(y) columns of Q
-    # contribute.
+    # contribute: a caller may keep Q cut to those columns, and to the rows
+    # of the coordinates it wants.
     return [sum(map(mul, row, y)) % n for row in Q]
 
 
@@ -633,7 +679,7 @@ def solve_int(A, b, p: int, m: int):
     g = len(A[0]) if k else 0
     if k == 0:
         return [0] * g
-    return _back_substitute(smith_int(A, p, m), [c % n for c in b], p, m)
+    return back_substitute(smith_int(A, p, m), [c % n for c in b], p, m)
 
 
 def det_int(A, p: int, m: int) -> int:
@@ -675,6 +721,20 @@ def det_int(A, p: int, m: int) -> int:
     return det_unit * (p ** det_valuation) % n
 
 
+def _det_small(A, n: int) -> int:
+    """Determinant mod n of a square matrix of size 0 to 3, by cofactors."""
+    size = len(A)
+    if size == 0:
+        return 1 % n
+    if size == 1:
+        return A[0][0] % n
+    if size == 2:
+        (a, b), (c, d) = A
+        return (a * d - b * c) % n
+    (a, b, c), (d, e, f), (g, h, i) = A
+    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % n
+
+
 def cochecks_int(gens, ncols: int, p: int, m: int) -> list:
     """Rows C with {x : C.x = 0} equal to the row span of ``gens``.
 
@@ -694,21 +754,32 @@ def cochecks_int(gens, ncols: int, p: int, m: int) -> list:
 
 
 class Matrix:
-    """A dense matrix over a ChainRing or GroupRing with shape checking."""
+    """A dense matrix over a ChainRing or GroupRing with shape checking.
+
+    ``Matrix(ring, rows)`` reduces every entry and rejects ragged rows, so
+    rows from outside (JSON included) always pass through both.  ``mul``,
+    ``transpose``, ``stack``, ``scale``, ``add`` and ``sub`` build their
+    result from rows they have just produced, already reduced and of one
+    length, and pass ``reduced=True`` to skip that pass; such rows must be
+    fresh lists the new matrix owns.
+    """
 
     __slots__ = ("ring", "rows", "nrows", "ncols")
 
-    def __init__(self, ring, rows, ncols: int | None = None):
+    def __init__(self, ring, rows, ncols: int | None = None, *,
+                 reduced: bool = False):
         self.ring = ring
-        self.rows = [[ring.reduce(x) for x in row] for row in rows]
+        if reduced:
+            self.rows = rows
+        else:
+            self.rows = [[ring.reduce(x) for x in row] for row in rows]
         self.nrows = len(self.rows)
         if self.rows:
             self.ncols = len(self.rows[0])
         else:
             self.ncols = 0 if ncols is None else ncols
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged matrix rows")
+        if not reduced and any(len(row) != self.ncols for row in self.rows):
+            raise ValueError("ragged matrix rows")
 
     @classmethod
     def zeros(cls, ring, nrows: int, ncols: int) -> "Matrix":
@@ -739,6 +810,7 @@ class Matrix:
             self.ring,
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
             ncols=self.nrows,
+            reduced=True,
         )
 
     def add(self, other: "Matrix") -> "Matrix":
@@ -752,6 +824,7 @@ class Matrix:
                 for ra, rb in zip(self.rows, other.rows)
             ],
             ncols=self.ncols,
+            reduced=True,
         )
 
     def sub(self, other: "Matrix") -> "Matrix":
@@ -765,12 +838,14 @@ class Matrix:
                 for ra, rb in zip(self.rows, other.rows)
             ],
             ncols=self.ncols,
+            reduced=True,
         )
 
     def scale(self, c) -> "Matrix":
         r = self.ring
         return Matrix(
-            r, [[r.mul(c, x) for x in row] for row in self.rows], ncols=self.ncols
+            r, [[r.mul(c, x) for x in row] for row in self.rows], ncols=self.ncols,
+            reduced=True,
         )
 
     def mul(self, other: "Matrix") -> "Matrix":
@@ -782,7 +857,8 @@ class Matrix:
         # Columns of ``other``; with no rows, zip would give no columns at all.
         cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
         return Matrix(self.ring, [[dot(row, col) for col in cols]
-                                  for row in self.rows], ncols=other.ncols)
+                                  for row in self.rows], ncols=other.ncols,
+                      reduced=True)
 
     def apply(self, vec) -> list:
         """Matrix-vector product A.x with x a length-ncols column vector."""
@@ -798,36 +874,22 @@ class Matrix:
             self.ring,
             [row[:] for row in self.rows] + [row[:] for row in other.rows],
             ncols=self.ncols,
+            reduced=True,
         )
 
     def to_base(self) -> list:
         """Restriction of scalars: int matrix B with B.vec(x) = vec(A.x)."""
-        ring = self.ring
-        d = ring.rank
-        out = [[0] * (self.ncols * d) for _ in range(self.nrows * d)]
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                block = ring.action_matrix(self.rows[i][j])
-                for a in range(d):
-                    orow = out[i * d + a]
-                    brow = block[a]
-                    for b in range(d):
-                        orow[j * d + b] = brow[b]
-        return out
+        return self.ring.matrix_to_base(self.rows, self.ncols)
 
 
 def vec_to_base(ring, vec) -> list:
     """Flatten a vector over the ring to base-ring coordinates."""
-    out = []
-    for x in vec:
-        out.extend(ring.to_vec(x))
-    return out
+    return ring.vec_to_base(vec)
 
 
 def vec_from_base(ring, flat) -> list:
     """Reassemble a base-coordinate vector into ring elements."""
-    d = ring.rank
-    return [ring.from_vec(tuple(flat[i * d : (i + 1) * d])) for i in range(0, len(flat) // d)]
+    return ring.vec_from_base(flat)
 
 
 def translates_base(ring, vec) -> list:
@@ -918,7 +980,7 @@ class Solver:
         if self._smith is None:
             return [ring.zero] * self.ncols
         base = ring.base
-        x = _back_substitute(self._smith, vec_to_base(ring, b), base.p, base.m)
+        x = back_substitute(self._smith, vec_to_base(ring, b), base.p, base.m)
         return None if x is None else vec_from_base(ring, x)
 
 
@@ -940,14 +1002,18 @@ def restrict_scalars(ring, x) -> Matrix:
 def det_ring(ring, rows) -> object:
     """Determinant of a square matrix over the ring.
 
-    Chain rings use exact elimination; group rings use a division-free
-    subset expansion (Laplace over column subsets with memoization), which is
-    exact over any commutative ring and fast at the sizes that occur here.
+    Chain rings expand minors of size up to 3 by cofactors and use exact
+    elimination (``det_int``, the reference) beyond; group rings use a
+    division-free subset expansion (Laplace over column subsets with
+    memoization), which is exact over any commutative ring and fast at the
+    sizes that occur here.
     """
     size = len(rows)
     if size and len(rows[0]) != size:
         raise ValueError("determinant of a non-square matrix")
     if ring.rank == 1:
+        if size <= 3:
+            return _det_small(rows, ring.n)
         return det_int(rows, ring.p, ring.m)
     if size == 0:
         return ring.one

@@ -146,10 +146,10 @@ class StarkData:
         t = sum(1 for q in qs for qp in outside if qp < q)
         sign = ring.one if t % 2 == 0 else ring.neg(ring.one)
 
-        h = factor_through(
+        return factor_through(
             contr, push,
-            "a contracted element does not lie in the smaller bidual")
-        return ModuleMap(h.source, h.target, h.matrix.scale(sign))
+            "a contracted element does not lie in the smaller bidual",
+            scale=sign)
 
     def ambient_shadow(self, divisor, coords) -> list:
         """The value table of a component pushed into the bidual of the free

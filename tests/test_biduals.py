@@ -158,6 +158,28 @@ class TestSubsetCalculus:
                 gram = [[sum_dot(ring, f, x) for x in xs] for f in fs]
                 assert out == [det_ring(ring, gram)]
 
+    @pytest.mark.parametrize("ring", [Z9, Z8, make_ring(5, 2),
+                                      make_ring(3, 3), F3C3], ids=str)
+    def test_contract_table_matches_signed_sum(self, ring):
+        # The precomputed plan against the signed sum over subsets.
+        rng = random.Random(23)
+        for n, k, r in [(4, 3, 1), (4, 3, 2), (5, 3, 3), (4, 2, 0),
+                        (3, 0, 0), (6, 4, 2), (5, 5, 1)]:
+            phi = [ring.random_element(rng) for _ in r_subsets(n, r)]
+            phi[0] = ring.zero
+            table = [ring.random_element(rng) for _ in r_subsets(n, k)]
+            pos = subset_position(n, k)
+            expected = []
+            for B in r_subsets(n, k - r):
+                acc = ring.zero
+                for a, A in enumerate(r_subsets(n, r)):
+                    s = merge_sign(A, B)
+                    if s:
+                        v = ring.mul(phi[a], table[pos[tuple(sorted(A + B))]])
+                        acc = ring.add(acc, v) if s == 1 else ring.sub(acc, v)
+                expected.append(acc)
+            assert contract_table(ring, n, k, r, phi, table) == expected
+
     def test_interior_product_matches_degree_one(self):
         rng = random.Random(19)
         ring = Z8

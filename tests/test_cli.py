@@ -5,7 +5,9 @@ was reworked to factor each matrix once (the tower-derive pass's before the
 group multiplication tables were shared, the (Z/9)[C3] r1 s2, (Z/8)[C4] r1 s1
 and graph ones before the ring arithmetic was fused into ``ring.dot``, the
 Z/9 r1 s4 ones before the Selmer modules were memoized and the stark and
-kolyvagin suites shared one ``StarkData``); any change to the bytes of an
+kolyvagin suites shared one ``StarkData``, the Z/25 r2 s3 and Z/27 r1 s4
+ones before chain rings skipped restriction of scalars and each map kept its
+factorization); any change to the bytes of an
 artifact, a report, a graph or a derivation shows up here as a digest
 mismatch.
 """
@@ -41,6 +43,18 @@ GOLDEN = {
     "z9-r1-s4.json":
         "5a3476fdc6e23b62970fbe2aa6fe41f90e5a8dc628572a871738d1c74f9c45d1",
     "z9-r1-s4.report.json":
+        "80bc809d310c31102246dc020534d9c45e6c2adc7cb9d3d725434f312ddae8ba",
+    # The other chain-ladder moduli, recorded before chain rings skipped
+    # restriction of scalars and each map kept its factorization.  Their
+    # reports equal the Z/9 ones of the same shape byte for byte: a report
+    # holds check names and verdicts, and the instances pass every check.
+    "z25-r2-s3.json":
+        "0a679fcfa016298920d3144d24b0b5601773c0834cb9f7ab95b17ddc100b9d56",
+    "z25-r2-s3.report.json":
+        "13a8bbc29972b7fd44dd6166db9ca8ac1c8d0f36b9ff179b64be3632d5255c6a",
+    "z27-r1-s4.json":
+        "95daa945c9a145711c87833379c286fe21230279bdd30ccc6578d33bbc4a64b2",
+    "z27-r1-s4.report.json":
         "80bc809d310c31102246dc020534d9c45e6c2adc7cb9d3d725434f312ddae8ba",
     "z9-r1-s3.dot":
         "69fa59ed03d42f0b341ea1a82a099ad7cc9fa0183a684cf6c1d7c0d192e0c518",
@@ -80,9 +94,12 @@ class TestGoldenBytes:
         ("z9c3-r1-s1", "3,2,3", 1),
         ("z9c3-r1-s2", "3,2,3", 2),
         ("z8c4-r1-s1", "2,3,4", 1),
+        ("z25-r2-s3", "5,2", 3),
+        ("z27-r1-s4", "3,3", 4),
     ])
     def test_gen_then_verify_all(self, tmp_path, stem, ring, s):
-        artifact = _gen(tmp_path, f"{stem}.json", ring, 1, s)
+        r = int(stem.split("-")[1][1:])  # the stem names the core rank
+        artifact = _gen(tmp_path, f"{stem}.json", ring, r, s)
         assert _digest(artifact) == GOLDEN[f"{stem}.json"]
         report = tmp_path / f"{stem}.report.json"
         code = cli.main(["verify", str(artifact), "--suite", "all",
@@ -228,6 +245,35 @@ class TestReportContract:
         assert "malformed report" in err
         assert "Traceback" not in err
         assert text is None
+
+
+class TestOutputAndSuiteErrors:
+    @pytest.mark.parametrize("suite", [",", "", ",,"])
+    def test_empty_suite_list_exits_2(self, tmp_path, capsys, suite):
+        artifact = _gen(tmp_path, "z9-r1-s2.json", "3,2", 1, 2)
+        out = tmp_path / "report.json"
+        code = cli.main(["verify", str(artifact), "--suite", suite,
+                         "--out", str(out)])
+        assert code == 2
+        assert "no suite selected" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "a.json"
+        code = cli.main(["gen", "--ring", "3,2", "--r", "1", "--s", "2",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}" in err
+        assert "Traceback" not in err
+        artifact = _gen(tmp_path, "z9-r1-s2.json", "3,2", 1, 2)
+        code = cli.main(["verify", str(artifact), "--suite", "selmer",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}" in err
+        assert "Traceback" not in err
+        assert not out.parent.exists()
 
 
 class TestConsistentProfile:

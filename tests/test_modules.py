@@ -22,6 +22,7 @@ from ekslab.modules import (
     dual_eval,
     dual_map,
     dual_module,
+    factor_through,
     fitting_ideal,
     fixed_points,
     image,
@@ -33,6 +34,7 @@ from ekslab.modules import (
     module_to_json,
     present_submodule,
     quotient_by,
+    solve_map,
     syzygies,
 )
 from ekslab.cli import ideal_json
@@ -40,6 +42,7 @@ from ekslab.rings import (
     ChainRing,
     Matrix,
     make_ring,
+    solve_int,
     vec_from_base,
     vec_to_base,
 )
@@ -164,6 +167,70 @@ class TestModuleMap:
                 except ValueError:
                     bad += 1
             assert bad == ring.size - len(homs)
+
+
+def _fresh_solve_map(f, target_vec):
+    """solve_map by one fresh elimination of [A | target relations]."""
+    ring = f.source.ring
+    base = ring.base
+    ncols_x = f.source.ngens * ring.rank
+    aug = [row + [rc[u] for rc in f.target.rel_howell]
+           for u, row in enumerate(f.matrix.to_base())]
+    sol = solve_int(aug, vec_to_base(ring, target_vec), base.p, base.m)
+    return None if sol is None else vec_from_base(ring, sol[:ncols_x])
+
+
+class TestKeptFactorization:
+    """``solve_map`` factors each map once; every answer must be the
+    particular solution (or None) of a fresh elimination."""
+
+    @pytest.mark.parametrize("ring", [Z9, Z8, make_ring(5, 2), make_ring(3, 3),
+                                      make_ring(3, 2, (3,))], ids=str)
+    def test_solve_map_matches_fresh_solve(self, ring):
+        rng = random.Random(91 + ring.size)
+        nones = 0
+        for _ in range(8):
+            src = random_presentation(ring, rng, max_gens=3, max_rels=0)
+            tgt = random_presentation(ring, rng, max_gens=3, max_rels=3)
+            mat = Matrix(ring, [[ring.random_element(rng)
+                                 for _ in range(src.ngens)]
+                                for _ in range(tgt.ngens)], ncols=src.ngens)
+            # A map into p times the target leaves most random right-hand
+            # sides without a solution.
+            f = ModuleMap(src, tgt, mat.scale(ring.from_int(ring.p)))
+            for t in range(8):
+                if t % 2:
+                    b = [ring.random_element(rng) for _ in range(tgt.ngens)]
+                else:
+                    b = f.apply(src.random_element(rng))
+                # Unreduced and negative entries reach the same answer.
+                if ring.rank == 1:
+                    b = [x - rng.randint(-2, 2) * ring.n for x in b]
+                want = _fresh_solve_map(f, b)
+                got = solve_map(f, b)
+                assert got == want
+                if want is None:
+                    nones += 1
+                else:
+                    assert tgt.elements_equal(f.apply(got), b)
+        assert nones, "no unsolvable right-hand side was drawn"
+
+    @pytest.mark.parametrize("ring", [Z9, make_ring(3, 2, (3,))], ids=str)
+    def test_scaled_factor_through(self, ring):
+        rng = random.Random(97)
+        Y = FPModule.free(ring, 2)
+        g = ModuleMap(FPModule.free(ring, 2), Y, Matrix(
+            ring, [[ring.one, ring.zero], [ring.zero, ring.from_int(3)]]))
+        f = ModuleMap(FPModule.free(ring, 1), Y, Matrix(
+            ring, [[ring.from_int(2)], [ring.from_int(6)]]))
+        c = ring.random_unit(rng)
+        h = factor_through(f, g, "no lift")
+        hc = factor_through(f, g, "no lift", scale=c)
+        assert hc.matrix == h.matrix.scale(c)
+        assert g.compose(h).equals(f)
+        bad = ModuleMap(f.source, Y, Matrix(ring, [[ring.zero], [ring.one]]))
+        with pytest.raises(RuntimeError, match="no lift"):
+            factor_through(bad, g, "no lift", scale=c)
 
 
 class TestSubquotients:

@@ -644,3 +644,97 @@ class TestRingDot:
         from_zero = ModuleMap(FPModule.zero(R), free, Matrix.zeros(R, 2, 0))
         ker, incl = kernel(from_zero)
         assert ker.ngens == 0 and incl.matrix.shape == (0, 0)
+
+
+FAST_CHAIN_RINGS = [
+    make_ring(3, 2),               # Z/9
+    make_ring(2, 3),               # Z/8
+    make_ring(5, 2),               # Z/25
+    make_ring(3, 3),               # Z/27
+]
+
+# The paths the group rings share with them: (Z/9)[C3] and (Z/8)[C4].
+FAST_PATH_RINGS = FAST_CHAIN_RINGS + DOT_RINGS[2:4]
+
+SHAPES = [(2, 3), (1, 1), (3, 0), (0, 2), (0, 0)]
+
+
+def _action_to_base(ring, rows, ncols):
+    """Restriction of scalars through the action matrix of every entry."""
+    d = ring.rank
+    out = [[0] * (ncols * d) for _ in range(len(rows) * d)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            block = ring.action_matrix(x)
+            for a in range(d):
+                for b in range(d):
+                    out[i * d + a][j * d + b] = block[a][b]
+    return out
+
+
+def _flatten_by_to_vec(ring, vec):
+    return [c for x in vec for c in ring.to_vec(x)]
+
+
+def _unflatten_by_from_vec(ring, flat):
+    d = ring.rank
+    return [ring.from_vec(tuple(flat[i * d:(i + 1) * d]))
+            for i in range(len(flat) // d)]
+
+
+class TestChainFastPaths:
+    """Each chain-ring fast path against the construction it replaced."""
+
+    @pytest.mark.parametrize("R", FAST_PATH_RINGS, ids=str)
+    def test_restriction_of_scalars(self, R):
+        rng = random.Random(71 + R.base.n)
+        for k, g in SHAPES:
+            rows = [[_unreduced(R, rng) for _ in range(g)] for _ in range(k)]
+            A = Matrix(R, rows, ncols=g)
+            assert A.to_base() == _action_to_base(R, A.rows, g)
+            vec = [_unreduced(R, rng) for _ in range(g)]
+            flat = vec_to_base(R, vec)
+            assert flat == _flatten_by_to_vec(R, vec)
+            unreduced_flat = [x + rng.randint(-3, 3) * R.base.n for x in flat]
+            assert (vec_from_base(R, unreduced_flat)
+                    == _unflatten_by_from_vec(R, unreduced_flat)
+                    == [R.reduce(x) for x in vec])
+
+    @pytest.mark.parametrize("R", FAST_CHAIN_RINGS, ids=str)
+    def test_to_base_is_a_copy(self, R):
+        A = Matrix(R, [[1, 2], [3, 4]])
+        B = A.to_base()
+        B[0][0] = 5
+        assert A.rows[0][0] == 1
+
+    @pytest.mark.parametrize("R", FAST_CHAIN_RINGS, ids=str)
+    def test_det_ring_matches_det_int(self, R):
+        rng = random.Random(29 + R.n)
+        for size in range(6):
+            for _ in range(25):
+                rows = [[rng.randint(-2 * R.n, 2 * R.n) for _ in range(size)]
+                        for _ in range(size)]
+                # Singular and low-valuation cases: a multiple of p or a
+                # repeated row.
+                if size and rng.random() < 0.3:
+                    rows[-1] = [R.p * x for x in rows[0]]
+                assert det_ring(R, rows) == det_int(rows, R.p, R.m)
+                assert 0 <= det_ring(R, rows) < R.n
+
+    @pytest.mark.parametrize("R", FAST_PATH_RINGS, ids=str)
+    def test_unreduced_constructors_match_a_fresh_matrix(self, R):
+        rng = random.Random(83 + R.base.n)
+        c = _unreduced(R, rng)
+        for k, g in SHAPES:
+            A = Matrix(R, [[_unreduced(R, rng) for _ in range(g)]
+                           for _ in range(k)], ncols=g)
+            B = Matrix(R, [[_unreduced(R, rng) for _ in range(g)]
+                           for _ in range(k)], ncols=g)
+            C = Matrix(R, [[_unreduced(R, rng) for _ in range(3)]
+                           for _ in range(g)], ncols=3)
+            for out in (A.mul(C), A.transpose(), A.stack(B), A.scale(c),
+                        A.add(B), A.sub(B)):
+                assert out == Matrix(R, out.rows, ncols=out.ncols)
+            assert A.transpose().shape == (g, k)
+            assert A.stack(B).shape == (2 * k, g)
+            assert A.mul(C).shape == (k, 3)
