@@ -56,6 +56,21 @@ def _lift(ring, c: int):
     return ring.from_int(c)
 
 
+def _times(ring, factors, vec) -> list:
+    """Each entry of ``vec`` multiplied by every one of ``factors`` in turn.
+
+    The level-ring operators here are products of sparse factors (a few
+    group elements each) whose product is dense; the ring is commutative,
+    so applying the factors one by one gives the same entries for a fraction
+    of the products, and reads only the group rows of the factors' support.
+    With no factors the entries come back reduced, as multiplied by 1.
+    """
+    out = [ring.reduce(c) for c in vec]
+    for f in factors:
+        out = [ring.mul(f, c) for c in out]
+    return out
+
+
 def _divisor_key(divisor) -> str:
     from .stark import _divisor_key as key
 
@@ -290,23 +305,29 @@ class EulerTower:
         return [self.corestrict(big, small, c) for c in cls]
 
 
-def derivative_scalar(ring):
-    """The derivative element of a group level ring: the product, over the
-    cyclic factors, of the exponent-weighted sums of generator powers.
-
-    On a chain ring (no symbol groups) it is 1.
-    """
+def _derivative_factors(ring) -> list:
+    """The factors D_i = sum_t t*sigma_i^t of the derivative operator of a
+    level ring, one per cyclic factor; none on a chain ring."""
     if ring.rank == 1:
-        return 1 % ring.n
-    out = ring.one
+        return []
+    out = []
     for i, order in enumerate(ring.orders):
         vec = [0] * ring.rank
         for t in range(1, order):
             exps = [0] * len(ring.orders)
             exps[i] = t
             vec[ring.exp_to_index(tuple(exps))] = t % ring.base.n
-        out = ring.mul(tuple(vec), out)
+        out.append(tuple(vec))
     return out
+
+
+def derivative_scalar(ring):
+    """The derivative element of a group level ring: the product, over the
+    cyclic factors, of the exponent-weighted sums of generator powers.
+
+    On a chain ring (no symbol groups) it is 1.
+    """
+    return _times(ring, _derivative_factors(ring), [_lift(ring, 1)])[0]
 
 
 def telescoping_holds(p: int, m: int, order: int) -> bool:
@@ -361,10 +382,8 @@ def canonical_system(tower: EulerTower, x) -> EulerSystem:
     classes = {}
     for d in tower.divisors():
         S = tower.level_ring(d)
-        factor = _lift(S, 1)
-        for q in d:
-            factor = S.mul(tower.euler_factor(q, d), factor)
-        classes[d] = [S.mul(factor, _lift(S, c)) for c in x]
+        factors = [tower.euler_factor(q, d) for q in d]
+        classes[d] = _times(S, factors, [_lift(S, c) for c in x])
     return EulerSystem(tower, tower.rank, classes, meta={"kind": "canonical"})
 
 
@@ -383,20 +402,15 @@ def perturb(system: EulerSystem, divisor, z) -> EulerSystem:
     if not d:
         raise ValueError("perturbations live at nonempty levels")
     Sd = tower.level_ring(d)
-    diff = _lift(Sd, 1)
-    for pos in range(len(d)):
-        diff = Sd.mul(Sd.sub(Sd.generator(pos), Sd.one), diff)
-    delta = [Sd.mul(diff, c) for c in z]
+    diffs = [Sd.sub(Sd.generator(pos), Sd.one) for pos in range(len(d))]
+    delta = _times(Sd, diffs, z)
     classes = {k: list(v) for k, v in system.classes.items()}
     for nn in tower.divisors():
         if not set(d) <= set(nn):
             continue
         Sn = tower.level_ring(nn)
-        factor = _lift(Sn, 1)
-        for q in nn:
-            if q not in d:
-                factor = Sn.mul(tower.euler_factor(q, nn), factor)
-        term = [Sn.mul(factor, tower.inflate(d, nn, c)) for c in delta]
+        factors = [tower.euler_factor(q, nn) for q in nn if q not in d]
+        term = _times(Sn, factors, [tower.inflate(d, nn, c) for c in delta])
         classes[nn] = [Sn.add(a, b) for a, b in zip(classes[nn], term)]
     return EulerSystem(tower, system.degree, classes, meta=dict(system.meta))
 
@@ -436,11 +450,9 @@ def relation_report(system: EulerSystem) -> dict:
             for dd in itertools.combinations(nn, k):
                 Ss = tower.level_ring(dd)
                 lhs = tower.corestrict_class(nn, dd, system.classes[nn])
-                factor = _lift(Ss, 1)
-                for q in nn:
-                    if q not in dd:
-                        factor = Ss.mul(tower.euler_factor(q, dd), factor)
-                rhs = [Ss.mul(factor, c) for c in system.classes[dd]]
+                factors = [tower.euler_factor(q, dd)
+                           for q in nn if q not in dd]
+                rhs = _times(Ss, factors, system.classes[dd])
                 out[f"{_divisor_key(nn)}>{_divisor_key(dd)}"] = lhs == rhs
     return out
 
@@ -474,23 +486,16 @@ def derivative_element(system: EulerSystem, divisor) -> list:
     d = tuple(sorted(divisor))
     S = tower.target_level_ring(d)
     reduced = reduce_class(tower, d, system.classes[d])
-    D = derivative_scalar(S)
-    return [S.mul(D, c) for c in reduced]
+    return _times(S, _derivative_factors(S), reduced)
 
 
 def invariance_holds(system: EulerSystem, divisor) -> bool:
     """Whether the derivative element at a level is fixed by every symbol
     generator — the well-definedness condition of the derived class."""
-    tower = system.tower
-    d = tuple(sorted(divisor))
-    S = tower.target_level_ring(d)
-    if S.rank == 1:
-        return True
-    w = derivative_element(system, d)
-    for pos in range(len(d)):
-        g = S.generator(pos)
-        if any(S.mul(g, c) != c for c in w):
-            return False
+    try:
+        derived_class(system, divisor)
+    except ValueError:
+        return False
     return True
 
 

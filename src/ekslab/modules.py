@@ -393,14 +393,24 @@ def factor_through(f: ModuleMap, g: ModuleMap, message: str,
     return ModuleMap(f.source, g.source, mat)
 
 
+def image_order(f: ModuleMap) -> int:
+    """|im f|: the size of the span of f's columns and the target's
+    relations, over the size of the target's relation module."""
+    target = f.target
+    ring = target.ring
+    base = ring.base
+    cols = [list(c) for c in f.matrix.transpose().rows]
+    span = submodule_howell(ring, cols + target.relations.rows, target.ngens)
+    return (row_module_size(span, base.p, base.m)
+            // row_module_size(target.rel_howell, base.p, base.m))
+
+
 def is_injective(f: ModuleMap) -> bool:
-    ker, _ = kernel(f)
-    return ker.size == 1
+    return image_order(f) == f.source.size
 
 
 def is_surjective(f: ModuleMap) -> bool:
-    coker, _ = cokernel(f)
-    return coker.size == 1
+    return image_order(f) == f.target.size
 
 
 def is_isomorphism(f: ModuleMap) -> bool:

@@ -169,27 +169,43 @@ class ChainRing:
         return f"Z/{self.p}^{self.m}" if self.m > 1 else f"Z/{self.p}"
 
 
-@cache
-def _group_table(orders: tuple) -> tuple:
-    """Multiplication table of the abelian group with cyclic factor ``orders``
-    on mixed-radix indices: t[i][j] = index of g_i*g_j.
+class _GroupRows(dict):
+    """Rows of the multiplication table of one abelian group on mixed-radix
+    indices, t[i][j] = index of g_i*g_j, each built on its first read.
 
-    Built block by block from the least significant factor up.  If t is the
-    table of the factors built so far, of size S, and d is the order of the
-    next factor, then index(g_(a*S+i) * g_(b*S+j)) = ((a+b) mod d)*S + t[i][j].
-    Every caller shares the result, so it is a tuple of tuples.
+    A product by a sparse element reads only the rows of its support, so a
+    large group never pays for its |G|^2 table.  Row i comes from the block
+    recurrence, least significant factor first: if r is the row of the part
+    of i in the factors taken so far, of size S, and a is i's exponent in
+    the next factor, of order d, then the row of i at column b*S + j is
+    ((a+b) mod d)*S + r[j].  That is O(|G|) per row.
     """
-    table = ((0,),)
-    for d in reversed(orders):
-        size = len(table)
-        blocks = [[[c * size + x for x in row] for c in range(d)]
-                  for row in table]
-        table = tuple(
-            tuple([x for c in range(a, a + d) for x in shifted[c % d]])
-            for a in range(d)
-            for shifted in blocks
-        )
-    return table
+
+    __slots__ = ("orders",)
+
+    def __init__(self, orders: tuple):
+        super().__init__()
+        self.orders = orders
+
+    def __missing__(self, i: int) -> tuple:
+        row = [0]
+        size = 1
+        rest = i
+        for d in reversed(self.orders):
+            rest, a = divmod(rest, d)
+            row = [((a + b) % d) * size + x for b in range(d) for x in row]
+            size *= d
+        row = tuple(row)
+        self[i] = row
+        return row
+
+
+@cache
+def _group_table(orders: tuple) -> _GroupRows:
+    """The multiplication rows of the abelian group with cyclic factor
+    ``orders``: one shared, lazily filled map from an index to its row, so
+    every ring over the same group, whatever its modulus, reads one object."""
+    return _GroupRows(orders)
 
 
 @dataclass(frozen=True)
@@ -199,7 +215,10 @@ class GroupRing:
     ``orders`` lists the orders p^{e_i} of the cyclic factors.  Group elements
     are indexed 0..|G|-1 in mixed-radix order of their exponent tuples, so
     index 0 is the identity.  A ring element is the tuple of its |G|
-    coordinates over the base ring.
+    coordinates over the base ring.  Products read the group's shared
+    multiplication rows, one row per nonzero coordinate of the first factor,
+    so a sparse first factor (a group element, a short polynomial in one)
+    costs O(|support|*|G|) and builds only the rows it reads.
     """
 
     base: ChainRing
@@ -254,12 +273,9 @@ class GroupRing:
         return tuple(out)
 
     @cached_property
-    def _mul_index(self) -> tuple:
-        """Table of group multiplication on indices: t[i][j] = index of g_i*g_j.
-
-        The table depends only on ``orders``, so every ring over the same
-        group, whatever its modulus, shares one table object.
-        """
+    def _mul_index(self) -> _GroupRows:
+        """Group multiplication on indices, t[i][j] = index of g_i*g_j, with
+        each row built when first read (``_group_table``)."""
         return _group_table(self.orders)
 
     @property
@@ -905,10 +921,10 @@ def translates_base(ring, vec) -> list:
     xs = [[c % n for c in x] for x in vec]
     table = ring._mul_index
     rows = []
-    for trow in table:
-        # g_t * g_j = g_trow[j], so g_t * x has x[j] at coordinate trow[j]:
-        # read through the inverse permutation, the row of g_t^-1.
-        inv = table[trow.index(0)]
+    for t in range(ring.rank):
+        # g_t * g_j = g_table[t][j], so g_t * x has x[j] at coordinate
+        # table[t][j]: read through the inverse permutation, the row of g_t^-1.
+        inv = table[table[t].index(0)]
         rows.append([x[j] for x in xs for j in inv])
     return rows
 

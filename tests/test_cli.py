@@ -18,6 +18,7 @@ import json
 import pytest
 
 from ekslab import cli
+from ekslab.rings import _group_table
 
 GOLDEN = {
     "z9-r1-s3.json":
@@ -72,6 +73,10 @@ GOLDEN = {
         "fc51348dde0a9b50b967c4d4dd9caeb345d3a20dd9a78e0fc08508ad7d587ac8",
     "bundle-z9-r1-s3.derive.json":
         "292847014a241e5aa603579c27c5128d33c810cd1081dcb350a74a94e3275a6c",
+    # A tower whose top level ring is (Z/81)[C9^4], recorded while each
+    # group's multiplication table was still built whole (|G|^2 entries).
+    "tower-z9-r1-s4.json":
+        "6459ca9cdd2e7d7e6b1ba805c0d485c9bd381f51bc9f5bee67914cb665a361d3",
 }
 
 
@@ -136,6 +141,24 @@ class TestGoldenBytes:
         out = tmp_path / "bundle-z9-r1-s3.derive.json"
         assert cli.main(["derive", str(bundle), "--out", str(out)]) == 0
         assert _digest(out) == GOLDEN["bundle-z9-r1-s3.derive.json"]
+
+    def test_tower_s4(self, tmp_path):
+        tower = _gen(tmp_path, "tower-z9-r1-s4.json", "3,2", 1, 4,
+                     profile="tower")
+        assert _digest(tower) == GOLDEN["tower-z9-r1-s4.json"]
+
+
+class TestGroupRows:
+    def test_derive_reads_few_rows_of_the_top_level(self, tmp_path):
+        # The top level ring of a Z/9 r1 s3 derivation is (Z/9)[C9^3]: its
+        # operators are products of sparse factors, so only the rows of
+        # their support are built, not all 729.
+        bundle = _gen(tmp_path, "bundle-z9-r1-s3.json", "3,2", 1, 3,
+                      profile="consistent")
+        _group_table.cache_clear()
+        out = tmp_path / "bundle-z9-r1-s3.derive.json"
+        assert cli.main(["derive", str(bundle), "--out", str(out)]) == 0
+        assert 0 < len(_group_table((9, 9, 9))) < 100
 
 
 def _verify(tmp_path, artifact, suite, name):

@@ -13,6 +13,8 @@ import pytest
 from ekslab.biduals import contract_table
 from ekslab.euler import (
     EulerSystem,
+    _derivative_factors,
+    _times,
     EulerTower,
     canonical_system,
     consistent_instance,
@@ -102,6 +104,66 @@ class TestDerivativeScalar:
             assert telescoping_holds(5, 2, order)
         assert telescoping_holds(3, 2, 9)
         assert telescoping_holds(2, 3, 8)
+
+
+def _product_first(S, factors, vec):
+    """The factors multiplied out first, then into every entry."""
+    prod = S.one
+    for f in factors:
+        prod = S.mul(f, prod)
+    return [S.mul(prod, c) for c in vec]
+
+
+def _lift_int(S, c):
+    return c % S.n if S.rank == 1 else S.from_int(c)
+
+
+FACTOR_RINGS = [make_ring(3, 2, (9, 3)), make_ring(2, 3, (4, 2)),
+                make_ring(5, 2, (5,))]
+
+
+class TestFactorwiseProducts:
+    """Applying the factors of a level-ring operator one at a time equals
+    multiplying by their product first: the ring is commutative."""
+
+    @pytest.mark.parametrize("S", FACTOR_RINGS, ids=str)
+    def test_derivative_factors(self, S):
+        rng = random.Random(0)
+        vec = [S.random_element(rng) for _ in range(5)]
+        factors = _derivative_factors(S)
+        assert len(factors) == len(S.orders)
+        assert _times(S, factors, vec) == _product_first(S, factors, vec)
+        assert derivative_scalar(S) == _product_first(S, factors, [S.one])[0]
+
+    @pytest.mark.parametrize("S", FACTOR_RINGS, ids=str)
+    def test_generator_minus_one_factors(self, S):
+        rng = random.Random(1)
+        vec = [S.random_element(rng) for _ in range(5)]
+        diffs = [S.sub(S.generator(i), S.one) for i in range(len(S.orders))]
+        assert _times(S, diffs, vec) == _product_first(S, diffs, vec)
+
+    @pytest.mark.parametrize("S", FACTOR_RINGS, ids=str)
+    def test_random_factors(self, S):
+        rng = random.Random(2)
+        for _ in range(10):
+            vec = [S.random_element(rng) for _ in range(3)]
+            factors = [S.random_element(rng)
+                       for _ in range(rng.randrange(4))]
+            assert _times(S, factors, vec) == _product_first(S, factors, vec)
+
+    def test_level_operators_of_a_tower(self):
+        tower = _two_prime_tower()
+        system = random_system(tower, 3)
+        for d in tower.divisors():
+            S = tower.level_ring(d)
+            euler = [tower.euler_factor(q, d) for q in d]
+            x = [_lift_int(S, c) for c in (2, 7, 11)]
+            assert canonical_system(tower, [2, 7, 11]).classes[d] == \
+                _product_first(S, euler, x)
+            T = tower.target_level_ring(d)
+            reduced = reduce_class(tower, d, system.classes[d])
+            assert derivative_element(system, d) == _product_first(
+                T, _derivative_factors(T), reduced)
 
 
 class TestTowerValidation:

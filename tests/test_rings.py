@@ -101,6 +101,12 @@ class TestMakeRing:
         assert G.mul(G.one, s) == s
 
 
+def _exponentwise_row(orders, exps, index, x):
+    """Row of g_x by the definition: index of the exponentwise sum."""
+    return tuple(index[tuple((a + b) % d for a, b, d in zip(x, y, orders))]
+                 for y in exps)
+
+
 class TestGroupTable:
     @pytest.mark.parametrize("orders", [
         (3,), (4,), (2, 2), (8, 2), (3, 9, 3), (9, 9),
@@ -109,12 +115,26 @@ class TestGroupTable:
         # Mixed-radix order: the last factor varies fastest, as in product().
         exps = list(itertools.product(*(range(d) for d in orders)))
         index = {e: i for i, e in enumerate(exps)}
-        expected = tuple(
-            tuple(index[tuple((a + b) % d for a, b, d in zip(x, y, orders))]
-                  for y in exps)
-            for x in exps
-        )
-        assert _group_table(orders) == expected
+        table = _group_table(orders)
+        for i, x in enumerate(exps):
+            assert table[i] == _exponentwise_row(orders, exps, index, x)
+
+    def test_sampled_rows_of_a_large_group(self):
+        orders = (9, 9, 9)
+        exps = list(itertools.product(*(range(d) for d in orders)))
+        index = {e: i for i, e in enumerate(exps)}
+        table = _group_table(orders)
+        for i in [0, 1, 8, 9, 80, 81, 728] + random.Random(0).sample(
+                range(729), 12):
+            assert table[i] == _exponentwise_row(orders, exps, index, exps[i])
+
+    def test_rows_are_built_on_demand(self):
+        # A product by a group element reads one row; no other is built.
+        _group_table.cache_clear()
+        R = make_ring(3, 1, (27, 27))
+        g = R.generator(1)
+        assert R.mul(g, R.mul(g, g)) == R.group_element((0, 3))
+        assert sorted(R._mul_index) == [1]
 
     def test_one_table_per_group(self):
         low, high = make_ring(3, 2, (9, 3)), make_ring(3, 4, (9, 3))

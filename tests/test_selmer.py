@@ -19,8 +19,11 @@ from ekslab.modules import (
     ModuleMap,
     cokernel,
     fitting_ideal,
+    image_order,
     kernel,
+    same_submodule,
 )
+from ekslab import selmer
 from ekslab.rings import Matrix, make_ring
 from ekslab.selmer import (
     PROFILES,
@@ -294,6 +297,90 @@ class TestFiveTerm:
             for c, x in zip(row, vec):
                 want = Z25.add(want, Z25.mul(c, x))
             assert m2.matrix.rows[0][j] == want
+
+
+def _exact_by_definition(maps):
+    """Exactness of 0 -> A -> B -> C -> D -> E -> 0 by kernels and images:
+    the first map is injective, each image is the next kernel, and the last
+    map is surjective."""
+    def gens(f):
+        return [f.apply(f.source.generator(i)) for i in range(f.source.ngens)]
+
+    def ker_gens(f):
+        sub, incl = kernel(f)
+        return [incl.apply(sub.generator(i)) for i in range(sub.ngens)]
+
+    return (kernel(maps[0])[0].size == 1
+            and all(same_submodule(f.target, gens(f), ker_gens(g))
+                    for f, g in zip(maps, maps[1:]))
+            and cokernel(maps[-1])[0].size == 1)
+
+
+class TestFiveTermNegativeControls:
+    """A sequence with one map scaled by p, or replaced by zero, is no longer
+    exact whenever that changes the map's image; neither is one whose
+    middle image orders fit but whose composites do not vanish, or whose end
+    maps are not injective or surjective.  The order-based check and the
+    definition by kernels and images agree on each."""
+
+    @pytest.mark.parametrize("ring", [Z9, Z25, Z9C3], ids=str)
+    def test_scaled_or_zero_map_is_not_exact(self, ring, monkeypatch):
+        inst = generate_instance(ring, 1, 3, "generic", 5)
+        p = ring.p
+        broken = 0
+        for d in [(), (0,), (1, 2)]:
+            for q in range(3):
+                maps = five_term_data(inst, d, q)
+                for i, f in enumerate(maps):
+                    for mat in (f.matrix.scale(ring.from_int(p)),
+                                Matrix.zeros(ring, *f.matrix.shape)):
+                        g = ModuleMap(f.source, f.target, mat)
+                        if image_order(g) == image_order(f):
+                            continue
+                        bad = maps[:i] + (g,) + maps[i + 1:]
+                        monkeypatch.setattr(selmer, "five_term_data",
+                                            lambda *_args: bad)
+                        assert not five_term_exact(inst, d, q)
+                        assert not _exact_by_definition(bad)
+                        broken += 1
+                monkeypatch.undo()
+                assert five_term_exact(inst, d, q)
+                assert _exact_by_definition(maps)
+        assert broken
+
+    def test_orders_alone_do_not_make_a_sequence_exact(self, monkeypatch):
+        # 0 -> F5 -> F5^2 -> F5 -> 0 -> 0 -> 0 with the image orders of an
+        # exact sequence: only the composite of the first two maps decides.
+        line, plane, zero = (FPModule.free(F5, 1), FPModule.free(F5, 2),
+                             FPModule.zero(F5))
+        first = ModuleMap(line, plane, Matrix(F5, [[1], [0]]))
+        tail = (ModuleMap(line, zero, Matrix.zeros(F5, 0, 1)),
+                ModuleMap(zero, zero, Matrix.zeros(F5, 0, 0)))
+        for row, exact in (([0, 1], True), ([1, 0], False)):
+            maps = (first, ModuleMap(plane, line, Matrix(F5, [row]))) + tail
+            monkeypatch.setattr(selmer, "five_term_data",
+                                lambda *_args: maps)
+            assert [image_order(f) for f in maps] == [5, 5, 1, 1]
+            assert five_term_exact(None, (), 0) is exact
+            assert _exact_by_definition(maps) is exact
+
+    def test_each_end_is_checked(self, monkeypatch):
+        # Every middle node passes its order test; one end map fails.
+        line, plane, zero = (FPModule.free(F5, 1), FPModule.free(F5, 2),
+                             FPModule.zero(F5))
+        nothing = ModuleMap(zero, zero, Matrix.zeros(F5, 0, 0))
+        not_injective = (ModuleMap(plane, line, Matrix(F5, [[1, 0]])),
+                         ModuleMap(line, zero, Matrix.zeros(F5, 0, 1)),
+                         nothing, nothing)
+        not_surjective = (nothing,
+                          ModuleMap(zero, line, Matrix.zeros(F5, 1, 0)),
+                          ModuleMap.identity(line),
+                          ModuleMap(line, line, Matrix.zeros(F5, 1, 1)))
+        for maps in (not_injective, not_surjective):
+            monkeypatch.setattr(selmer, "five_term_data",
+                                lambda *_args: maps)
+            assert not five_term_exact(None, (), 0)
+            assert not _exact_by_definition(maps)
 
 
 class TestFittRecursion:
