@@ -32,6 +32,7 @@ from .modules import (
     bidual_setup,
     dual_map,
     dual_module,
+    factor_through,
     present_submodule,
     solve_map,
 )
@@ -79,9 +80,11 @@ def wedge_coeffs(ring, rows, n: int) -> list:
     """Coefficients of row_1 wedge ... wedge row_r on the r-subsets of range(n).
 
     The coefficient on a subset A is the r x r minor of the stacked rows at
-    the columns of A.
+    the columns of A; a single row is its own coefficient vector.
     """
     r = len(rows)
+    if r == 1:
+        return [ring.reduce(rows[0][j]) for j in range(n)]
     out = []
     for A in r_subsets(n, r):
         sub = [[row[j] for j in A] for row in rows]
@@ -442,6 +445,55 @@ def bidual_contraction(source: ExteriorBidual, target: ExteriorBidual, phi) -> M
         ncols=source.module.ngens,
     )
     return ModuleMap(source.module, target.module, mat)
+
+
+def contract_pullback(big: ExteriorBidual, big_incl: ModuleMap,
+                      functionals: dict, lowered: ExteriorBidual,
+                      small_incl: ModuleMap, small: ExteriorBidual, scale,
+                      messages) -> ModuleMap:
+    """Contract by a wedge of local functionals, then pull back to a
+    smaller module's bidual: the one construction behind the Stark
+    transitions, the Kolyvagin relation maps and the regulator.
+
+    ``big`` is a bidual of a module X with inclusion ``big_incl`` into the
+    free ambient, ``lowered`` the bidual of X in the degree that remains
+    after contracting, and ``small`` the bidual, in that degree, of a
+    submodule Y of X with inclusion ``small_incl`` into the same ambient.
+    ``functionals`` maps prime indices to functionals on the ambient.  Each
+    is restricted along ``big_incl`` and read in X's dual generators; they
+    are wedged in *descending* prime order, the contraction by that wedge is
+    identified with its preimage under the (injective) bidual functor map
+    of Y -> X, and the result is multiplied by the unit ``scale``.
+
+    The callers' signs make the maps compose exactly:
+      * a transition from divisor m to a subdivisor n contracts by the
+        singular functionals of the primes of m outside n and is scaled by
+        (-1)^t, where t counts the pairs (q, q') with q contracted, q'
+        outside m and q' < q;
+      * a regulator component at a divisor n contracts by the finite-part
+        functionals of the primes of n and is scaled by the comparison
+        units and the divisor sign (-1)^(nu(nu+1)/2 + sum of the prime
+        indices of n), nu the number of primes of n; with it the
+        Kolyvagin relation holds with no further factor.
+
+    ``messages`` are the ``RuntimeError`` texts for a functional outside
+    X's dual, for Y escaping X, and for a contracted element outside the
+    bidual of Y.
+    """
+    not_dual, escapes, outside = messages
+    ring = big.X.ring
+    restrict = big_incl.matrix.transpose()
+    rows = []
+    for q in sorted(functionals, reverse=True):
+        sol = big.dual_solver.solve(restrict.apply(list(functionals[q])))
+        if sol is None:
+            raise RuntimeError(not_dual)
+        rows.append(sol)
+    phi = wedge_coeffs(ring, rows, big.dual.ngens)
+    contr = bidual_contraction(big, lowered, phi)
+    sub = factor_through(small_incl, big_incl, escapes)
+    _bs, _bt, push = bidual_functor_map(sub, small.r, small, lowered)
+    return factor_through(contr, push, outside, scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ from .euler import system_from_json as euler_system_from_json
 from .euler import system_to_json as euler_system_to_json
 from .kolyvagin import (
     KolyvaginData,
+    family_to_json,
     kolyvagin_ideals,
-    kolyvagin_to_json,
     main_theorem_holds,
     regulator,
     system_from_ambient_tables,
@@ -539,7 +539,7 @@ def cmd_derive(args) -> int:
         "ideals": {},
     }
     if not malformed:
-        doc["kolyvagin_system"] = kolyvagin_to_json(ksystem)
+        doc["kolyvagin_system"] = family_to_json(ksystem)
         level_ideals = kolyvagin_ideals(ksystem)
         fitts = [fitting_ideal(instance.dual_selmer(()), i)
                  for i in range(instance.n_primes + 1)]

@@ -34,6 +34,8 @@ from .selmer import (
     SelmerInstance,
     _det_one_minus_x,
     all_divisors,
+    divisor_from_key,
+    divisor_key,
     frobenius_data,
 )
 
@@ -69,12 +71,6 @@ def _times(ring, factors, vec) -> list:
     for f in factors:
         out = [ring.mul(f, c) for c in out]
     return out
-
-
-def _divisor_key(divisor) -> str:
-    from .stark import _divisor_key as key
-
-    return key(divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +449,7 @@ def relation_report(system: EulerSystem) -> dict:
                 factors = [tower.euler_factor(q, dd)
                            for q in nn if q not in dd]
                 rhs = _times(Ss, factors, system.classes[dd])
-                out[f"{_divisor_key(nn)}>{_divisor_key(dd)}"] = lhs == rhs
+                out[f"{divisor_key(nn)}>{divisor_key(dd)}"] = lhs == rhs
     return out
 
 
@@ -737,7 +733,7 @@ def rank_reduction_report(system: EulerSystem, kdata) -> dict:
     equivalence = True
     for nn in kdata.instance.divisors():
         for q in nn:
-            key = f"{_divisor_key(nn)}@{q}"
+            key = f"{divisor_key(nn)}@{q}"
             full[key] = full_fs_holds(kdata, tables, nn, q)
             ok = True
             for a in range(len(monomials)):
@@ -1000,7 +996,7 @@ def system_to_json(system: EulerSystem) -> dict:
             "target_modulus": tower.p ** tower.m,
         },
         "classes": {
-            _divisor_key(d): [element_to_json(tower.level_ring(d), c)
+            divisor_key(d): [element_to_json(tower.level_ring(d), c)
                               for c in v]
             for d, v in sorted(system.classes.items())
         },
@@ -1008,14 +1004,12 @@ def system_to_json(system: EulerSystem) -> dict:
 
 
 def system_from_json(data: dict) -> EulerSystem:
-    from .stark import _divisor_from_key
-
     if data.get("schema") != "euler-system/1":
         raise ValueError("not a euler-system/1 document")
     tower = tower_from_json(data["tower"])
     classes = {}
     for key, v in data["classes"].items():
-        d = _divisor_from_key(key)
+        d = divisor_from_key(key)
         S = tower.level_ring(d)
         classes[d] = [element_from_json(S, c) for c in v]
     return EulerSystem(tower, int(data["degree"]), classes,
@@ -1045,7 +1039,7 @@ def derivative_report(system: EulerSystem) -> dict:
         "permutation_cross_check": {},
     }
     for d in tower.divisors():
-        key = _divisor_key(d)
+        key = divisor_key(d)
         report["invariance"][key] = invariance_holds(system, d)
         report["derived_classes"][key] = derived_class(system, d)
         report["pair_determinants"][key] = pairing_determinant(tower, d)

@@ -12,12 +12,11 @@ the prime's symbol group.
 
 The regulator sends a divisor-indexed contraction system to such a family:
 it contracts each relaxed component by the wedge of the finite-part
-functionals of the primes in the divisor (taken in descending order), pulls
-the result back into the bidual of the modified Selmer module, and scales
-by the comparison units and a divisor sign.  The sign makes the relation
-above hold without any further factors; it is forced by the wedge
-conventions and is (-1) to the power nu(nu+1)/2 + (sum of prime positions
-in the divisor), where nu is the number of primes dividing the divisor.
+functionals of the primes in the divisor, pulls the result back into the
+bidual of the modified Selmer module, and scales by the comparison units
+and a divisor sign.  The wedge order and the sign, which make the relation
+above hold without any further factors, are stated once in
+``biduals.contract_pullback``.
 
 The value-content ideals of such a family, summed over divisors with a
 fixed number of primes, sit inside the matching Fitting ideals of the dual
@@ -28,28 +27,33 @@ from __future__ import annotations
 
 from .biduals import (
     ExteriorBidual,
-    bidual_contraction,
-    bidual_functor_map,
     content_ideal,
-    wedge_coeffs,
+    contract_pullback,
+    table_in_sub_bidual,
 )
 from .modules import (
-    FPModule,
     Ideal,
     ModuleMap,
-    factor_through,
     fitting_ideal,
     solve_map,
 )
 from .rings import (
+    element_from_json,
+    element_to_json,
     howell_int,
     kernel_int,
     membership_int,
     row_module_size,
     vec_to_base,
 )
-from .selmer import SelmerInstance
-from .stark import StarkData, StarkSystem
+from .selmer import (
+    SelmerInstance,
+    divisor_from_key,
+    divisor_key,
+    instance_from_json,
+    instance_to_json,
+)
+from .stark import Family, FamilyData, StarkData
 from .stark import system_ideals as kolyvagin_ideals
 
 
@@ -73,48 +77,50 @@ def divisor_sign(ring, divisor):
     return ring.one if total % 2 == 0 else ring.neg(ring.one)
 
 
-def _restrict_functional(row, incl: ModuleMap) -> list:
-    """A functional on the free ambient composed with an inclusion."""
-    return incl.matrix.transpose().apply(row)
+_DROP_ERRORS = (
+    "functional is not in the dual of the module",
+    "submodule does not sit inside the larger one",
+    "contracted element does not lie in the strict bidual",
+)
+_REGULATOR_ERRORS = _DROP_ERRORS[:2] + (
+    "regulator component does not lie in the modified bidual",)
 
 
-def _dual_coords(bid: ExteriorBidual, row) -> list:
-    sol = bid.dual_solver.solve(row)
-    if sol is None:
-        raise RuntimeError("functional is not in the dual of the module")
-    return sol
-
-
-class KolyvaginData:
+class KolyvaginData(FamilyData):
     """Biduals of the modified Selmer modules of an instance, and the two
     maps of the defining relation.
 
     The Selmer and strict modules are the instance's own (``selmer_module``
-    and ``strict_module`` memoize them); the biduals and the regulator maps
-    are cached here.  The singular-value and finite-singular maps are built
-    on demand: ``verify_fs`` reads each (divisor, prime) pair once.
+    and ``strict_module`` memoize them); every divisor's degree is the core
+    rank r.  The biduals and the regulator maps are cached here.  The
+    singular-value and finite-singular maps are built on demand:
+    ``verify_fs`` reads each (divisor, prime) pair once.
 
     ``sigma_exponents`` records the chosen generator of each prime's symbol
     group as a unit exponent relative to the default choice; it twists the
     effective comparison units but nothing else.
     """
 
-    __slots__ = ("instance", "ring", "rank", "sigma_exponents", "_bidual",
-                 "_lowered", "_strict_bidual", "_reg_map")
+    __slots__ = ("rank", "sigma_exponents", "_strict_bidual", "_reg_map")
+
+    schema = "kolyvagin-system/1"
 
     def __init__(self, instance: SelmerInstance, sigma_exponents=None):
-        self.instance = instance
-        self.ring = instance.ring
+        super().__init__(instance)
         self.rank = instance.core_rank
         exps = dict(sigma_exponents or {})
         for q, a in exps.items():
             if a % instance.ring.p == 0:
                 raise ValueError("generator exponent must be a unit")
         self.sigma_exponents = exps
-        self._bidual = {}
-        self._lowered = {}
         self._strict_bidual = {}
         self._reg_map = {}
+
+    def module(self, divisor):
+        return self.instance.selmer_module(divisor)
+
+    def degree(self, divisor) -> int:
+        return self.rank
 
     def effective_unit(self, q: int):
         """The comparison unit at q for the chosen symbol-group generator."""
@@ -123,25 +129,6 @@ class KolyvaginData:
         if a == 1:
             return u
         return self.ring.mul(u, _scalar_inverse(self.ring, a))
-
-    def selmer(self, divisor):
-        return self.instance.selmer_module(divisor)
-
-    def bidual(self, divisor) -> ExteriorBidual:
-        key = tuple(sorted(divisor))
-        if key not in self._bidual:
-            module, _incl = self.selmer(key)
-            self._bidual[key] = ExteriorBidual(module, self.rank)
-        return self._bidual[key]
-
-    def lowered_bidual(self, divisor) -> ExteriorBidual:
-        """The degree-(r-1) bidual of the divisor's Selmer module, where the
-        contractions of ``_drop_map`` land."""
-        key = tuple(sorted(divisor))
-        if key not in self._lowered:
-            module, _incl = self.selmer(key)
-            self._lowered[key] = ExteriorBidual(module, self.rank - 1)
-        return self._lowered[key]
 
     def strict_bidual(self, divisor, q: int) -> ExteriorBidual:
         key = (tuple(sorted(divisor)), q)
@@ -155,19 +142,11 @@ class KolyvaginData:
         the strict bidual at (divisor + q); ``divisor`` may or may not
         contain q, ``row`` is the ambient functional, ``scale`` a unit."""
         with_q = tuple(sorted(set(divisor) | {q}))
-        bid = self.bidual(divisor)
-        _module, incl = self.selmer(divisor)
-        phi = _dual_coords(bid, _restrict_functional(row, incl))
-        lowered = self.lowered_bidual(divisor)
-        contr = bidual_contraction(bid, lowered, phi)
-        sub = factor_through(self.instance.strict_module(with_q, q)[1], incl,
-                             "submodule does not sit inside the larger one")
-        _bs, _bt, push = bidual_functor_map(
-            sub, self.rank - 1, self.strict_bidual(with_q, q), lowered)
-        return factor_through(
-            contr, push,
-            "contracted element does not lie in the strict bidual",
-            scale=scale)
+        return contract_pullback(
+            self.bidual(divisor), self.module(divisor)[1], {q: row},
+            self.bidual(divisor, self.rank - 1),
+            self.instance.strict_module(with_q, q)[1],
+            self.strict_bidual(with_q, q), scale, _DROP_ERRORS)
 
     def v_map(self, divisor, q: int) -> ModuleMap:
         """The singular-value map at q |  divisor: contraction by the
@@ -187,28 +166,7 @@ class KolyvaginData:
                               self.effective_unit(q))
 
 
-class KolyvaginSystem:
-    """A divisor-indexed family of degree-r bidual elements on the modified
-    Selmer modules, stored with the symbol groups trivialized by the
-    generator choice of its data object."""
-
-    __slots__ = ("data", "components")
-
-    def __init__(self, data: KolyvaginData, components: dict):
-        self.data = data
-        self.components = {tuple(sorted(d)): list(v)
-                           for d, v in components.items()}
-
-    def component(self, divisor) -> list:
-        return list(self.components[tuple(sorted(divisor))])
-
-    def scaled(self, c) -> "KolyvaginSystem":
-        ring = self.data.ring
-        return KolyvaginSystem(self.data, {
-            d: [ring.mul(c, x) for x in v] for d, v in self.components.items()})
-
-
-def verify_fs(system: KolyvaginSystem):
+def verify_fs(system: Family):
     """Check the defining relation at every (divisor, prime) pair.
 
     Returns ``(holds, failures)`` where failures lists the pairs at which
@@ -227,40 +185,19 @@ def verify_fs(system: KolyvaginSystem):
     return not failures, failures
 
 
-def ambient_table(data: KolyvaginData, divisor, coords) -> list:
-    """The degree-r value table of a component on the free ambient module.
-
-    Pushes the component along the bidual functor map of the inclusion and
-    tabulates it there; the presentation-free form used for interchange and
-    for membership checks.
-    """
-    module, incl = data.selmer(divisor)
-    free = FPModule.free(data.ring, data.instance.ambient_rank)
-    ambient_bid = ExteriorBidual(free, data.rank)
-    _bs, _bt, push = bidual_functor_map(
-        incl, data.rank, data.bidual(divisor), ambient_bid)
-    return ambient_bid.table(push.apply(list(coords)))
-
-
 def component_from_ambient_table(data: KolyvaginData, divisor, table):
     """Coordinates of a component given as a degree-r value table on the
     free ambient module, or None when the table is malformed (not a
     functional, or not supported on the modified Selmer module)."""
-    from .biduals import table_in_sub_bidual
-
-    module, incl = data.selmer(divisor)
-    ring = data.ring
-    n = data.instance.ambient_rank
+    module, incl = data.module(divisor)
     gens = [incl.apply(module.generator(i)) for i in range(module.ngens)]
-    if not table_in_sub_bidual(ring, n, data.rank, list(table), gens):
+    if not table_in_sub_bidual(data.ring, data.instance.ambient_rank,
+                               data.rank, list(table), gens):
         return None
-    free = FPModule.free(ring, n)
-    ambient_bid = ExteriorBidual(free, data.rank)
-    coords = ambient_bid.from_table(list(table))
+    free, push = data.ambient_push(divisor)
+    coords = free.from_table(list(table))
     if coords is None:
         return None
-    _bs, _bt, push = bidual_functor_map(
-        incl, data.rank, data.bidual(divisor), ambient_bid)
     return solve_map(push, coords)
 
 
@@ -281,7 +218,7 @@ def system_from_ambient_tables(data: KolyvaginData, tables: dict):
             comps[tuple(sorted(d))] = coords
     if malformed:
         return None, malformed
-    return KolyvaginSystem(data, comps), []
+    return Family(data, comps), []
 
 
 def regulator_component_map(sdata: StarkData, kdata: KolyvaginData,
@@ -289,47 +226,30 @@ def regulator_component_map(sdata: StarkData, kdata: KolyvaginData,
     """The per-divisor linear map applied by the regulator.
 
     From the degree-(r + nu) bidual of the relaxed module to the degree-r
-    bidual of the modified Selmer module: contraction by the descending
-    wedge of the divisor's finite-part functionals, pulled back along the
-    inclusion, scaled by the comparison units and the divisor sign.
+    bidual of the modified Selmer module: contraction by the wedge of the
+    divisor's finite-part functionals, pulled back along the inclusion,
+    scaled by the comparison units and the divisor sign.
     """
     key = tuple(sorted(divisor))
-    if key in kdata._reg_map:
-        return kdata._reg_map[key]
-    ring = kdata.ring
-    inst = kdata.instance
-    bid_hi = sdata.bidual(key)
-    relaxed_incl = inst.relaxed_module(key)[1]
-    qs = sorted(key, reverse=True)
-    dual_rows = [
-        _dual_coords(bid_hi, _restrict_functional(
-            inst.finite_functional(q), relaxed_incl))
-        for q in qs
-    ]
-    phi = wedge_coeffs(ring, dual_rows, bid_hi.dual.ngens)
-    lowered = sdata.bidual(key, kdata.rank)
-    contr = bidual_contraction(bid_hi, lowered, phi)
-    sub = factor_through(kdata.selmer(key)[1], relaxed_incl,
-                         "submodule does not sit inside the larger one")
-    _bs, _bt, push = bidual_functor_map(
-        sub, kdata.rank, kdata.bidual(key), lowered)
-    scale = divisor_sign(ring, key)
-    for q in key:
-        scale = ring.mul(scale, kdata.effective_unit(q))
-    out = factor_through(
-        contr, push, "regulator component does not lie in the modified bidual",
-        scale=scale)
-    kdata._reg_map[key] = out
-    return out
+    if key not in kdata._reg_map:
+        ring = kdata.ring
+        inst = kdata.instance
+        scale = divisor_sign(ring, key)
+        for q in key:
+            scale = ring.mul(scale, kdata.effective_unit(q))
+        kdata._reg_map[key] = contract_pullback(
+            sdata.bidual(key), sdata.module(key)[1],
+            {q: inst.finite_functional(q) for q in key},
+            sdata.bidual(key, kdata.rank), kdata.module(key)[1],
+            kdata.bidual(key), scale, _REGULATOR_ERRORS)
+    return kdata._reg_map[key]
 
 
-def regulator(stark_system: StarkSystem, kdata: KolyvaginData) -> KolyvaginSystem:
+def regulator(stark_system: Family, kdata: KolyvaginData) -> Family:
     """The regulator image of a divisor-indexed contraction system.
 
-    Each component is the contraction of the relaxed component by the
-    descending wedge of the finite-part functionals of the divisor's primes,
-    pulled back to the bidual of the modified Selmer module and scaled by
-    the comparison units and the divisor sign.
+    Each component is the image of the relaxed component under
+    ``regulator_component_map``.
     """
     sdata = stark_system.data
     if sdata.instance is not kdata.instance:
@@ -339,7 +259,7 @@ def regulator(stark_system: StarkSystem, kdata: KolyvaginData) -> KolyvaginSyste
         key = tuple(sorted(n))
         f = regulator_component_map(sdata, kdata, key)
         comps[key] = f.apply(stark_system.component(key))
-    return KolyvaginSystem(kdata, comps)
+    return Family(kdata, comps)
 
 
 def regulator_injectivity_certificate(sdata: StarkData,
@@ -360,7 +280,7 @@ def regulator_injectivity_certificate(sdata: StarkData,
 
 
 def core_projection_invert(sdata: StarkData, kdata: KolyvaginData,
-                           divisor, x) -> StarkSystem:
+                           divisor, x) -> Family:
     """The contraction system whose regulator hits x at a core vertex.
 
     Solves the per-divisor regulator map for the relaxed component, lifts
@@ -387,7 +307,7 @@ def core_projection_invert(sdata: StarkData, kdata: KolyvaginData,
     return stark_from_top(sdata, top)
 
 
-def verify_main_theorem(system: KolyvaginSystem) -> dict:
+def verify_main_theorem(system: Family) -> dict:
     """The structural comparison with Fitting ideals of dual Selmer modules.
 
     Reports raw facts: whether every component's content sits inside (and
@@ -421,7 +341,7 @@ def verify_main_theorem(system: KolyvaginSystem) -> dict:
     }
 
 
-def main_theorem_holds(system: KolyvaginSystem, is_basis: bool) -> bool:
+def main_theorem_holds(system: Family, is_basis: bool) -> bool:
     """The theorem's verdict for a system: containments always, per-divisor
     equality for bases, level equality for bases over chain rings."""
     facts = verify_main_theorem(system)
@@ -496,11 +416,6 @@ def fitt_ind_corollary(instance: SelmerInstance, i: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _map_block(f: ModuleMap):
-    """Base-level matrix of a module map as nested lists."""
-    return f.matrix.to_base()
-
-
 def enumerate_systems(kdata: KolyvaginData):
     """Solve the defining relations exactly as one base-level linear system.
 
@@ -529,8 +444,8 @@ def enumerate_systems(kdata: KolyvaginData):
             v = kdata.v_map(n, q)
             fs = kdata.fs_map(lower, q)
             target = kdata.strict_bidual(n, q).module
-            vb = _map_block(v)
-            fb = _map_block(fs)
+            vb = v.matrix.to_base()
+            fb = fs.matrix.to_base()
             off_n, g_n = layout[tuple(sorted(n))]
             off_l, g_l = layout[lower]
             for crow in target.cochecks:
@@ -559,7 +474,7 @@ def enumerate_systems(kdata: KolyvaginData):
     return howell, layout, raw // translates
 
 
-def system_coordinate_vector(system: KolyvaginSystem, layout, width=None) -> list:
+def system_coordinate_vector(system: Family, layout, width=None) -> list:
     """The flat base-coordinate vector of a system in an enumeration layout."""
     ring = system.data.ring
     d = ring.rank
@@ -612,54 +527,57 @@ def ks_solution_report(kdata: KolyvaginData, sdata: StarkData) -> dict:
     }
 
 
-def ks_module_is_free_rank_one(kdata: KolyvaginData,
-                               sdata: StarkData) -> bool:
-    """Whether the exhaustively enumerated solution module is exactly the
-    span of the regulator image of the canonical basis."""
-    return ks_solution_report(kdata, sdata)["free_rank_one"]
-
-
 # ---------------------------------------------------------------------------
 # Serialization.
 # ---------------------------------------------------------------------------
 
 
-def kolyvagin_to_json(system: KolyvaginSystem) -> dict:
-    """JSON form: like a contraction system, plus the generator record."""
-    from .rings import element_to_json
-    from .selmer import instance_to_json
-    from .stark import _divisor_key
-
-    ring = system.data.ring
-    return {
-        "schema": "kolyvagin-system/1",
-        "instance": instance_to_json(system.data.instance),
-        "sigma_exponents": {
-            str(q): a for q, a in sorted(system.data.sigma_exponents.items())
-        },
+def family_to_json(system: Family) -> dict:
+    """Self-contained JSON form of a Stark or Kolyvagin system: the schema
+    of its data, the instance, the components and, for a Kolyvagin system,
+    the generator record."""
+    data = system.data
+    ring = data.ring
+    doc = {
+        "schema": data.schema,
+        "instance": instance_to_json(data.instance),
         "components": {
-            _divisor_key(d): [element_to_json(ring, x) for x in v]
+            divisor_key(d): [element_to_json(ring, x) for x in v]
             for d, v in sorted(system.components.items())
         },
     }
+    if isinstance(data, KolyvaginData):
+        doc["sigma_exponents"] = {
+            str(q): a for q, a in sorted(data.sigma_exponents.items())}
+    return doc
 
 
-def kolyvagin_from_json(data: dict, kdata: KolyvaginData = None):
-    """Rebuild ``(data, system)``; reuse ``kdata`` when supplied."""
-    from .rings import element_from_json
-    from .selmer import instance_from_json
-    from .stark import _divisor_from_key
+# The writer's traced name (perfbench/tracer.py): ``derive`` writes the
+# Kolyvagin system it reads off the derived classes.
+kolyvagin_to_json = family_to_json
 
-    if data.get("schema") != "kolyvagin-system/1":
-        raise ValueError("not a kolyvagin-system/1 document")
-    if kdata is None:
-        exps = {int(q): int(a)
-                for q, a in data.get("sigma_exponents", {}).items()}
-        kdata = KolyvaginData(instance_from_json(data["instance"]),
-                              sigma_exponents=exps)
-    ring = kdata.ring
+_FAMILY_DATA = {cls.schema: cls for cls in (StarkData, KolyvaginData)}
+
+
+def family_from_json(doc: dict, data: FamilyData = None):
+    """Rebuild ``(data, system)`` from ``family_to_json`` output, with the
+    data class its schema names; reuse ``data`` when supplied."""
+    cls = _FAMILY_DATA.get(doc.get("schema"))
+    if cls is None:
+        raise ValueError(f"not a family document: schema {doc.get('schema')!r}")
+    if data is None:
+        instance = instance_from_json(doc["instance"])
+        if cls is KolyvaginData:
+            exps = {int(q): int(a)
+                    for q, a in doc.get("sigma_exponents", {}).items()}
+            data = KolyvaginData(instance, sigma_exponents=exps)
+        else:
+            data = StarkData(instance)
+    elif not isinstance(data, cls):
+        raise ValueError(f"a {doc['schema']} document needs {cls.__name__}")
+    ring = data.ring
     comps = {
-        _divisor_from_key(key): [element_from_json(ring, x) for x in v]
-        for key, v in data["components"].items()
+        divisor_from_key(key): [element_from_json(ring, x) for x in v]
+        for key, v in doc["components"].items()
     }
-    return kdata, KolyvaginSystem(kdata, comps)
+    return data, Family(data, comps)

@@ -348,15 +348,6 @@ def cokernel(f: ModuleMap):
     return coker, proj
 
 
-def quotient_by(ambient: FPModule, vectors):
-    """Quotient of ``ambient`` by the submodule its ``vectors`` generate."""
-    ring = ambient.ring
-    extra = Matrix(ring, [list(v) for v in vectors], ncols=ambient.ngens)
-    quot = FPModule(ring, ambient.ngens, ambient.relations.stack(extra))
-    proj = ModuleMap(ambient, quot, Matrix.identity(ring, ambient.ngens))
-    return quot, proj
-
-
 def solve_map(f: ModuleMap, target_vec):
     """One x with f(x) = target_vec in the target module, or None.
 

@@ -1000,21 +1000,6 @@ class Solver:
         return None if x is None else vec_from_base(ring, x)
 
 
-def solve_linear(A: Matrix, b):
-    """One solution x of A.x = b over the ring of A, or None when there is
-    none (an empty solution set is a value, not an error).
-
-    The full solution set is x plus the row span of ``kernel_matrix(A)``.
-    To solve against one matrix repeatedly, build a ``Solver`` once.
-    """
-    return Solver(A).solve(b)
-
-
-def restrict_scalars(ring, x) -> Matrix:
-    """Base-ring matrix of multiplication by the ring element x."""
-    return Matrix(ring.base, ring.action_matrix(x))
-
-
 def det_ring(ring, rows) -> object:
     """Determinant of a square matrix over the ring.
 

@@ -393,6 +393,16 @@ def core_vertices(instance: SelmerInstance) -> list:
     return [d for d in instance.divisors() if instance.is_core(d)]
 
 
+def divisor_key(divisor) -> str:
+    """The divisor's prime indices in order, joined by commas: the key of
+    its entry in serialized families."""
+    return ",".join(str(q) for q in sorted(divisor))
+
+
+def divisor_from_key(key: str) -> tuple:
+    return tuple(int(q) for q in key.split(",")) if key else ()
+
+
 def divisor_name(instance: SelmerInstance, divisor) -> str:
     """The divisor's prime labels in index order, joined by dots; "1" when
     it is empty."""
@@ -489,10 +499,32 @@ def _group_order(ring, value) -> int:
     return value
 
 
+def _core_rank(value) -> int:
+    """A core rank as serialized: an int, at least 1."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"core_rank {value!r} is not an int >= 1")
+    return value
+
+
+def _check_labels(primes) -> None:
+    """The prime labels as serialized: distinct non-empty strings without
+    '.' or '@', the separators of divisor names and check keys."""
+    labels = [pd["label"] for pd in primes]
+    for label in labels:
+        if type(label) is not str or not label or "." in label or "@" in label:
+            raise ValueError(
+                f"prime label {label!r} is not a non-empty string "
+                f"without '.' or '@'")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"prime labels {labels!r} are not distinct")
+
+
 def instance_from_json(data: dict) -> SelmerInstance:
     if data.get("schema") != "selmer-instance/1":
         raise ValueError("not a serialized Selmer instance")
     ring = ring_from_json(data["ring"])
+    core_rank = _core_rank(data["core_rank"])
+    _check_labels(data["primes"])
     primes = [
         PrimeData(
             pd["label"],
@@ -503,7 +535,7 @@ def instance_from_json(data: dict) -> SelmerInstance:
     ]
     return SelmerInstance(
         ring,
-        int(data["core_rank"]),
+        core_rank,
         primes,
         matrix_from_json(ring, data["finite"]),
         matrix_from_json(ring, data["transverse"]),

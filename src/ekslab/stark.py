@@ -5,17 +5,10 @@ prime outside the divisor and nothing at the primes inside; the fully
 relaxed module is the free ambient itself, whose top-degree bidual is free
 of rank one.  A system is a family of elements, one per divisor, compatible
 under the transition maps that contract by wedges of singular-part
-functionals.  Because the top bidual is free of rank one, each system is
-determined by its top component, and the engine constructs components by
-contracting the top element and inverting the (injective) bidual functor
-of each inclusion.
-
-Conventions that make the transitions consistent on the divisor lattice:
-the functionals in a transition wedge are taken in *descending* prime
-order, and the result is scaled by (-1)^t where t counts pairs (q, q')
-with q contracted, q' outside the larger divisor, and q' < q.  With these
-choices the maps compose exactly (no sign leaks), which the tests check
-on every chain of divisors.
+functionals (``biduals.contract_pullback``, which states the wedge order
+and the sign that make the transitions compose exactly; the tests check it
+on every chain of divisors).  Because the top bidual is free of rank one,
+each system is determined by its top component.
 
 The value-content ideals of a system, summed over divisors with a fixed
 number of primes, recover the Fitting ideals of the dual Selmer module
@@ -27,89 +20,112 @@ from __future__ import annotations
 
 from .biduals import (
     ExteriorBidual,
-    bidual_contraction,
     bidual_functor_map,
     content_ideal,
+    contract_pullback,
     reduce_element,
     reduce_table,
-    wedge_coeffs,
 )
 from .modules import (
+    FPModule,
     Ideal,
     ModuleMap,
-    factor_through,
     fitting_ideal,
+    image_order,
     is_isomorphism,
-    same_submodule,
 )
 from .rings import Matrix, make_ring
 from .selmer import PrimeData, SelmerInstance, core_vertices, frobenius_data, min_generators
 
 
-class StarkData:
-    """Biduals of the relaxed modules, the transition maps, and the
-    canonical basis system of an instance.
+class FamilyData:
+    """What a divisor-indexed family lives on.  A subclass supplies, at
+    each divisor, ``module(divisor)``: a module cut out of the free ambient
+    with its inclusion, and ``degree(divisor)``: a bidual degree.
 
-    The relaxed modules are the instance's own (``relaxed_module`` memoizes
-    them with the Selmer modules they coincide with).  Cached here: biduals
-    per (divisor, degree), the transitions, the pushes into the free
-    ambient, and the canonical basis system that the kolyvagin and stark
-    suites share.  Inclusion and bidual functor maps are built on demand:
-    each one feeds a single cached transition.  Divisors are sorted tuples
-    of prime indices.
+    Cached here: the biduals per (divisor, degree), one bidual of the free
+    ambient per degree, and per divisor the bidual functor map of the
+    inclusion into it (``ambient_push``), where components become
+    presentation-free value tables.  Divisors are sorted tuples of prime
+    indices.
     """
 
-    __slots__ = ("instance", "ring", "_bidual", "_transition",
-                 "_ambient_push", "_canonical")
+    __slots__ = ("instance", "ring", "_bidual", "_free", "_push")
 
     def __init__(self, instance: SelmerInstance):
         self.instance = instance
         self.ring = instance.ring
         self._bidual = {}
-        self._transition = {}
-        self._ambient_push = {}
-        self._canonical = None
+        self._free = {}
+        self._push = {}
 
     @property
     def top_divisor(self) -> tuple:
         return tuple(range(self.instance.n_primes))
 
-    def degree(self, divisor) -> int:
-        """Bidual degree attached to a divisor: core rank + prime count."""
-        return self.instance.core_rank + len(divisor)
-
     def bidual(self, divisor, degree=None) -> ExteriorBidual:
         key = tuple(sorted(divisor))
         deg = self.degree(key) if degree is None else degree
         if (key, deg) not in self._bidual:
-            module, _incl = self.instance.relaxed_module(key)
-            self._bidual[(key, deg)] = ExteriorBidual(module, deg)
+            self._bidual[(key, deg)] = ExteriorBidual(self.module(key)[0], deg)
         return self._bidual[(key, deg)]
 
-    def inclusion(self, n_div, m_div) -> ModuleMap:
-        """The inclusion of the relaxed module at the smaller divisor into
-        the one at the larger (fewer conditions)."""
-        n_key, m_key = tuple(sorted(n_div)), tuple(sorted(m_div))
-        if not set(n_key) <= set(m_key):
-            raise ValueError("inclusion requires nested divisors")
-        return factor_through(self.instance.relaxed_module(n_key)[1],
-                              self.instance.relaxed_module(m_key)[1],
-                              "relaxed module escapes the more relaxed one")
+    def ambient_push(self, divisor):
+        """``(free, push)``: the bidual of the free ambient in the divisor's
+        degree, and the bidual functor map into it of the divisor's
+        inclusion."""
+        key = tuple(sorted(divisor))
+        if key not in self._push:
+            deg = self.degree(key)
+            if deg not in self._free:
+                self._free[deg] = ExteriorBidual(
+                    FPModule.free(self.ring, self.instance.ambient_rank), deg)
+            _bs, _bt, push = bidual_functor_map(
+                self.module(key)[1], deg, self.bidual(key), self._free[deg])
+            self._push[key] = (self._free[deg], push)
+        return self._push[key]
 
-    def functor_map(self, n_div, m_div, degree: int) -> ModuleMap:
-        """The induced map on degree-``degree`` biduals along the inclusion,
-        built on the cached biduals."""
-        return bidual_functor_map(
-            self.inclusion(n_div, m_div), degree,
-            source=self.bidual(n_div, degree),
-            target=self.bidual(m_div, degree))[2]
+    def ambient_table(self, divisor, coords) -> list:
+        """The value table of a component pushed into the bidual of the free
+        ambient: indexed by plain subsets of coordinates, so it compares
+        components across presentations and coefficient rings."""
+        free, push = self.ambient_push(divisor)
+        return free.table(push.apply(list(coords)))
 
-    def singular_on_relaxed(self, divisor, q: int) -> list:
-        """The singular functional at q restricted to the relaxed module,
-        as a functional vector on its generators."""
-        _module, incl = self.instance.relaxed_module(divisor)
-        row = self.instance.singular_functional(q)
-        return incl.matrix.transpose().apply(row)
+
+_TRANSITION_ERRORS = (
+    "a singular functional is not in the dual of the relaxed module",
+    "relaxed module escapes the more relaxed one",
+    "a contracted element does not lie in the smaller bidual",
+)
+
+
+class StarkData(FamilyData):
+    """The relaxed modules' biduals, the transition maps, and the canonical
+    basis system of an instance.
+
+    The relaxed modules are the instance's own (``relaxed_module`` memoizes
+    them with the Selmer modules they coincide with); a divisor's degree is
+    the core rank plus its prime count.  Cached here besides the biduals:
+    the transitions, and the canonical basis system that the kolyvagin and
+    stark suites share.
+    """
+
+    __slots__ = ("_transition", "_canonical")
+
+    schema = "stark-system/1"
+
+    def __init__(self, instance: SelmerInstance):
+        super().__init__(instance)
+        self._transition = {}
+        self._canonical = None
+
+    def module(self, divisor):
+        return self.instance.relaxed_module(divisor)
+
+    def degree(self, divisor) -> int:
+        """Bidual degree attached to a divisor: core rank + prime count."""
+        return self.instance.core_rank + len(divisor)
 
     def transition(self, m_div, n_div) -> ModuleMap:
         """The transition from the bidual at the larger divisor to the one at
@@ -123,57 +139,29 @@ class StarkData:
 
     def _build_transition(self, m_key, n_key) -> ModuleMap:
         ring = self.ring
-        bid_hi = self.bidual(m_key)
         if m_key == n_key:
-            return ModuleMap.identity(bid_hi.module)
-        deg = self.degree(n_key)
-        bid_mid = self.bidual(m_key, deg)
-
-        qs = sorted(set(m_key) - set(n_key), reverse=True)
-        dual_rows = []
-        for q in qs:
-            row = self.singular_on_relaxed(m_key, q)
-            sol = bid_hi.dual_solver.solve(row)
-            if sol is None:
-                raise RuntimeError(
-                    "a singular functional is not in the dual of the relaxed module")
-            dual_rows.append(sol)
-        phi = wedge_coeffs(ring, dual_rows, bid_hi.dual.ngens)
-        contr = bidual_contraction(bid_hi, bid_mid, phi)
-        push = self.functor_map(n_key, m_key, deg)
-
-        outside = [q for q in range(self.instance.n_primes) if q not in m_key]
-        t = sum(1 for q in qs for qp in outside if qp < q)
-        sign = ring.one if t % 2 == 0 else ring.neg(ring.one)
-
-        return factor_through(
-            contr, push,
-            "a contracted element does not lie in the smaller bidual",
-            scale=sign)
-
-    def ambient_shadow(self, divisor, coords) -> list:
-        """The value table of a component pushed into the bidual of the free
-        ambient module — a presentation-free picture indexed by plain subsets
-        of coordinates, used to compare components across coefficient rings."""
-        key = tuple(sorted(divisor))
-        deg = self.degree(key)
-        if key not in self._ambient_push:
-            _module, incl = self.instance.relaxed_module(key)
-            _bs, bt, push = bidual_functor_map(
-                incl, deg, source=self.bidual(key))
-            self._ambient_push[key] = (bt, push)
-        bt, push = self._ambient_push[key]
-        return bt.table(push.apply(list(coords)))
+            return ModuleMap.identity(self.bidual(m_key).module)
+        inst = self.instance
+        qs = set(m_key) - set(n_key)
+        t = sum(1 for q in qs for qp in range(inst.n_primes)
+                if qp not in m_key and qp < q)
+        return contract_pullback(
+            self.bidual(m_key), self.module(m_key)[1],
+            {q: inst.singular_functional(q) for q in qs},
+            self.bidual(m_key, self.degree(n_key)), self.module(n_key)[1],
+            self.bidual(n_key), ring.one if t % 2 == 0 else ring.neg(ring.one),
+            _TRANSITION_ERRORS)
 
 
-class StarkSystem:
-    """A divisor-indexed family of bidual elements compatible under the
-    transition maps.  ``components`` maps each sorted divisor tuple to the
-    coordinate vector of its element in the bidual at that divisor."""
+class Family:
+    """A divisor-indexed family of bidual elements on a ``FamilyData``: a
+    Stark system on ``StarkData``, a Kolyvagin system on ``KolyvaginData``.
+    ``components`` maps each sorted divisor tuple to the coordinate vector
+    of its element in the data's bidual at that divisor."""
 
     __slots__ = ("data", "components")
 
-    def __init__(self, data: StarkData, components: dict):
+    def __init__(self, data: FamilyData, components: dict):
         self.data = data
         self.components = {tuple(sorted(d)): list(v)
                            for d, v in components.items()}
@@ -184,23 +172,23 @@ class StarkSystem:
     def top_component(self) -> list:
         return self.component(self.data.top_divisor)
 
-    def scaled(self, c) -> "StarkSystem":
+    def scaled(self, c) -> "Family":
         ring = self.data.ring
-        return StarkSystem(self.data, {
+        return Family(self.data, {
             d: [ring.mul(c, x) for x in v] for d, v in self.components.items()})
 
 
-def stark_from_top(data: StarkData, top_coords) -> StarkSystem:
+def stark_from_top(data: StarkData, top_coords) -> Family:
     """The system with the given top component: every other component is the
     image under the transition from the top divisor."""
     top = data.top_divisor
     comps = {}
     for d in data.instance.divisors():
         comps[d] = data.transition(top, d).apply(list(top_coords))
-    return StarkSystem(data, comps)
+    return Family(data, comps)
 
 
-def canonical_basis_system(data: StarkData) -> StarkSystem:
+def canonical_basis_system(data: StarkData) -> Family:
     """The system whose top component is the canonical generator of the top
     bidual of the free ambient: the functional with value one on the single
     top wedge monomial.  Built once per ``StarkData``; a failure caches
@@ -214,16 +202,18 @@ def canonical_basis_system(data: StarkData) -> StarkSystem:
     return data._canonical
 
 
-def system_is_basis(system: StarkSystem) -> bool:
+def system_is_basis(system: Family) -> bool:
     """Whether the system generates the module of all systems, i.e. whether
     its top component generates the (free rank one) top bidual."""
     data = system.data
     module = data.bidual(data.top_divisor).module
-    gens = [module.generator(i) for i in range(module.ngens)]
-    return same_submodule(module, [system.top_component()], gens)
+    ring = data.ring
+    span = ModuleMap(FPModule.free(ring, 1), module,
+                     Matrix(ring, [[c] for c in system.top_component()], ncols=1))
+    return image_order(span) == module.size
 
 
-def system_compatible(system: StarkSystem) -> bool:
+def system_compatible(system: Family) -> bool:
     """Every transition carries the larger component to the smaller one."""
     data = system.data
     divisors = data.instance.divisors()
@@ -282,7 +272,7 @@ def core_projections_bijective(data: StarkData) -> bool:
                for d in core_vertices(data.instance))
 
 
-def verify_stark_theorem(system: StarkSystem) -> dict:
+def verify_stark_theorem(system: Family) -> dict:
     """The structure theorem for the content ideals of a system.
 
     Returns named boolean verdicts: the ideals ascend with the level,
@@ -377,7 +367,7 @@ class StarkTower:
             self._data[level] = StarkData(self.instance_at(level))
         return self._data[level]
 
-    def reduce_system(self, level: int, system: StarkSystem) -> StarkSystem:
+    def reduce_system(self, level: int, system: Family) -> Family:
         """The system one level down with the reduced top coordinate."""
         if level <= 1:
             raise ValueError("nothing below the first level")
@@ -386,7 +376,7 @@ class StarkTower:
         top = [reduce_element(R, S, c) for c in system.top_component()]
         return stark_from_top(self.data_at(level - 1), top)
 
-    def lift_system(self, level: int, system: StarkSystem) -> StarkSystem:
+    def lift_system(self, level: int, system: Family) -> Family:
         """A system one level up reducing to the given one: the top
         coordinate lifts as the same integer residue."""
         if level >= self.top_level:
@@ -394,7 +384,7 @@ class StarkTower:
         top = [int(c) for c in system.top_component()]
         return stark_from_top(self.data_at(level + 1), top)
 
-    def systems_from_top(self, top_system: StarkSystem) -> dict:
+    def systems_from_top(self, top_system: Family) -> dict:
         """The compatible family obtained by reducing a top-level system
         down the whole tower, keyed by level."""
         out = {self.top_level: top_system}
@@ -404,7 +394,7 @@ class StarkTower:
 
 
 def shadow_reduction_matches(tower: StarkTower, level: int,
-                             system: StarkSystem) -> bool:
+                             system: Family) -> bool:
     """Componentwise check that reduction commutes with the construction:
     the free-ambient value table of every component, reduced entrywise,
     equals the table of the reduced system's component."""
@@ -414,14 +404,14 @@ def shadow_reduction_matches(tower: StarkTower, level: int,
     data_hi = tower.data_at(level)
     data_lo = tower.data_at(level - 1)
     for d in data_hi.instance.divisors():
-        hi = data_hi.ambient_shadow(d, system.component(d))
-        lo = data_lo.ambient_shadow(d, low.component(d))
+        hi = data_hi.ambient_table(d, system.component(d))
+        lo = data_lo.ambient_table(d, low.component(d))
         if reduce_table(R, S, hi) != lo:
             return False
     return True
 
 
-def tower_exponent_table(tower: StarkTower, top_system: StarkSystem) -> list:
+def tower_exponent_table(tower: StarkTower, top_system: Family) -> list:
     """Exponents of the content ideals down the tower.
 
     Entry [i][level - 1] is the exponent k with the level's i-th content
@@ -437,49 +427,3 @@ def tower_exponent_table(tower: StarkTower, top_system: StarkSystem) -> list:
         for i in range(s + 1):
             table[i][level - 1] = ideals[i].exponent()
     return table
-
-
-# ---------------------------------------------------------------------------
-# Serialization.
-# ---------------------------------------------------------------------------
-
-
-def _divisor_key(divisor) -> str:
-    return ",".join(str(q) for q in sorted(divisor))
-
-
-def _divisor_from_key(key: str) -> tuple:
-    return tuple(int(q) for q in key.split(",")) if key else ()
-
-
-def system_to_json(system: StarkSystem) -> dict:
-    """Self-contained JSON form of a divisor-indexed contraction system."""
-    from .rings import element_to_json
-    from .selmer import instance_to_json
-
-    ring = system.data.ring
-    return {
-        "schema": "stark-system/1",
-        "instance": instance_to_json(system.data.instance),
-        "components": {
-            _divisor_key(d): [element_to_json(ring, x) for x in v]
-            for d, v in sorted(system.components.items())
-        },
-    }
-
-
-def system_from_json(data: dict, sdata: StarkData = None):
-    """Rebuild ``(data, system)``; reuse ``sdata`` when supplied."""
-    from .rings import element_from_json
-    from .selmer import instance_from_json
-
-    if data.get("schema") != "stark-system/1":
-        raise ValueError("not a stark-system/1 document")
-    if sdata is None:
-        sdata = StarkData(instance_from_json(data["instance"]))
-    ring = sdata.ring
-    comps = {
-        _divisor_from_key(key): [element_from_json(ring, x) for x in v]
-        for key, v in data["components"].items()
-    }
-    return sdata, StarkSystem(sdata, comps)

@@ -26,11 +26,12 @@ from ekslab.biduals import (
 from ekslab.modules import (
     FPModule,
     Ideal,
+    ModuleMap,
+    cokernel,
     fitting_ideal,
     is_injective,
     kernel,
     present_submodule,
-    quotient_by,
     same_submodule,
 )
 from ekslab.rings import Matrix, kernel_matrix, make_ring
@@ -52,6 +53,16 @@ def draw_module(ring, rng, max_gens=None):
     k = rng.randrange(0, g + 2)
     rows = [[ring.random_element(rng) for _ in range(g)] for _ in range(k)]
     return FPModule(ring, g, Matrix(ring, rows, ncols=g))
+
+
+def quotient_by(ambient, vectors):
+    """``(quotient, projection)``: the ambient modulo the span of
+    ``vectors``, as the cokernel of the map from a free module sending its
+    basis to them."""
+    ring = ambient.ring
+    images = Matrix(ring, [list(v) for v in vectors], ncols=ambient.ngens)
+    return cokernel(ModuleMap(FPModule.free(ring, len(vectors)), ambient,
+                              images.transpose()))
 
 
 def draw_degree(rng, bid_gens_bound: int) -> int:

@@ -17,6 +17,7 @@ from ekslab.biduals import (
     bidual_contraction,
     bidual_functor_map,
     bidual_kernel,
+    contract_pullback,
     contract_table,
     contraction_map,
     exterior_bidual,
@@ -47,11 +48,10 @@ from ekslab.modules import (
     is_isomorphism,
     kernel,
     present_submodule,
-    quotient_by,
     same_submodule,
 )
-from ekslab.rings import ChainRing, Matrix, det_ring, make_ring, membership_int, \
-    row_module_size, solve_linear, vec_to_base
+from ekslab.rings import ChainRing, Matrix, Solver, det_ring, make_ring, \
+    membership_int, row_module_size, vec_to_base
 from oracles import all_functionals, alternating_form_solutions
 from propchecks import (
     BIDUAL_CHECKS,
@@ -63,6 +63,7 @@ from propchecks import (
     check_morph,
     check_wedge_kernel,
     draw_module,
+    quotient_by,
 )
 
 RINGS = [
@@ -311,7 +312,7 @@ class TestContractionMap:
 def _dual_coords(bid, f_vec):
     """Coordinates of a functional on X in the dual generators, wedged to
     the degree needed by a one-step contraction."""
-    sol = solve_linear(bid.Y.transpose(), list(f_vec))
+    sol = bid.dual_solver.solve(list(f_vec))
     assert sol is not None
     return wedge_coeffs(bid.X.ring, [sol], bid.dual.ngens)[: len(
         r_subsets(bid.dual.ngens, 1))]
@@ -402,8 +403,42 @@ class TestBidualModule:
             bid = exterior_bidual(X, 1)
             for _ in range(4):
                 f = [ring.random_element(rng) for _ in range(X.ngens)]
-                assert bid.dual_solver.solve(f) == solve_linear(
-                    bid.Y.transpose(), f)
+                assert bid.dual_solver.solve(f) == Solver(
+                    bid.Y.transpose()).solve(f)
+
+
+class TestContractPullback:
+    MESSAGES = ("not a functional", "escapes", "outside")
+
+    def test_identity_inclusions_give_the_scaled_descending_contraction(self):
+        rng = random.Random(71)
+        for ring in [Z9, F3C3]:
+            X = FPModule.free(ring, 3)
+            incl = ModuleMap.identity(X)
+            b3, b1 = exterior_bidual(X, 3), exterior_bidual(X, 1)
+            f0, f2 = ([ring.random_element(rng) for _ in range(3)]
+                      for _ in range(2))
+            minus = ring.neg(ring.one)
+            got = contract_pullback(b3, incl, {0: f0, 2: f2}, b1, incl,
+                                    exterior_bidual(X, 1), minus,
+                                    self.MESSAGES)
+            phi = wedge_coeffs(ring, [b3.dual_solver.solve(f2),
+                                      b3.dual_solver.solve(f0)], 3)
+            want = bidual_contraction(b3, b1, phi)
+            for b in range(b3.module.ngens):
+                x = b3.module.generator(b)
+                assert got.apply(x) == [ring.mul(minus, v)
+                                        for v in want.apply(x)]
+
+    def test_a_submodule_outside_raises_the_given_text(self):
+        ambient = FPModule.free(Z9, 2)
+        line = FPModule.free(Z9, 1)
+        line_incl = ModuleMap(line, ambient, Matrix(Z9, [[1], [0]]))
+        with pytest.raises(RuntimeError, match="escapes"):
+            contract_pullback(
+                exterior_bidual(line, 1), line_incl, {}, exterior_bidual(line, 1),
+                ModuleMap.identity(ambient), exterior_bidual(ambient, 1),
+                Z9.one, self.MESSAGES)
 
 
 class TestBidualFunctorReuse:
@@ -505,7 +540,7 @@ def _wedge_dual_coords(bid, f_vecs):
     ring = bid.X.ring
     rows = []
     for f in f_vecs:
-        sol = solve_linear(bid.Y.transpose(), list(f))
+        sol = bid.dual_solver.solve(list(f))
         assert sol is not None
         rows.append(sol)
     return wedge_coeffs(ring, rows, bid.dual.ngens)
@@ -676,7 +711,7 @@ class TestAlternatingFormOracle:
             for t, a in tindex.items():
                 rows = []
                 for i in t:
-                    sol = solve_linear(bid.Y.transpose(), list(funcs[i]))
+                    sol = bid.dual_solver.solve(list(funcs[i]))
                     assert sol is not None
                     rows.append(sol)
                 W = wedge_coeffs(ring, rows, bid.dual.ngens)

@@ -374,6 +374,45 @@ class TestMalformedArtifacts:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @staticmethod
+    def _rejected(tmp_path, capsys, artifacts, command, mutate, needle):
+        doc = json.loads(json.dumps(
+            artifacts["bundle" if command == "derive" else "instance"]))
+        mutate(doc["instance"] if command == "derive" else doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed artifact" in err and needle in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels", [
+        [5, "q2"], ["q1", "q1"], ["", "q2"], ["q.1", "q2"], ["q@1", "q2"],
+    ], ids=["int", "duplicate", "empty", "dot", "at"])
+    @pytest.mark.parametrize("command", ["verify", "graph", "derive"])
+    def test_prime_labels_distinct_strings_without_separators(
+            self, tmp_path, capsys, artifacts, command, labels):
+        # '.' joins the labels of a divisor name and '@' joins a divisor
+        # to a prime in check keys, so such labels could merge two checks.
+        def mutate(doc):
+            for pd, label in zip(doc["primes"], labels):
+                pd["label"] = label
+
+        self._rejected(tmp_path, capsys, artifacts, command, mutate, "label")
+
+    @pytest.mark.parametrize("core_rank", ["1", True, 1.5],
+                             ids=["string", "bool", "float"])
+    @pytest.mark.parametrize("command", ["verify", "graph", "derive"])
+    def test_core_rank_must_be_an_int(self, tmp_path, capsys, artifacts,
+                                      command, core_rank):
+        def mutate(doc):
+            doc["core_rank"] = core_rank
+
+        self._rejected(tmp_path, capsys, artifacts, command, mutate,
+                       "core_rank")
+
     def test_bundle_without_euler_part(self, tmp_path, capsys, artifacts):
         doc = json.loads(json.dumps(artifacts["bundle"]))
         del doc["euler"]

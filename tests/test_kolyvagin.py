@@ -3,12 +3,13 @@ relation, the regulator and its inversion at core vertices, content ideals
 against Fitting ideals, generator independence, and the exhaustive
 enumeration of the solution module on small instances."""
 
+import hashlib
 import json
 
 import pytest
 
 from ekslab.modules import annihilator, fitting_ideal
-from ekslab.rings import Matrix, make_ring
+from ekslab.rings import Matrix, element_to_json, make_ring, matrix_to_json
 from ekslab.selmer import (
     PrimeData,
     SelmerInstance,
@@ -17,27 +18,24 @@ from ekslab.selmer import (
     generate_instance,
 )
 from ekslab.stark import (
+    Family,
     StarkData,
     canonical_basis_system,
     stark_from_top,
     system_ideals,
-    system_to_json,
-    system_from_json,
 )
 from ekslab.kolyvagin import (
     KolyvaginData,
-    KolyvaginSystem,
-    ambient_table,
     component_from_ambient_table,
     core_projection_invert,
     divisor_sign,
     enumerate_systems,
+    family_from_json,
+    family_to_json,
     fitt_ind_corollary,
     fitt_ind_step,
-    kolyvagin_from_json,
     kolyvagin_ideals,
     kolyvagin_to_json,
-    ks_module_is_free_rank_one,
     ks_solution_report,
     main_theorem_holds,
     regulator,
@@ -165,7 +163,7 @@ class TestFsRelation:
     def test_zero_family_satisfies_the_relation(self):
         inst = generate_instance(Z25, 1, 2, profile="generic", seed="zero-1")
         _sdata, kdata = _views(inst)
-        zero = KolyvaginSystem(kdata, {
+        zero = Family(kdata, {
             tuple(sorted(d)): [kdata.ring.zero] * kdata.bidual(d).module.ngens
             for d in inst.divisors()})
         ok, failures = verify_fs(zero)
@@ -179,7 +177,7 @@ class TestFsRelation:
         delta = [Z25.one] + [Z25.zero] * (bid.module.ngens - 1)
         pert = dict(reg.components)
         pert[(0,)] = [Z25.add(a, b) for a, b in zip(pert[(0,)], delta)]
-        ok, failures = verify_fs(KolyvaginSystem(kdata, pert))
+        ok, failures = verify_fs(Family(kdata, pert))
         assert not ok
         # the witness pairs are exactly those involving the perturbed divisor
         assert ((0,), 0) in failures
@@ -200,7 +198,7 @@ class TestAmbientTables:
         inst = generate_instance(Z25, 1, 2, profile="generic", seed="amb-1")
         sdata, kdata = _views(inst)
         reg = regulator(canonical_basis_system(sdata), kdata)
-        tables = {tuple(sorted(d)): ambient_table(kdata, d, reg.component(d))
+        tables = {tuple(sorted(d)): kdata.ambient_table(d, reg.component(d))
                   for d in inst.divisors()}
         rebuilt, malformed = system_from_ambient_tables(kdata, tables)
         assert malformed == []
@@ -212,7 +210,7 @@ class TestAmbientTables:
         inst = generate_instance(Z25, 1, 2, profile="generic", seed="amb-1")
         sdata, kdata = _views(inst)
         reg = regulator(canonical_basis_system(sdata), kdata)
-        tables = {tuple(sorted(d)): ambient_table(kdata, d, reg.component(d))
+        tables = {tuple(sorted(d)): kdata.ambient_table(d, reg.component(d))
                   for d in inst.divisors()}
         tables[(0,)] = [Z25.add(v, 1) for v in tables[(0,)]]
         rebuilt, malformed = system_from_ambient_tables(kdata, tables)
@@ -228,7 +226,7 @@ class TestAmbientTables:
         table = [Z25.one] * n
         coords = component_from_ambient_table(kdata, (), table)
         if coords is not None:
-            back = ambient_table(kdata, (), coords)
+            back = kdata.ambient_table((), coords)
             assert back == table
 
 
@@ -374,7 +372,7 @@ class TestKolyvaginIdeals:
     def test_zero_system_has_zero_ideals(self):
         inst = generate_instance(Z25, 1, 2, profile="generic", seed="zi-1")
         _sdata, kdata = _views(inst)
-        zero = KolyvaginSystem(kdata, {
+        zero = Family(kdata, {
             tuple(sorted(d)): [Z25.zero] * kdata.bidual(d).module.ngens
             for d in inst.divisors()})
         assert all(i.is_zero() for i in kolyvagin_ideals(zero))
@@ -515,7 +513,7 @@ class TestSolutionEnumeration:
             assert report["count"] == ring.size
             assert report["regulator_contained"]
             assert report["regulator_generates"]
-            assert ks_module_is_free_rank_one(kdata, sdata)
+            assert report["free_rank_one"]
 
     def test_truncation_can_admit_extra_families(self):
         # a documented boundary of the finite model: this Z/8 instance has
@@ -543,8 +541,9 @@ class TestSerialization:
         inst = generate_instance(Z25, 1, 2, profile="generic", seed="ser-1")
         sdata = StarkData(inst)
         basis = canonical_basis_system(sdata)
-        blob = json.dumps(system_to_json(basis), sort_keys=True)
-        _sd, back = system_from_json(json.loads(blob))
+        blob = json.dumps(family_to_json(basis), sort_keys=True)
+        sd, back = family_from_json(json.loads(blob))
+        assert isinstance(sd, StarkData)
         assert back.components == basis.components
 
     def test_kolyvagin_round_trip_keeps_generator_record(self):
@@ -553,7 +552,7 @@ class TestSerialization:
         kdata = KolyvaginData(inst, sigma_exponents={0: 3})
         reg = regulator(canonical_basis_system(sdata), kdata)
         blob = json.dumps(kolyvagin_to_json(reg), sort_keys=True)
-        kd, back = kolyvagin_from_json(json.loads(blob))
+        kd, back = family_from_json(json.loads(blob))
         assert back.components == reg.components
         assert kd.sigma_exponents == {0: 3}
 
@@ -562,10 +561,76 @@ class TestSerialization:
         sdata = StarkData(inst)
         kdata = KolyvaginData(inst)
         reg = regulator(canonical_basis_system(sdata), kdata)
-        blob = json.dumps(kolyvagin_to_json(reg), sort_keys=True)
-        _kd, back = kolyvagin_from_json(json.loads(blob))
+        blob = json.dumps(family_to_json(reg), sort_keys=True)
+        _kd, back = family_from_json(json.loads(blob), kdata)
         assert back.components == reg.components
 
     def test_wrong_schema_rejected(self):
         with pytest.raises(ValueError):
-            kolyvagin_from_json({"schema": "stark-system/1"})
+            family_from_json({"schema": "nope"})
+        # a Stark system's document does not read onto Kolyvagin data
+        inst = generate_instance(Z25, 1, 1, profile="generic", seed="ser-3")
+        doc = family_to_json(canonical_basis_system(StarkData(inst)))
+        with pytest.raises(ValueError):
+            family_from_json(doc, KolyvaginData(inst))
+
+
+# ---------------------------------------------------------------------------
+# Pinned values.  A passing report holds only check names and verdicts, so
+# these digests pin what the engines compute: every transition from the top
+# divisor and the canonical basis system's components, the regulator image
+# in its JSON form, and every singular-value and finite-singular matrix.
+# Recorded before the three contract-and-pull-back constructions were merged
+# into ``biduals.contract_pullback``.
+# ---------------------------------------------------------------------------
+
+
+def _value_digest(doc) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _pinned_values(inst):
+    def key(d):
+        return ",".join(str(q) for q in d)
+
+    ring = inst.ring
+    sdata, kdata = _views(inst)
+    top = sdata.top_divisor
+    basis = canonical_basis_system(sdata)
+    stark = {
+        "transitions": {key(d): matrix_to_json(sdata.transition(top, d).matrix)
+                        for d in inst.divisors()},
+        "basis": {key(d): [element_to_json(ring, x) for x in basis.component(d)]
+                  for d in inst.divisors()},
+    }
+    maps = {}
+    for d in inst.divisors():
+        for q in range(inst.n_primes):
+            if q in d:
+                maps[f"v {key(d)}@{q}"] = matrix_to_json(kdata.v_map(d, q).matrix)
+            else:
+                maps[f"fs {key(d)}@{q}"] = matrix_to_json(kdata.fs_map(d, q).matrix)
+    return (_value_digest(stark),
+            _value_digest(kolyvagin_to_json(regulator(basis, kdata))),
+            _value_digest(maps))
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("ring, r, s, digests", [
+        (Z9, 1, 3, (
+            "43659fd97ce574356fccc1d665eb010da8d03e8023fec0af5bda3b58fa0bc61b",
+            "88eec435e44327b826af7073d373f9b06d66fc022d0b85130d062ccb24c85183",
+            "712c2bff30841e7fc2f0d8e37a866525e066771a3d728c898d0945f248e70234")),
+        (Z25, 2, 3, (
+            "d9190004c0d4ca58dad1e6d14bef362377079dca62bc7d899e2141a603e8f1c7",
+            "dbab13ffb66fefe43d5f7d7b510caa70e997990e403eb2ae2e55c4a152884ba2",
+            "aa603b49eb5c26128fc77e335170c2921414f2be36e8e7a58854b7dec741e6e1")),
+        (Z9C3, 1, 2, (
+            "04e59efde739819a1e95adf26e7a2496d4f5c60482e49dfc5299eb79496fa65a",
+            "fd758f9cb4165fc5f6ff647e13b2034623362f709796fea725ab298cdb5f038e",
+            "249b661a30dc7a1123ca2b8e3f7f790e0cf6aa7f38cea2dbe384c4c0824ab1e2")),
+    ], ids=["z9-r1-s3", "z25-r2-s3", "z9c3-r1-s2"])
+    def test_values_match_the_recorded_digests(self, ring, r, s, digests):
+        inst = generate_instance(ring, r, s, profile="generic", seed=0)
+        assert _pinned_values(inst) == digests

@@ -33,7 +33,6 @@ from ekslab.modules import (
     module_from_json,
     module_to_json,
     present_submodule,
-    quotient_by,
     solve_map,
     syzygies,
 )
@@ -54,6 +53,7 @@ from oracles import (
     module_elements,
     span_set,
 )
+from propchecks import quotient_by
 
 RINGS = [
     make_ring(2, 2),            # Z/4

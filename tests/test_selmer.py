@@ -247,7 +247,7 @@ class TestModuleMemo:
         inst = generate_instance(ring, 1, s, "generic", 0)
         kdata = KolyvaginData(inst)
         for d in inst.divisors():
-            assert kdata.selmer(d) is inst.selmer_module(d)
+            assert kdata.module(d) is inst.selmer_module(d)
 
 
 class TestRankIdentity:
