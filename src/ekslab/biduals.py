@@ -80,11 +80,9 @@ def wedge_coeffs(ring, rows, n: int) -> list:
     """Coefficients of row_1 wedge ... wedge row_r on the r-subsets of range(n).
 
     The coefficient on a subset A is the r x r minor of the stacked rows at
-    the columns of A; a single row is its own coefficient vector.
+    the columns of A.
     """
     r = len(rows)
-    if r == 1:
-        return [ring.reduce(rows[0][j]) for j in range(n)]
     out = []
     for A in r_subsets(n, r):
         sub = [[row[j] for j in A] for row in rows]

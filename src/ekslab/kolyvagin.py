@@ -34,7 +34,9 @@ from .biduals import (
 from .modules import (
     Ideal,
     ModuleMap,
+    annihilator,
     fitting_ideal,
+    is_injective,
     solve_map,
 )
 from .rings import (
@@ -48,12 +50,14 @@ from .rings import (
 )
 from .selmer import (
     SelmerInstance,
+    core_vertices,
     divisor_from_key,
     divisor_key,
     instance_from_json,
     instance_to_json,
 )
-from .stark import Family, FamilyData, StarkData
+from .stark import Family, FamilyData, StarkData, canonical_basis_system, \
+    stark_from_top
 from .stark import system_ideals as kolyvagin_ideals
 
 
@@ -121,6 +125,16 @@ class KolyvaginData(FamilyData):
 
     def degree(self, divisor) -> int:
         return self.rank
+
+    def record_to_json(self) -> dict:
+        return {"sigma_exponents": {
+            str(q): a for q, a in sorted(self.sigma_exponents.items())}}
+
+    @classmethod
+    def from_record(cls, instance: SelmerInstance, doc: dict):
+        exps = {int(q): int(a)
+                for q, a in doc.get("sigma_exponents", {}).items()}
+        return cls(instance, sigma_exponents=exps)
 
     def effective_unit(self, q: int):
         """The comparison unit at q for the chosen symbol-group generator."""
@@ -270,9 +284,6 @@ def regulator_injectivity_certificate(sdata: StarkData,
     injective per-divisor regulator map there forces the whole regulator to
     be injective on divisor-indexed contraction systems.
     """
-    from .modules import is_injective
-    from .selmer import core_vertices
-
     for n in core_vertices(kdata.instance):
         if is_injective(regulator_component_map(sdata, kdata, n)):
             return True
@@ -288,8 +299,6 @@ def core_projection_invert(sdata: StarkData, kdata: KolyvaginData,
     unique system through that vertex.  Composing with the regulator
     reproduces x at the vertex.
     """
-    from .stark import stark_from_top
-
     key = tuple(sorted(divisor))
     if not kdata.instance.is_core(key):
         raise ValueError("inversion needs a core vertex")
@@ -365,8 +374,6 @@ def fitt_ind_step(instance: SelmerInstance, divisor, i: int) -> dict:
     is a property of the instance, so both facts are reported rather than
     assumed.
     """
-    from .modules import annihilator
-
     key = tuple(sorted(divisor))
     inside = set(key)
     lhs = Ideal.zero(instance.ring)
@@ -394,8 +401,6 @@ def fitt_ind_corollary(instance: SelmerInstance, i: int) -> dict:
     annihilator condition (every divisor's Selmer module must have
     vanishing annihilator) that the theory pairs with it.
     """
-    from .modules import annihilator
-
     lhs = Ideal.zero(instance.ring)
     for d in instance.divisors():
         if len(d) == i:
@@ -496,8 +501,6 @@ def ks_solution_report(kdata: KolyvaginData, sdata: StarkData) -> dict:
     canonical basis lies in it (it always must), and whether it generates
     everything — i.e. whether the solution module is free of rank one.
     """
-    from .stark import canonical_basis_system
-
     ring = kdata.ring
     base = ring.base
     howell, layout, count = enumerate_systems(kdata)
@@ -534,8 +537,8 @@ def ks_solution_report(kdata: KolyvaginData, sdata: StarkData) -> dict:
 
 def family_to_json(system: Family) -> dict:
     """Self-contained JSON form of a Stark or Kolyvagin system: the schema
-    of its data, the instance, the components and, for a Kolyvagin system,
-    the generator record."""
+    of its data, the instance, the components and the data's own record
+    (for Kolyvagin data, the generator record)."""
     data = system.data
     ring = data.ring
     doc = {
@@ -546,9 +549,7 @@ def family_to_json(system: Family) -> dict:
             for d, v in sorted(system.components.items())
         },
     }
-    if isinstance(data, KolyvaginData):
-        doc["sigma_exponents"] = {
-            str(q): a for q, a in sorted(data.sigma_exponents.items())}
+    doc.update(data.record_to_json())
     return doc
 
 
@@ -566,13 +567,7 @@ def family_from_json(doc: dict, data: FamilyData = None):
     if cls is None:
         raise ValueError(f"not a family document: schema {doc.get('schema')!r}")
     if data is None:
-        instance = instance_from_json(doc["instance"])
-        if cls is KolyvaginData:
-            exps = {int(q): int(a)
-                    for q, a in doc.get("sigma_exponents", {}).items()}
-            data = KolyvaginData(instance, sigma_exponents=exps)
-        else:
-            data = StarkData(instance)
+        data = cls.from_record(instance_from_json(doc["instance"]), doc)
     elif not isinstance(data, cls):
         raise ValueError(f"a {doc['schema']} document needs {cls.__name__}")
     ring = data.ring

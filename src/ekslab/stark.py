@@ -31,8 +31,8 @@ from .modules import (
     Ideal,
     ModuleMap,
     fitting_ideal,
-    image_order,
     is_isomorphism,
+    is_surjective,
 )
 from .rings import Matrix, make_ring
 from .selmer import PrimeData, SelmerInstance, core_vertices, frobenius_data, min_generators
@@ -91,6 +91,14 @@ class FamilyData:
         components across presentations and coefficient rings."""
         free, push = self.ambient_push(divisor)
         return free.table(push.apply(list(coords)))
+
+    def record_to_json(self) -> dict:
+        """Document fields, besides the instance, that rebuild this data."""
+        return {}
+
+    @classmethod
+    def from_record(cls, instance: SelmerInstance, doc: dict):
+        return cls(instance)
 
 
 _TRANSITION_ERRORS = (
@@ -210,7 +218,7 @@ def system_is_basis(system: Family) -> bool:
     ring = data.ring
     span = ModuleMap(FPModule.free(ring, 1), module,
                      Matrix(ring, [[c] for c in system.top_component()], ncols=1))
-    return image_order(span) == module.size
+    return is_surjective(span)
 
 
 def system_compatible(system: Family) -> bool:

@@ -312,7 +312,7 @@ class TestContractionMap:
 def _dual_coords(bid, f_vec):
     """Coordinates of a functional on X in the dual generators, wedged to
     the degree needed by a one-step contraction."""
-    sol = bid.dual_solver.solve(list(f_vec))
+    sol = Solver(bid.Y.transpose()).solve(list(f_vec))
     assert sol is not None
     return wedge_coeffs(bid.X.ring, [sol], bid.dual.ngens)[: len(
         r_subsets(bid.dual.ngens, 1))]
@@ -422,8 +422,8 @@ class TestContractPullback:
             got = contract_pullback(b3, incl, {0: f0, 2: f2}, b1, incl,
                                     exterior_bidual(X, 1), minus,
                                     self.MESSAGES)
-            phi = wedge_coeffs(ring, [b3.dual_solver.solve(f2),
-                                      b3.dual_solver.solve(f0)], 3)
+            dual = Solver(b3.Y.transpose())
+            phi = wedge_coeffs(ring, [dual.solve(f2), dual.solve(f0)], 3)
             want = bidual_contraction(b3, b1, phi)
             for b in range(b3.module.ngens):
                 x = b3.module.generator(b)
@@ -540,7 +540,7 @@ def _wedge_dual_coords(bid, f_vecs):
     ring = bid.X.ring
     rows = []
     for f in f_vecs:
-        sol = bid.dual_solver.solve(list(f))
+        sol = Solver(bid.Y.transpose()).solve(list(f))
         assert sol is not None
         rows.append(sol)
     return wedge_coeffs(ring, rows, bid.dual.ngens)
@@ -711,7 +711,7 @@ class TestAlternatingFormOracle:
             for t, a in tindex.items():
                 rows = []
                 for i in t:
-                    sol = bid.dual_solver.solve(list(funcs[i]))
+                    sol = Solver(bid.Y.transpose()).solve(list(funcs[i]))
                     assert sol is not None
                     rows.append(sol)
                 W = wedge_coeffs(ring, rows, bid.dual.ngens)

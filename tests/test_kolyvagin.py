@@ -562,8 +562,13 @@ class TestSerialization:
         kdata = KolyvaginData(inst)
         reg = regulator(canonical_basis_system(sdata), kdata)
         blob = json.dumps(family_to_json(reg), sort_keys=True)
-        _kd, back = family_from_json(json.loads(blob), kdata)
+        kd, back = family_from_json(json.loads(blob))
+        assert kd is not kdata
         assert back.components == reg.components
+        # supplied data is reused, and reads the same components
+        same, again = family_from_json(json.loads(blob), kdata)
+        assert same is kdata
+        assert again.components == reg.components
 
     def test_wrong_schema_rejected(self):
         with pytest.raises(ValueError):
