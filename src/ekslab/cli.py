@@ -7,9 +7,11 @@ Artifacts and reports are schema-versioned JSON written canonically
 byte-identical files.  Suites run one after another in the calling
 thread, in the fixed order bidual, selmer, kolyvagin, stark, euler,
 whatever order ``--suite`` names them in.  The kolyvagin and stark suites
-share one ``StarkData`` (and both read the instance's memoized Selmer
-modules), so kolyvagin runs first: it needs only the transitions from the
-top divisor and frees its own data before stark builds every transition.
+share one ``StarkData``, with its canonical basis system and whether that
+is a basis (and both read the instance's memoized Selmer modules and
+Fitting ideals), so kolyvagin runs first: it needs only the transitions
+from the top divisor and frees its own data before stark builds every
+transition.
 Every cached object is a deterministic function of the instance, so the
 order changes which suite builds it, never its value; the report is
 assembled in sorted order and ``config.suites`` keeps the requested list,
@@ -40,16 +42,17 @@ from .euler import (
 from .euler import system_from_json as euler_system_from_json
 from .euler import system_to_json as euler_system_to_json
 from .kolyvagin import (
+    THEOREM_FACTS,
     KolyvaginData,
     family_to_json,
-    kolyvagin_ideals,
+    level_table,
     main_theorem_holds,
     regulator,
     system_from_ambient_tables,
     verify_fs,
     verify_main_theorem,
 )
-from .modules import FPModule, Ideal, dual_module, fitting_ideal
+from .modules import FPModule, Ideal, dual_module
 from .rings import make_ring
 from .selmer import (
     PROFILES,
@@ -64,9 +67,9 @@ from .selmer import (
 from .stark import (
     StarkData,
     canonical_basis_system,
+    canonical_is_basis,
     core_projections_bijective,
     system_compatible,
-    system_is_basis,
     verify_cocycle,
     verify_stark_theorem,
 )
@@ -149,17 +152,8 @@ def ideal_json(ideal: Ideal) -> dict:
     """Canonical generator rows; chain-ring ideals also carry the p-power
     exponent (the modulus exponent encodes the zero ideal)."""
     doc = {"generators": [list(row) for row in ideal.howell]}
-    ring = ideal.ring
-    if ring.rank == 1:
-        if ideal.is_zero():
-            doc["exponent"] = ring.m
-        else:
-            g = ideal.howell[0][0]
-            e = 0
-            while g % ring.p == 0:
-                g //= ring.p
-                e += 1
-            doc["exponent"] = e
+    if ideal.ring.rank == 1:
+        doc["exponent"] = ideal.exponent()
     return doc
 
 
@@ -200,8 +194,7 @@ def suite_bidual(instance, seed: int):
     rows = [list(r) for r in instance.condition_matrix(()).rows]
     if rows:
         checks["fitt0-contraction-route"] = (
-            fitt0_via_bidual(ring, n, rows)
-            == fitting_ideal(instance.dual_selmer(()), 0))
+            fitt0_via_bidual(ring, n, rows) == instance.dual_fitting(0))
     return _suite_result(checks)
 
 
@@ -240,8 +233,8 @@ def suite_stark(data: StarkData):
         return _suite_result(checks, witnesses)
     checks["canonical-basis"] = True
     checks["compatible"] = system_compatible(system)
-    checks["basis"] = system_is_basis(system)
-    for key, value in verify_stark_theorem(system).items():
+    checks["basis"] = is_basis = canonical_is_basis(data)
+    for key, value in verify_stark_theorem(system, is_basis).items():
         checks[f"theorem/{key.replace('_', '-')}"] = value
     return _suite_result(checks, witnesses)
 
@@ -254,8 +247,7 @@ def suite_kolyvagin(sdata: StarkData):
     instance = sdata.instance
     kdata = KolyvaginData(instance)
     try:
-        stark_system = canonical_basis_system(sdata)
-        ksystem = regulator(stark_system, kdata)
+        ksystem = regulator(canonical_basis_system(sdata), kdata)
     except (ValueError, RuntimeError) as exc:
         checks["regulator"] = False
         witnesses["regulator"] = str(exc)
@@ -267,11 +259,12 @@ def suite_kolyvagin(sdata: StarkData):
         witnesses["comparison-relation"] = [
             f"{divisor_name(instance, d)}@{instance.primes[q].label}"
             for d, q in failures]
-    for key, value in verify_main_theorem(ksystem).items():
-        checks[f"theorem/{key.replace('_', '-')}"] = value
+    facts = verify_main_theorem(ksystem)
+    for key in THEOREM_FACTS:
+        checks[f"theorem/{key.replace('_', '-')}"] = facts[key]
     checks["theorem-verdict"] = main_theorem_holds(
-        ksystem, system_is_basis(stark_system))
-    data["level-ideals"] = [ideal_json(I) for I in kolyvagin_ideals(ksystem)]
+        facts, canonical_is_basis(sdata))
+    data["level-ideals"] = [ideal_json(I) for I in facts["levels"]]
     return _suite_result(checks, witnesses, data)
 
 
@@ -540,24 +533,16 @@ def cmd_derive(args) -> int:
     }
     if not malformed:
         doc["kolyvagin_system"] = family_to_json(ksystem)
-        level_ideals = kolyvagin_ideals(ksystem)
-        fitts = [fitting_ideal(instance.dual_selmer(()), i)
-                 for i in range(instance.n_primes + 1)]
-        doc["ideals"] = {
-            "levels": [ideal_json(I) for I in level_ideals],
-            "fitting": [ideal_json(F) for F in fitts],
-        }
-        checks.update({
-            f"containment/i{i}": level_ideals[i].leq(fitts[i])
-            for i in range(len(level_ideals))
-        })
-        doc["verdicts"] = {
-            f"equality/i{i}": level_ideals[i] == fitts[i]
-            for i in range(len(level_ideals))
-        }
+        table = level_table(ksystem)
+        doc["ideals"] = {key: [ideal_json(I) for I in table[key]]
+                         for key in ("levels", "fitting")}
+        checks.update({f"containment/i{i}": ok
+                       for i, ok in enumerate(table["contained"])})
+        doc["verdicts"] = {f"equality/i{i}": ok
+                           for i, ok in enumerate(table["equal"])}
         base_content = Ideal(ring, [c for c in tables[()] if c % ring.n])
         doc["verdicts"]["i0-equals-base-content"] = (
-            level_ideals[0] == base_content)
+            table["levels"][0] == base_content)
     doc["passed"] = all(checks.values())
     _write_text(args.out, canonical_json(doc))
     return 0 if doc["passed"] else 1

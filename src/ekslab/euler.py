@@ -25,6 +25,7 @@ from .rings import (
     det_int,
     element_from_json,
     element_to_json,
+    int_from_json,
     kernel_int,
     make_ring,
     solve_int,
@@ -49,13 +50,6 @@ def _power_exponent(value: int, p: int):
         value //= p
         e += 1
     return e
-
-
-def _lift(ring, c: int):
-    """The integer c as an element of a chain or group level ring."""
-    if ring.rank == 1:
-        return c % ring.n
-    return ring.from_int(c)
 
 
 def _times(ring, factors, vec) -> list:
@@ -323,7 +317,7 @@ def derivative_scalar(ring):
 
     On a chain ring (no symbol groups) it is 1.
     """
-    return _times(ring, _derivative_factors(ring), [_lift(ring, 1)])[0]
+    return _times(ring, _derivative_factors(ring), [ring.from_int(1)])[0]
 
 
 def telescoping_holds(p: int, m: int, order: int) -> bool:
@@ -379,7 +373,7 @@ def canonical_system(tower: EulerTower, x) -> EulerSystem:
     for d in tower.divisors():
         S = tower.level_ring(d)
         factors = [tower.euler_factor(q, d) for q in d]
-        classes[d] = _times(S, factors, [_lift(S, c) for c in x])
+        classes[d] = _times(S, factors, [S.from_int(c) for c in x])
     return EulerSystem(tower, tower.rank, classes, meta={"kind": "canonical"})
 
 
@@ -610,7 +604,7 @@ def rank_one_reduction(system: EulerSystem, phi) -> EulerSystem:
     classes = {}
     for d in tower.divisors():
         S = tower.level_ring(d)
-        phi_S = [_lift(S, a) for a in phi]
+        phi_S = [S.from_int(a) for a in phi]
         classes[d] = contract_table(S, n, r, r - 1, phi_S, system.classes[d])
     return EulerSystem(tower, 1, classes,
                        meta={"kind": "rank-one", "functional": phi})
@@ -931,7 +925,7 @@ def consistent_instance(p: int, m: int, rank: int, n_primes: int, seed: int,
             if any(delta):
                 sign = -1 if len(d) % 2 else 1
                 S = tower.level_ring(d)
-                z = [_lift(S, sign * c) for c in delta]
+                z = [S.from_int(sign * c) for c in delta]
                 system = perturb(system, d, z)
             if derived_class(system, d) != want:
                 ok = False
@@ -975,12 +969,16 @@ def tower_to_json(tower: EulerTower) -> dict:
 def tower_from_json(data: dict) -> EulerTower:
     if data.get("schema") != "euler-tower/1":
         raise ValueError("not a euler-tower/1 document")
+
+    def ints(key, values):
+        return [int_from_json(v, key) for v in values]
+
     return EulerTower(
-        int(data["p"]), int(data["m"]), int(data["m_big"]), int(data["rank"]),
-        [int(d) for d in data["orders"]],
-        [[[int(c) for c in r] for r in rows] for rows in data["frobenius"]],
-        [[int(b) for b in row] for row in data["images"]],
-        [[int(c) for c in poly] for poly in data["local_polys"]],
+        *(int_from_json(data[key], key) for key in ("p", "m", "m_big", "rank")),
+        ints("orders", data["orders"]),
+        [[ints("frobenius", r) for r in rows] for rows in data["frobenius"]],
+        [ints("images", row) for row in data["images"]],
+        [ints("local_polys", poly) for poly in data["local_polys"]],
     )
 
 
@@ -1012,7 +1010,7 @@ def system_from_json(data: dict) -> EulerSystem:
         d = divisor_from_key(key)
         S = tower.level_ring(d)
         classes[d] = [element_from_json(S, c) for c in v]
-    return EulerSystem(tower, int(data["degree"]), classes,
+    return EulerSystem(tower, int_from_json(data["degree"], "degree"), classes,
                        meta=data.get("meta"))
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from .biduals import (
     ExteriorBidual,
-    content_ideal,
     contract_pullback,
     table_in_sub_bidual,
 )
@@ -57,21 +56,8 @@ from .selmer import (
     instance_to_json,
 )
 from .stark import Family, FamilyData, StarkData, canonical_basis_system, \
-    stark_from_top
+    content_ideals, stark_from_top
 from .stark import system_ideals as kolyvagin_ideals
-
-
-def _scalar(ring, a: int):
-    """The integer a as a scalar element of the ring."""
-    if ring.rank == 1:
-        return a % ring.n
-    return ring.from_vec((a % ring.base.n,) + (0,) * (ring.rank - 1))
-
-
-def _scalar_inverse(ring, a: int):
-    """The inverse of the integer scalar a (a must be prime to p)."""
-    base_n = ring.n if ring.rank == 1 else ring.base.n
-    return _scalar(ring, pow(a % base_n, -1, base_n))
 
 
 def divisor_sign(ring, divisor):
@@ -142,7 +128,8 @@ class KolyvaginData(FamilyData):
         a = self.sigma_exponents.get(q, 1)
         if a == 1:
             return u
-        return self.ring.mul(u, _scalar_inverse(self.ring, a))
+        n = self.ring.base.n
+        return self.ring.mul(u, self.ring.from_int(pow(a % n, -1, n)))
 
     def strict_bidual(self, divisor, q: int) -> ExteriorBidual:
         key = (tuple(sorted(divisor)), q)
@@ -316,51 +303,72 @@ def core_projection_invert(sdata: StarkData, kdata: KolyvaginData,
     return stark_from_top(sdata, top)
 
 
-def verify_main_theorem(system: Family) -> dict:
-    """The structural comparison with Fitting ideals of dual Selmer modules.
-
-    Reports raw facts: whether every component's content sits inside (and
-    equals) the zeroth Fitting ideal of the dual Selmer module modified at
-    its divisor, and whether the level ideals sit inside (and equal) the
-    Fitting ideals of the unmodified dual Selmer module.  The containments
-    hold for every system in the defining-relation module; the equalities
-    are the claims for bases, the level one over chain rings.
-    """
-    data = system.data
-    inst = data.instance
-    per_divisor_contained = True
-    per_divisor_equal = True
-    for d in inst.divisors():
-        im = content_ideal(data.bidual(d), system.component(d))
-        fitt = fitting_ideal(inst.dual_selmer(d), 0)
-        if not im.leq(fitt):
-            per_divisor_contained = False
-        if im != fitt:
-            per_divisor_equal = False
-    ideals = kolyvagin_ideals(system)
-    dual = inst.dual_selmer(())
-    fitts = [fitting_ideal(dual, i) for i in range(inst.n_primes + 1)]
-    level_contained = all(ideals[i].leq(fitts[i]) for i in range(len(ideals)))
-    level_equal = all(ideals[i] == fitts[i] for i in range(len(ideals)))
+def level_table(system: Family) -> dict:
+    """The per-level part of the structure theorem's fact table, which
+    ``derive`` reports: ``contents``, each divisor's content ideal;
+    ``levels``, their sums over the divisors with i primes (the
+    ``kolyvagin_ideals``); ``fitting``, the Fitting ideals of the
+    unmodified dual Selmer module; and per level i, whether ``levels[i]``
+    sits inside (``contained``) and equals (``equal``) ``fitting[i]``."""
+    inst = system.data.instance
+    contents, levels = content_ideals(system)
+    fitts = [inst.dual_fitting(i) for i in range(len(levels))]
     return {
-        "im_in_fitt0": per_divisor_contained,
-        "im_equals_fitt0": per_divisor_equal,
-        "levels_in_fitt": level_contained,
-        "levels_equal_fitt": level_equal,
+        "contents": contents,
+        "levels": levels,
+        "fitting": fitts,
+        "contained": [I.leq(F) for I, F in zip(levels, fitts)],
+        "equal": [I == F for I, F in zip(levels, fitts)],
     }
 
 
-def main_theorem_holds(system: Family, is_basis: bool) -> bool:
-    """The theorem's verdict for a system: containments always, per-divisor
-    equality for bases, level equality for bases over chain rings."""
-    facts = verify_main_theorem(system)
-    if not (facts["im_in_fitt0"] and facts["levels_in_fitt"]):
-        return False
-    if is_basis and not facts["im_equals_fitt0"]:
-        return False
-    if is_basis and system.data.ring.rank == 1 and not facts["levels_equal_fitt"]:
-        return False
-    return True
+THEOREM_FACTS = ("im_in_fitt0", "im_equals_fitt0", "levels_in_fitt",
+                 "levels_equal_fitt")
+
+
+def verify_main_theorem(system: Family) -> dict:
+    """The fact table of the structural comparison with Fitting ideals of
+    dual Selmer modules, each content and Fitting ideal computed once.
+
+    Holds the entries of ``level_table``; ``fitt0``, the zeroth Fitting
+    ideal of the dual Selmer module modified at each divisor;
+    ``chain_ring``; and the four raw facts of ``THEOREM_FACTS``: whether
+    every component's content sits inside (``im_in_fitt0``) and equals
+    (``im_equals_fitt0``) its ``fitt0``, and whether every level ideal sits
+    inside (``levels_in_fitt``) and equals (``levels_equal_fitt``) its
+    ``fitting``.  The containments hold for every system in the
+    defining-relation module; the equalities are the claims for bases, the
+    level one over chain rings (``main_theorem_holds``).
+    """
+    inst = system.data.instance
+    table = level_table(system)
+    contents = table["contents"]
+    # at the empty divisor the modified module is the unmodified one
+    fitt0 = table["fitt0"] = {
+        d: fitting_ideal(inst.dual_selmer(d), 0) if d
+        else inst.dual_fitting(0) for d in contents}
+    table.update(
+        chain_ring=system.data.ring.rank == 1,
+        im_in_fitt0=all(contents[d].leq(fitt0[d]) for d in contents),
+        im_equals_fitt0=all(contents[d] == fitt0[d] for d in contents),
+        levels_in_fitt=all(table["contained"]),
+        levels_equal_fitt=all(table["equal"]),
+    )
+    return table
+
+
+def main_theorem_holds(facts: dict, is_basis: bool) -> bool:
+    """The theorem's verdict, read from a ``verify_main_theorem`` table:
+    the containments ``im_in_fitt0`` and ``levels_in_fitt`` always, the
+    per-divisor equality ``im_equals_fitt0`` for bases, and the level
+    equality ``levels_equal_fitt`` for bases over chain rings
+    (``chain_ring``)."""
+    claimed = ["im_in_fitt0", "levels_in_fitt"]
+    if is_basis:
+        claimed.append("im_equals_fitt0")
+        if facts["chain_ring"]:
+            claimed.append("levels_equal_fitt")
+    return all(facts[key] for key in claimed)
 
 
 def fitt_ind_step(instance: SelmerInstance, divisor, i: int) -> dict:
@@ -405,7 +413,7 @@ def fitt_ind_corollary(instance: SelmerInstance, i: int) -> dict:
     for d in instance.divisors():
         if len(d) == i:
             lhs = lhs.add(fitting_ideal(instance.dual_selmer(d), 0))
-    rhs = fitting_ideal(instance.dual_selmer(()), i)
+    rhs = instance.dual_fitting(i)
     ann_all = all(
         annihilator(instance.selmer_module(d)[0]).is_zero()
         for d in instance.divisors())

@@ -25,13 +25,9 @@ from .rings import (
     cochecks_int,
     kernel_int,
     kernel_matrix,
-    matrix_from_json,
-    matrix_to_json,
     membership_int,
     quotient_reps_int,
     reduce_mod_rows,
-    ring_from_json,
-    ring_to_json,
     row_module_size,
     smith_int,
     submodule_howell,
@@ -710,26 +706,6 @@ def annihilator(module: FPModule) -> Ideal:
     ker = kernel_int(stacked, base.p, base.m)
     gens = [ring.from_vec(tuple(row)) for row in ker]
     return Ideal(ring, [g for g in gens if g != ring.zero])
-
-
-# ---------------------------------------------------------------------------
-# Serialization.
-# ---------------------------------------------------------------------------
-
-
-def module_to_json(module: FPModule) -> dict:
-    return {
-        "ring": ring_to_json(module.ring),
-        "gens": module.ngens,
-        "relations": matrix_to_json(module.relations),
-    }
-
-
-def module_from_json(data: dict) -> FPModule:
-    ring = ring_from_json(data["ring"])
-    g = data["gens"]
-    rel = matrix_from_json(ring, data["relations"])
-    return FPModule(ring, g, Matrix(ring, rel.rows, ncols=g))
 
 
 # ---------------------------------------------------------------------------

@@ -1056,8 +1056,17 @@ def ring_to_json(ring) -> dict:
     return {"p": ring.base.p, "m": ring.base.m, "orders": list(ring.orders)}
 
 
+def int_from_json(value, what: str) -> int:
+    """A serialized integer: a JSON int, never a float, a string or a bool."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an int")
+    return value
+
+
 def ring_from_json(data) -> object:
-    return make_ring(int(data["p"]), int(data["m"]), tuple(int(d) for d in data.get("orders", ())))
+    return make_ring(int_from_json(data["p"], "p"), int_from_json(data["m"], "m"),
+                     tuple(int_from_json(d, "group order")
+                           for d in data.get("orders", ())))
 
 
 def element_to_json(ring, x):
@@ -1067,9 +1076,14 @@ def element_to_json(ring, x):
 
 
 def element_from_json(ring, data):
+    """A ring element as serialized: an int, or a list of exactly
+    ``ring.rank`` int coordinates for a group ring."""
     if ring.rank == 1:
-        return int(data) % ring.n
-    return tuple(int(c) % ring.base.n for c in data)
+        return int_from_json(data, "ring element") % ring.n
+    if len(data) != ring.rank:
+        raise ValueError(f"group-ring element has {len(data)} "
+                         f"coordinates, not {ring.rank}")
+    return tuple(int_from_json(c, "coordinate") % ring.base.n for c in data)
 
 
 def matrix_to_json(A: Matrix) -> list:

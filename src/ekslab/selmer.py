@@ -34,6 +34,7 @@ from .rings import (
     Matrix,
     _is_power_of,
     howell_int,
+    int_from_json,
     make_ring,
     matrix_from_json,
     matrix_to_json,
@@ -180,24 +181,25 @@ def all_divisors(n_primes: int) -> list:
 
 class SelmerInstance:
     __slots__ = ("ring", "core_rank", "primes", "finite", "transverse",
-                 "_modules")
+                 "_modules", "_fitting")
 
     def __init__(self, ring, core_rank: int, primes, finite: Matrix,
                  transverse: Matrix):
         s = len(primes)
         n = core_rank + s
+        if core_rank < 1:
+            raise ValueError("core rank must be at least 1")
         if finite.nrows != s or transverse.nrows != s:
             raise ValueError("one finite and one transverse row per prime")
         if finite.ncols != n or transverse.ncols != n:
             raise ValueError(f"condition rows must have width {n}")
-        if core_rank < 1:
-            raise ValueError("core rank must be at least 1")
         self.ring = ring
         self.core_rank = core_rank
         self.primes = list(primes)
         self.finite = finite
         self.transverse = transverse
         self._modules = {}
+        self._fitting = {}
 
     @property
     def n_primes(self) -> int:
@@ -286,6 +288,14 @@ class SelmerInstance:
         presented on one generator per kept prime."""
         return self._memo("cokernel", lambda f: cokernel(f)[0],
                           self._states(divisor, drop))
+
+    def dual_fitting(self, i: int) -> Ideal:
+        """The i-th Fitting ideal of the unmodified dual Selmer module,
+        computed once per instance: the structure theorems of both sides
+        and the bidual suite compare against these."""
+        if i not in self._fitting:
+            self._fitting[i] = fitting_ideal(self.dual_selmer(()), i)
+        return self._fitting[i]
 
     def residue_ranks(self, divisor):
         """(Selmer rank, dual Selmer rank) of the reduction to the residue
@@ -499,13 +509,6 @@ def _group_order(ring, value) -> int:
     return value
 
 
-def _core_rank(value) -> int:
-    """A core rank as serialized: an int, at least 1."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"core_rank {value!r} is not an int >= 1")
-    return value
-
-
 def _check_labels(primes) -> None:
     """The prime labels as serialized: distinct non-empty strings without
     '.' or '@', the separators of divisor names and check keys."""
@@ -523,7 +526,7 @@ def instance_from_json(data: dict) -> SelmerInstance:
     if data.get("schema") != "selmer-instance/1":
         raise ValueError("not a serialized Selmer instance")
     ring = ring_from_json(data["ring"])
-    core_rank = _core_rank(data["core_rank"])
+    core_rank = int_from_json(data["core_rank"], "core_rank")
     _check_labels(data["primes"])
     primes = [
         PrimeData(

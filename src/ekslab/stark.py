@@ -30,7 +30,6 @@ from .modules import (
     FPModule,
     Ideal,
     ModuleMap,
-    fitting_ideal,
     is_isomorphism,
     is_surjective,
 )
@@ -115,11 +114,11 @@ class StarkData(FamilyData):
     The relaxed modules are the instance's own (``relaxed_module`` memoizes
     them with the Selmer modules they coincide with); a divisor's degree is
     the core rank plus its prime count.  Cached here besides the biduals:
-    the transitions, and the canonical basis system that the kolyvagin and
-    stark suites share.
+    the transitions, and the canonical basis system and whether it is a
+    basis, which the kolyvagin and stark suites share.
     """
 
-    __slots__ = ("_transition", "_canonical")
+    __slots__ = ("_transition", "_canonical", "_is_basis")
 
     schema = "stark-system/1"
 
@@ -127,6 +126,7 @@ class StarkData(FamilyData):
         super().__init__(instance)
         self._transition = {}
         self._canonical = None
+        self._is_basis = None
 
     def module(self, divisor):
         return self.instance.relaxed_module(divisor)
@@ -221,6 +221,14 @@ def system_is_basis(system: Family) -> bool:
     return is_surjective(span)
 
 
+def canonical_is_basis(data: StarkData) -> bool:
+    """``system_is_basis`` of the canonical basis system, computed once per
+    ``StarkData``."""
+    if data._is_basis is None:
+        data._is_basis = system_is_basis(canonical_basis_system(data))
+    return data._is_basis
+
+
 def system_compatible(system: Family) -> bool:
     """Every transition carries the larger component to the smaller one."""
     data = system.data
@@ -236,21 +244,26 @@ def system_compatible(system: Family) -> bool:
     return True
 
 
+def content_ideals(system):
+    """``(contents, levels)``: the content ideal of each component (the
+    ideal generated by all its values) keyed by divisor, and their sums by
+    level, the i-th over the divisors with i primes."""
+    data = system.data
+    contents = {}
+    levels = [Ideal.zero(data.ring)] * (data.instance.n_primes + 1)
+    for d in data.instance.divisors():
+        contents[d] = content_ideal(data.bidual(d), system.component(d))
+        levels[len(d)] = levels[len(d)].add(contents[d])
+    return contents, levels
+
+
 def system_ideals(system) -> list:
     """The content ideals of the system, one per level: the i-th entry is
     generated by all values of all components at divisors with i primes.
 
     Any family of bidual elements indexed by divisors works: a Stark
     system, or a Kolyvagin system (``kolyvagin.kolyvagin_ideals``)."""
-    data = system.data
-    out = []
-    for level in range(data.instance.n_primes + 1):
-        acc = Ideal.zero(data.ring)
-        for d in data.instance.divisors():
-            if len(d) == level:
-                acc = acc.add(content_ideal(data.bidual(d), system.component(d)))
-        out.append(acc)
-    return out
+    return content_ideals(system)[1]
 
 
 def verify_cocycle(data: StarkData) -> bool:
@@ -280,30 +293,28 @@ def core_projections_bijective(data: StarkData) -> bool:
                for d in core_vertices(data.instance))
 
 
-def verify_stark_theorem(system: Family) -> dict:
+def verify_stark_theorem(system: Family, is_basis: bool) -> dict:
     """The structure theorem for the content ideals of a system.
 
     Returns named boolean verdicts: the ideals ascend with the level,
     stabilize from the minimal generator count of the dual Selmer module
-    on, the system is a basis exactly when the final ideal is the unit
-    ideal, and every ideal is the final one times the matching Fitting
-    ideal of the dual Selmer module.
+    on, the system is a basis (``is_basis``, the caller's
+    ``system_is_basis``) exactly when the final ideal is the unit ideal,
+    and every ideal is the final one times the matching Fitting ideal of
+    the dual Selmer module (``SelmerInstance.dual_fitting``).
     """
-    data = system.data
-    instance = data.instance
+    instance = system.data.instance
     ideals = system_ideals(system)
-    dual = instance.dual_selmer(())
-    fitts = [fitting_ideal(dual, i) for i in range(instance.n_primes + 1)]
     top = ideals[-1]
-    mu = min_generators(dual)
+    mu = min_generators(instance.dual_selmer(()))
     return {
         "ascending": all(ideals[i].leq(ideals[i + 1])
                          for i in range(len(ideals) - 1)),
         "stabilizes": all(ideals[i] == top
                           for i in range(min(mu, len(ideals) - 1), len(ideals))),
-        "basis_iff_unit_content": system_is_basis(system) == top.is_unit(),
-        "factors_through_top": all(ideals[i] == top.mul(fitts[i])
-                                   for i in range(len(ideals))),
+        "basis_iff_unit_content": is_basis == top.is_unit(),
+        "factors_through_top": all(I == top.mul(instance.dual_fitting(i))
+                                   for i, I in enumerate(ideals)),
     }
 
 

@@ -77,6 +77,17 @@ GOLDEN = {
     # group's multiplication table was still built whole (|G|^2 entries).
     "tower-z9-r1-s4.json":
         "6459ca9cdd2e7d7e6b1ba805c0d485c9bd381f51bc9f5bee67914cb665a361d3",
+    # Two reports that fail the structure theorem's level equality, recorded
+    # before its facts were gathered into one table: over Z/9 the verdict
+    # fails with it, over (Z/9)[C9] (not a chain ring) the verdict passes.
+    "z9-r1-s2-seed1.json":
+        "04aaf0948e190c4d7cec89d887324d694bae9f01439c98b8289aa0734b403596",
+    "z9-r1-s2-seed1.report.json":
+        "3f35fc09f76873061dc791ba0c078ee83c700ef302a081490e17385658d25b25",
+    "z9c9-r1-s1.json":
+        "c1350525f8178102b75fde89c0719fc9946e5829e841a8be9558ce4b08a76679",
+    "z9c9-r1-s1.report.json":
+        "a842b54c66643a5f77398eee5123c974aeb7f782ee58cf34b29fa324da5b3268",
 }
 
 
@@ -84,10 +95,11 @@ def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _gen(tmp_path, name, ring, r, s, profile="generic"):
+def _gen(tmp_path, name, ring, r, s, profile="generic", seed=0):
     out = tmp_path / name
     code = cli.main(["gen", "--ring", ring, "--r", str(r), "--s", str(s),
-                     "--profile", profile, "--seed", "0", "--out", str(out)])
+                     "--profile", profile, "--seed", str(seed),
+                     "--out", str(out)])
     assert code == 0
     return out
 
@@ -111,6 +123,23 @@ class TestGoldenBytes:
                          "--seed", "0", "--out", str(report)])
         assert code == 0
         assert _digest(report) == GOLDEN[f"{stem}.report.json"]
+
+    @pytest.mark.parametrize("stem, ring, s, seed, verdict", [
+        ("z9-r1-s2-seed1", "3,2", 2, 1, False),
+        ("z9c9-r1-s1", "3,2,9", 1, 0, True),
+    ])
+    def test_failing_level_equality(self, tmp_path, stem, ring, s, seed,
+                                    verdict):
+        artifact = _gen(tmp_path, f"{stem}.json", ring, 1, s, seed=seed)
+        assert _digest(artifact) == GOLDEN[f"{stem}.json"]
+        report = tmp_path / f"{stem}.report.json"
+        code = cli.main(["verify", str(artifact), "--suite", "all",
+                         "--seed", "0", "--out", str(report)])
+        assert code == 1
+        assert _digest(report) == GOLDEN[f"{stem}.report.json"]
+        checks = json.loads(report.read_text())["checks"]
+        assert not checks["kolyvagin/theorem/levels-equal-fitt"]
+        assert checks["kolyvagin/theorem-verdict"] is verdict
 
     def test_graph(self, tmp_path):
         artifact = _gen(tmp_path, "z9-r1-s3.json", "3,2", 1, 3)
@@ -188,13 +217,55 @@ class TestSuiteOrder:
         artifact = _gen(tmp_path, "z9-r1-s3.json", "3,2", 1, 3)
         _code, full = _verify(tmp_path, artifact, "all", "all.json")
         for i, suite in enumerate(["kolyvagin,stark", "stark,kolyvagin",
-                                   "kolyvagin"]):
+                                   "kolyvagin", "stark"]):
             code, report = _verify(tmp_path, artifact, suite, f"{i}.json")
             assert code == 0
             assert report["config"]["suites"] == suite.split(",")
             for name in suite.split(","):
                 assert _suite_part(report, name) == _suite_part(full, name)
                 assert report["timings"][name] == full["timings"][name]
+
+
+class TestFactTable:
+    """The kolyvagin and stark suites read every structure-theorem fact
+    from one computation: each content ideal, each Fitting ideal of the
+    unmodified dual Selmer module and the basis verdict once."""
+
+    def test_each_fact_computed_once(self, tmp_path, monkeypatch):
+        from ekslab import biduals, kolyvagin, modules, selmer, stark
+
+        calls = {}
+        for owner, name in ((kolyvagin, "verify_main_theorem"),
+                            (biduals, "content_ideal"),
+                            (stark, "system_is_basis"),
+                            (modules, "fitting_ideal")):
+            original = getattr(owner, name)
+            log = calls[name] = []
+
+            def wrapper(*args, _log=log, _original=original):
+                _log.append(args)
+                return _original(*args)
+
+            # every module that imported the function holds it by name
+            for namespace in (biduals, modules, selmer, stark, kolyvagin, cli):
+                for key, value in list(vars(namespace).items()):
+                    if value is original:
+                        monkeypatch.setattr(namespace, key, wrapper)
+
+        artifact = _gen(tmp_path, "z9-r1-s4.json", "3,2", 1, 4)
+        instance = selmer.instance_from_json(json.loads(artifact.read_text()))
+        sdata = stark.StarkData(instance)
+        assert all(cli.suite_kolyvagin(sdata)["checks"].values())
+        assert all(cli.suite_stark(sdata)["checks"].values())
+
+        assert len(calls["verify_main_theorem"]) == 1
+        # one content ideal per Kolyvagin and per Stark component
+        assert len(calls["content_ideal"]) == 2 * len(instance.divisors())
+        assert len(calls["system_is_basis"]) == 1
+        dual = instance.dual_selmer(())
+        degrees = [args[1] for args in calls["fitting_ideal"]
+                   if args[0] is dual]
+        assert sorted(degrees) == list(range(instance.n_primes + 1))
 
 
 @pytest.fixture(scope="module")
@@ -324,12 +395,24 @@ def _ragged_rows(doc):
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """A generic instance and a consistent bundle, as parsed JSON."""
+    """A generic instance, a group-ring instance and a consistent bundle,
+    as parsed JSON."""
     root = tmp_path_factory.mktemp("artifacts")
     instance = _gen(root, "instance.json", "3,2", 1, 2)
+    group = _gen(root, "group.json", "3,2,3", 1, 2)
     bundle = _gen(root, "bundle.json", "3,2", 2, 2, profile="consistent")
     return {"instance": json.loads(instance.read_text()),
+            "group": json.loads(group.read_text()),
             "bundle": json.loads(bundle.read_text())}
+
+
+def _set(*path):
+    """A mutation that sets the entry at ``path[:-1]`` to ``path[-1]``."""
+    def mutate(doc):
+        for key in path[:-2]:
+            doc = doc[key]
+        doc[path[-2]] = path[-1]
+    return mutate
 
 
 class TestMalformedArtifacts:
@@ -375,9 +458,12 @@ class TestMalformedArtifacts:
         assert not out.exists()
 
     @staticmethod
-    def _rejected(tmp_path, capsys, artifacts, command, mutate, needle):
+    def _rejected(tmp_path, capsys, artifacts, command, mutate, needle,
+                  kind="instance"):
+        """``command`` on a mutated copy of an artifact (the instance part
+        of the bundle for derive) exits 2 and names ``needle``."""
         doc = json.loads(json.dumps(
-            artifacts["bundle" if command == "derive" else "instance"]))
+            artifacts["bundle" if command == "derive" else kind]))
         mutate(doc["instance"] if command == "derive" else doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -412,6 +498,49 @@ class TestMalformedArtifacts:
 
         self._rejected(tmp_path, capsys, artifacts, command, mutate,
                        "core_rank")
+
+    @pytest.mark.parametrize("width", [2, 4], ids=["short", "long"])
+    @pytest.mark.parametrize("command", ["verify", "graph"])
+    def test_group_ring_element_of_the_wrong_length(
+            self, tmp_path, capsys, artifacts, command, width):
+        # (Z/9)[C3] elements have exactly 3 coordinates
+        def mutate(doc):
+            doc["finite"][0][0] = (doc["finite"][0][0] + [0])[:width]
+
+        self._rejected(tmp_path, capsys, artifacts, command, mutate,
+                       f"{width} coordinates, not 3", kind="group")
+
+    @pytest.mark.parametrize("kind, mutate", [
+        ("instance", _set("finite", 0, 0, 1.5)),
+        ("instance", _set("finite", 0, 0, "1")),
+        ("instance", _set("finite", 0, 0, True)),
+        ("instance", _set("ring", "p", "3")),
+        ("instance", _set("ring", "m", 2.0)),
+        ("group", _set("ring", "orders", [3.0])),
+        ("group", _set("transverse", 0, 0, [1, 0, 0.5])),
+        ("bundle", _set("euler", "classes", "", 0, 1.5)),
+        ("bundle", _set("euler", "classes", "0", 0, 0, 5.0)),
+        ("bundle", _set("euler", "degree", "2")),
+        ("bundle", _set("euler", "tower", "p", 3.0)),
+        ("bundle", _set("euler", "tower", "orders", [9, 9.0])),
+        ("bundle", _set("euler", "tower", "frobenius", 0, 0, 0, True)),
+    ], ids=["float", "string", "bool", "p-string", "m-float",
+            "order-float", "coordinate-float", "class-float",
+            "class-coordinate-float", "degree-string", "tower-p-float",
+            "tower-order-float", "tower-frobenius-bool"])
+    def test_numbers_must_be_ints(self, tmp_path, capsys, artifacts, kind,
+                                  mutate):
+        # int() would read 1.5, "1" and True as 1: only JSON ints are read
+        doc = json.loads(json.dumps(artifacts[kind]))
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["verify", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed artifact" in err and "is not an int" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bundle_without_euler_part(self, tmp_path, capsys, artifacts):
         doc = json.loads(json.dumps(artifacts["bundle"]))

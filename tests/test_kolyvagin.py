@@ -25,6 +25,7 @@ from ekslab.stark import (
     system_ideals,
 )
 from ekslab.kolyvagin import (
+    THEOREM_FACTS,
     KolyvaginData,
     component_from_ambient_table,
     core_projection_invert,
@@ -302,7 +303,7 @@ class TestMainTheorem:
                                      seed=f"acc5-3-1-{seed}")
             sdata, kdata = _views(inst)
             reg = regulator(canonical_basis_system(sdata), kdata)
-            assert main_theorem_holds(reg, is_basis=True)
+            assert main_theorem_holds(verify_main_theorem(reg), is_basis=True)
 
     def test_supply_deficient_instance_documents_the_boundary(self):
         # frozen seed where no fixed prime set can replace an unbounded
@@ -325,7 +326,7 @@ class TestMainTheorem:
         reg = regulator(canonical_basis_system(sdata), kdata)
         facts = verify_main_theorem(reg)
         assert facts["im_in_fitt0"] and facts["levels_in_fitt"]
-        assert main_theorem_holds(reg, is_basis=True)
+        assert main_theorem_holds(facts, is_basis=True)
 
     def test_scaled_system_keeps_containments_loses_equality(self):
         inst = generate_instance(Z25, 1, 2, profile="generic", seed="mt-sc")
@@ -337,7 +338,40 @@ class TestMainTheorem:
         facts = verify_main_theorem(reg)
         assert facts["im_in_fitt0"] and facts["levels_in_fitt"]
         assert not facts["im_equals_fitt0"]
-        assert main_theorem_holds(reg, is_basis=False)
+        assert main_theorem_holds(facts, is_basis=False)
+
+    @pytest.mark.parametrize("chain_ring", [True, False])
+    @pytest.mark.parametrize("is_basis", [True, False])
+    def test_verdict_is_a_function_of_the_table(self, chain_ring, is_basis):
+        # every containment is claimed; per-divisor equality for bases;
+        # level equality for bases over chain rings only
+        facts = dict.fromkeys(THEOREM_FACTS, True)
+        facts["chain_ring"] = chain_ring
+        assert main_theorem_holds(facts, is_basis)
+        claimed = {"im_in_fitt0", "levels_in_fitt"}
+        if is_basis:
+            claimed.add("im_equals_fitt0")
+        if is_basis and chain_ring:
+            claimed.add("levels_equal_fitt")
+        for key in THEOREM_FACTS:
+            broken = dict(facts, **{key: False})
+            assert main_theorem_holds(broken, is_basis) == (key not in claimed)
+
+    def test_table_holds_the_ideals_it_compares(self):
+        inst = generate_instance(Z9C3, 1, 2, profile="generic", seed="mt-gr")
+        sdata, kdata = _views(inst)
+        reg = regulator(canonical_basis_system(sdata), kdata)
+        table = verify_main_theorem(reg)
+        dual = inst.dual_selmer(())
+        assert table["levels"] == kolyvagin_ideals(reg)
+        assert table["fitting"] == [fitting_ideal(dual, i) for i in range(3)]
+        assert table["fitt0"] == {d: fitting_ideal(inst.dual_selmer(d), 0)
+                                  for d in inst.divisors()}
+        assert table["contained"] == [I.leq(F) for I, F in
+                                      zip(table["levels"], table["fitting"])]
+        assert table["equal"] == [I == F for I, F in
+                                  zip(table["levels"], table["fitting"])]
+        assert not table["chain_ring"]
 
     def test_kolyvagin_ideals_match_contraction_system_ideals(self):
         # over a chain ring the two ideal ladders of a basis agree: both

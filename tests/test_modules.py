@@ -30,8 +30,6 @@ from ekslab.modules import (
     is_isomorphism,
     is_surjective,
     kernel,
-    module_from_json,
-    module_to_json,
     present_submodule,
     solve_map,
     syzygies,
@@ -545,20 +543,6 @@ class TestIdealApi:
 
 
 class TestModuleSerialization:
-    @pytest.mark.parametrize("ring", RINGS, ids=repr)
-    def test_module_roundtrip(self, ring):
-        rng = random.Random(67)
-        X = random_presentation(ring, rng)
-        back = module_from_json(module_to_json(X))
-        assert back.ngens == X.ngens
-        assert back.rel_howell == X.rel_howell
-        assert back.size == X.size
-
-    def test_free_module_roundtrip_keeps_width(self):
-        F = FPModule.free(Z4, 3)
-        back = module_from_json(module_to_json(F))
-        assert back.ngens == 3 and back.size == 64
-
     @pytest.mark.parametrize("ring", RINGS, ids=repr)
     def test_ideal_roundtrip(self, ring):
         rng = random.Random(71)

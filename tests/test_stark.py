@@ -252,14 +252,16 @@ class TestContentIdeals:
         inst = generate_instance(ring, 1, 3, profile="generic", seed=12)
         data = StarkData(inst)
         basis = canonical_basis_system(data)
-        assert all(verify_stark_theorem(basis).values())
+        assert all(verify_stark_theorem(basis, system_is_basis(basis)).values())
         p_elt = ring.from_vec((ring.p,) + (0,) * (ring.rank - 1))
-        assert all(verify_stark_theorem(basis.scaled(p_elt)).values())
+        scaled = basis.scaled(p_elt)
+        assert all(verify_stark_theorem(scaled, system_is_basis(scaled))
+                   .values())
 
     def test_theorem_on_degenerate_instance(self):
         inst = generate_instance(Z25, 1, 3, profile="degenerate", seed=13)
         basis = canonical_basis_system(StarkData(inst))
-        verdicts = verify_stark_theorem(basis)
+        verdicts = verify_stark_theorem(basis, system_is_basis(basis))
         assert all(verdicts.values())
         # degenerate instances have non-unit intermediate ideals
         assert not system_ideals(basis)[0].is_unit()
