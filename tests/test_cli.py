@@ -88,6 +88,16 @@ GOLDEN = {
         "c1350525f8178102b75fde89c0719fc9946e5829e841a8be9558ce4b08a76679",
     "z9c9-r1-s1.report.json":
         "a842b54c66643a5f77398eee5123c974aeb7f782ee58cf34b29fa324da5b3268",
+    # Two group-ring sizes that pass every check, recorded while kernels
+    # and duals still presented every lifted generator.
+    "z9c3-r1-s3-seed2.json":
+        "7cf4eed8a720af612dbb3b59505b0fd3a0f07db2381ef87f08e9cf90aa018f7d",
+    "z9c3-r1-s3-seed2.report.json":
+        "ad5970c1a108f08de44ebaa30fe8b8ad27fa88f899d8d2af1d619b9680e93ee6",
+    "z9c9-r1-s1-seed1.json":
+        "f1d08fe1276b0ca745c29db9643d8ec71f4392369b48493aacf4625afa9552fb",
+    "z9c9-r1-s1-seed1.report.json":
+        "9e34e249280778e4867ad0f2872711d70ba5257ef2d564be1f091743f4003867",
 }
 
 
@@ -117,6 +127,19 @@ class TestGoldenBytes:
     def test_gen_then_verify_all(self, tmp_path, stem, ring, s):
         r = int(stem.split("-")[1][1:])  # the stem names the core rank
         artifact = _gen(tmp_path, f"{stem}.json", ring, r, s)
+        assert _digest(artifact) == GOLDEN[f"{stem}.json"]
+        report = tmp_path / f"{stem}.report.json"
+        code = cli.main(["verify", str(artifact), "--suite", "all",
+                         "--seed", "0", "--out", str(report)])
+        assert code == 0
+        assert _digest(report) == GOLDEN[f"{stem}.report.json"]
+
+    @pytest.mark.parametrize("stem, ring, s, seed", [
+        ("z9c3-r1-s3-seed2", "3,2,3", 3, 2),
+        ("z9c9-r1-s1-seed1", "3,2,9", 1, 1),
+    ])
+    def test_group_ring_seeds(self, tmp_path, stem, ring, s, seed):
+        artifact = _gen(tmp_path, f"{stem}.json", ring, 1, s, seed=seed)
         assert _digest(artifact) == GOLDEN[f"{stem}.json"]
         report = tmp_path / f"{stem}.report.json"
         code = cli.main(["verify", str(artifact), "--suite", "all",

@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from ekslab.modules import annihilator, fitting_ideal
+from ekslab.biduals import ExteriorBidual, bidual_functor_map
+from ekslab.modules import FPModule, annihilator, fitting_ideal, is_injective
 from ekslab.rings import Matrix, element_to_json, make_ring, matrix_to_json
 from ekslab.selmer import (
     PrimeData,
@@ -21,6 +22,7 @@ from ekslab.stark import (
     Family,
     StarkData,
     canonical_basis_system,
+    content_ideals,
     stark_from_top,
     system_ideals,
 )
@@ -673,3 +675,103 @@ class TestPinnedValues:
     def test_values_match_the_recorded_digests(self, ring, r, s, digests):
         inst = generate_instance(ring, r, s, profile="generic", seed=0)
         assert _pinned_values(inst) == digests
+
+
+# ---------------------------------------------------------------------------
+# Presentation-free pins.  The digests above are written in the coordinates
+# of one presentation of each module, so a change of presentation moves them
+# even when no value changed.  These pin the same instances by value tables
+# on the free ambient (``FamilyData.ambient_table``: the push into the
+# bidual of the free module is injective, so a table determines its
+# element), and the content ideals by their canonical Howell rows.
+# ---------------------------------------------------------------------------
+
+
+def _ambient_pins(inst):
+    def key(d):
+        return ",".join(str(q) for q in d)
+
+    ring = inst.ring
+    sdata, kdata = _views(inst)
+    basis = canonical_basis_system(sdata)
+    reg = regulator(basis, kdata)
+    divisors = inst.divisors()
+
+    def tables(data, comps):
+        return {k: [element_to_json(ring, x) for x in data.ambient_table(d, v)]
+                for k, d, v in comps}
+
+    free = {}
+
+    def strict_table(divisor, q, coords):
+        bid = kdata.strict_bidual(divisor, q)
+        if bid.r not in free:
+            free[bid.r] = ExteriorBidual(
+                FPModule.free(ring, inst.ambient_rank), bid.r)
+        _bs, _bt, push = bidual_functor_map(
+            inst.strict_module(divisor, q)[1], bid.r, bid, free[bid.r])
+        return [element_to_json(ring, x)
+                for x in free[bid.r].table(push.apply(list(coords)))]
+
+    components = {
+        "basis": tables(sdata, [(key(d), d, basis.component(d))
+                                for d in divisors]),
+        "regulator": tables(kdata, [(key(d), d, reg.component(d))
+                                    for d in divisors]),
+    }
+    transitions = tables(sdata, [
+        (f"{key(m)}>{key(n)}", n, sdata.transition(m, n).apply(basis.component(m)))
+        for m in divisors for n in divisors if set(n) < set(m)])
+    relations = {}
+    for d in divisors:
+        for q in range(inst.n_primes):
+            with_q = tuple(sorted(set(d) | {q}))
+            if q in d:
+                img = kdata.v_map(d, q).apply(reg.component(d))
+                relations[f"v {key(d)}@{q}"] = strict_table(d, q, img)
+            else:
+                img = kdata.fs_map(d, q).apply(reg.component(d))
+                relations[f"fs {key(d)}@{q}"] = strict_table(with_q, q, img)
+    ideals = {}
+    for name, system in (("basis", basis), ("regulator", reg)):
+        contents, levels = content_ideals(system)
+        ideals[name] = {
+            "contents": {key(d): I.howell for d, I in contents.items()},
+            "levels": [I.howell for I in levels],
+        }
+    return (_value_digest(components), _value_digest(transitions),
+            _value_digest(relations), _value_digest(ideals))
+
+
+class TestAmbientPins:
+    @pytest.mark.parametrize("ring, r, s, digests", [
+        (Z9, 1, 3, (
+            "4e3c120d6811a2e003f363504f51525cb324a644b60fdc113b6431eec7eb2741",
+            "a3eb820ea0204b641e3e812819089b70e685494ea2e47d1b216482417d7dbf8a",
+            "2b4790811c420271894dba7c5f4fb82b897dc236d51054d5f50922706d425f0a",
+            "6dee430f191e1f71feb59d344cfc9edc2cd452e965bf7553b0db9a8b880ee97e")),
+        (Z25, 2, 3, (
+            "f46cfa3337215702526bcae0b9c03d7b8df93ec4848880de5f44c8ce7dd1a54f",
+            "d2846d6436e4e865272c652be98b91f3171e2698e7bb8013395da8e71d38b430",
+            "956edc9063d3ad3ce8a56a5cf99c701f4cb8d88ecf93e440cd876b033551e311",
+            "6dee430f191e1f71feb59d344cfc9edc2cd452e965bf7553b0db9a8b880ee97e")),
+        (Z9C3, 1, 2, (
+            "10bd53b312df285525465bc8911dc8a38d08596628b60d8db6a9e9ccb022a00a",
+            "db5f2e0a678eb774d0c2308c766b4404f7ef63a806c4e5400e1475d364e0882b",
+            "a66523e61a7461d3881922a6db5ec4f63888b3034380e65eea831567e6410eed",
+            "3cdea354ecfeb994c68b7bcf622f75521695ac91f25c324561744c852bfd92f3")),
+    ], ids=["z9-r1-s3", "z25-r2-s3", "z9c3-r1-s2"])
+    def test_ambient_tables_match_the_recorded_digests(self, ring, r, s,
+                                                       digests):
+        inst = generate_instance(ring, r, s, profile="generic", seed=0)
+        assert _ambient_pins(inst) == digests
+
+    @pytest.mark.parametrize("ring, r, s", [
+        (Z9, 1, 3), (Z25, 2, 3), (Z9C3, 1, 2),
+    ], ids=["z9-r1-s3", "z25-r2-s3", "z9c3-r1-s2"])
+    def test_ambient_push_is_injective(self, ring, r, s):
+        inst = generate_instance(ring, r, s, profile="generic", seed=0)
+        for data in _views(inst):
+            for d in inst.divisors():
+                _free, push = data.ambient_push(d)
+                assert is_injective(push)
