@@ -23,6 +23,7 @@ from .rings import (
     Solver,
     back_substitute,
     cochecks_int,
+    howell_int,
     kernel_int,
     kernel_matrix,
     membership_int,
@@ -283,16 +284,46 @@ def syzygies(ambient: FPModule, vectors) -> list:
     return out
 
 
+def residue_pivots(ring, rows, ncols: int) -> list:
+    """Pivot columns of the rows reduced to the residue field.
+
+    The rings are local with residue field F_p, reached by the augmentation
+    mod p.  So the pivots of the reduced rows' Howell form over F_p (an
+    echelon form) name a maximal set of columns that the rows can solve for
+    modulo the maximal ideal; their number is the residue rank.
+    """
+    p = ring.p
+    res = [[ring.augmentation(x) % p for x in row] for row in rows]
+    return [next(j for j, c in enumerate(row) if c)
+            for row in howell_int(res, ncols, p, 1)]
+
+
+def min_generators(module: FPModule) -> int:
+    """Minimal generator count: ambient rank minus residue relation rank."""
+    return module.ngens - len(
+        residue_pivots(module.ring, module.relations.rows, module.ngens))
+
+
 def present_submodule(ambient: FPModule, vectors):
-    """The submodule of ``ambient`` generated by ``vectors``, presented.
+    """The submodule of ``ambient`` generated by ``vectors``, presented on a
+    minimal generating subset of them.
 
     Returns ``(sub, incl)`` with ``incl`` the inclusion into ``ambient``.
-    The presentation generators correspond to the given vectors in order and
-    the relations are their syzygies inside the ambient module.
+    The ring is local, so by Nakayama's lemma any vectors whose images form
+    a basis of N/mN generate N.  The syzygies of the given vectors, reduced
+    to the residue field, are the relations of N/mN: the generators at
+    their pivot columns are dropped, and the presentation generators are
+    the kept vectors, in their given order, with their syzygies as
+    relations.  When nothing is dropped (the vectors are already minimal)
+    the first syzygies are the relations.
     """
     ring = ambient.ring
-    t = len(vectors)
     syz = syzygies(ambient, vectors)
+    drop = set(residue_pivots(ring, syz, len(vectors)))
+    if drop:
+        vectors = [v for i, v in enumerate(vectors) if i not in drop]
+        syz = syzygies(ambient, vectors)
+    t = len(vectors)
     sub = FPModule(ring, t, Matrix(ring, syz, ncols=t))
     incl = ModuleMap(
         sub,
@@ -307,7 +338,10 @@ def kernel(f: ModuleMap):
     """Kernel of a module map, as ``(ker, incl)`` with incl into the source.
 
     Works by linearizing "f(x) dies in the target" with the target's
-    membership cochecks and taking an integer kernel.
+    membership cochecks and taking an integer kernel.  The kernel is
+    presented by ``present_submodule`` on a minimal subset of the lifted
+    base-kernel generators; a map into the zero module keeps its source's
+    presentation.
     """
     ring = f.source.ring
     base = ring.base
@@ -459,18 +493,17 @@ def dual_module(module: FPModule):
     Returns ``(dual, Y)`` where Y is a (t x ngens) Matrix whose rows span the
     functionals: row a is the coefficient vector of the a-th dual generator,
     and a dual element with coordinates c evaluates on x as c . (Y . x).
+    The dual is the submodule of R^ngens spanned by the kernel rows of the
+    relations, presented by ``present_submodule``: its generators are a
+    minimal subset of those rows, in order.
     """
     ring = module.ring
     K = kernel_matrix(module.relations)
-    func_rows = [row for row in K.rows if not _vanishes_on_free(module, row)]
-    Y = Matrix(ring, func_rows, ncols=module.ngens)
-    syz = syzygies(FPModule.free(ring, module.ngens), [list(r) for r in Y.rows])
-    dual = FPModule(ring, Y.nrows, Matrix(ring, syz, ncols=Y.nrows))
-    return dual, Y
-
-
-def _vanishes_on_free(module: FPModule, row) -> bool:
-    return all(x == module.ring.zero for x in row)
+    func_rows = [list(row) for row in K.rows
+                 if any(x != ring.zero for x in row)]
+    dual, incl = present_submodule(FPModule.free(ring, module.ngens),
+                                   func_rows)
+    return dual, incl.matrix.transpose()
 
 
 def dual_eval(Y: Matrix, phi_coords, x):

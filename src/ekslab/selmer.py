@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import random
 
-from .biduals import reduce_element
 from .modules import (
     FPModule,
     Ideal,
@@ -29,13 +28,13 @@ from .modules import (
     fitting_ideal,
     image_order,
     kernel,
+    min_generators,
+    residue_pivots,
 )
 from .rings import (
     Matrix,
     _is_power_of,
-    howell_int,
     int_from_json,
-    make_ring,
     matrix_from_json,
     matrix_to_json,
     ring_from_json,
@@ -113,16 +112,6 @@ class FrobeniusData:
         self.matrix = matrix
         self.q_poly = q_poly
         self.fs_unit = fs_unit
-
-
-def min_generators(module: FPModule) -> int:
-    """Minimal generator count: ambient rank minus residue relation rank."""
-    ring = module.ring
-    res = make_ring(ring.p, 1)
-    rows = [[reduce_element(ring, res, c) for c in row]
-            for row in module.relations.rows]
-    rank = len(howell_int(rows, module.ngens, ring.p, 1))
-    return module.ngens - rank
 
 
 def frobenius_data(ring, rows) -> FrobeniusData:
@@ -300,11 +289,8 @@ class SelmerInstance:
     def residue_ranks(self, divisor):
         """(Selmer rank, dual Selmer rank) of the reduction to the residue
         field; their difference is the core rank at every divisor."""
-        ring = self.ring
-        res = make_ring(ring.p, 1)
         V = self.condition_matrix(divisor)
-        rows = [[reduce_element(ring, res, c) for c in row] for row in V.rows]
-        rank = len(howell_int(rows, self.ambient_rank, ring.p, 1))
+        rank = len(residue_pivots(self.ring, V.rows, self.ambient_rank))
         return self.ambient_rank - rank, self.n_primes - rank
 
     def is_core(self, divisor) -> bool:

@@ -30,14 +30,18 @@ from ekslab.modules import (
     is_isomorphism,
     is_surjective,
     kernel,
+    min_generators,
     present_submodule,
+    same_submodule,
     solve_map,
     syzygies,
 )
+from ekslab.biduals import ExteriorBidual
 from ekslab.cli import ideal_json
 from ekslab.rings import (
     ChainRing,
     Matrix,
+    kernel_matrix,
     make_ring,
     solve_int,
     vec_from_base,
@@ -292,6 +296,157 @@ class TestSubquotients:
             for coeff, vec in zip(c, vectors):
                 acc = [Z4.add(a, Z4.mul(coeff, v)) for a, v in zip(acc, vec)]
             assert acc == [Z4.zero, Z4.zero]
+
+
+# ---------------------------------------------------------------------------
+# Nakayama-minimal presentations.  The rings are local with residue field
+# F_p, so a submodule N keeps exactly dim N/mN of the vectors that span it.
+# The residue dimension is read here from the size of N/mN, the quotient
+# by p and by every sigma - 1, not from the pivots the code uses; spans are
+# compared by ``same_submodule`` (Howell forms of the two spans).
+# ---------------------------------------------------------------------------
+
+GROUP_RINGS = [
+    make_ring(3, 2, (3,)),      # (Z/9)[C3]
+    make_ring(2, 3, (4,)),      # (Z/8)[C4]
+    make_ring(3, 1, (3, 3)),    # (Z/3)[C3 x C3]
+]
+
+
+def _residue_dimension(module) -> int:
+    """dim over F_p of N/mN, m = (p, sigma_i - 1), from its size."""
+    ring = module.ring
+    g = module.ngens
+    maximal = [ring.from_int(ring.p)] + [
+        ring.sub(ring.generator(i), ring.one) for i in range(len(ring.orders))]
+    rows = [list(row) for row in module.relations.rows]
+    for x in maximal:
+        for j in range(g):
+            rows.append([x if t == j else ring.zero for t in range(g)])
+    size = FPModule(ring, g, Matrix(ring, rows, ncols=g)).size
+    dim = 0
+    while size > 1:
+        size //= ring.p
+        dim += 1
+    return dim
+
+
+def _columns(f):
+    return [list(c) for c in f.matrix.transpose().rows]
+
+
+def _is_subsequence(kept, given) -> bool:
+    it = iter(given)
+    return all(any(v == w for w in it) for v in kept)
+
+
+def _redundant(ring, rng, vectors):
+    """The vectors with two more in their span, one of them in m times it:
+    a spanning set that is never minimal."""
+    if not vectors:
+        return vectors
+    a, b = rng.choice(vectors), rng.choice(vectors)
+    u = ring.random_element(rng)
+    pa = [ring.mul(ring.from_int(ring.p), x) for x in a]
+    mixed = [ring.add(ring.mul(u, x), y) for x, y in zip(a, b)]
+    out = vectors + [pa, mixed]
+    rng.shuffle(out)
+    return out
+
+
+def _assert_minimal(module):
+    assert module.ngens == min_generators(module) == _residue_dimension(module)
+
+
+class TestNakayamaMinimal:
+    @pytest.mark.parametrize("ring", GROUP_RINGS, ids=repr)
+    def test_image_keeps_a_minimal_subset(self, ring):
+        rng = random.Random(91)
+        dropped = 0
+        for _ in range(6):
+            X = random_presentation(ring, rng, max_gens=2, max_rels=2)
+            cols = _redundant(ring, rng, [
+                [ring.random_element(rng) for _ in range(X.ngens)]
+                for _ in range(rng.randrange(1, 3))])
+            f = ModuleMap(FPModule.free(ring, len(cols)), X,
+                          Matrix(ring, cols, ncols=X.ngens).transpose())
+            img, incl = image(f)
+            _assert_minimal(img)
+            kept = _columns(incl)
+            assert _is_subsequence(kept, cols)
+            assert same_submodule(X, kept, cols)
+            dropped += len(cols) - img.ngens
+        assert dropped > 0
+
+    @pytest.mark.parametrize("ring", GROUP_RINGS, ids=repr)
+    def test_kernel_of_a_projection_is_what_it_kills(self, ring):
+        # X -> X / <B> has kernel <B>: a reference that needs no kernel.
+        rng = random.Random(92)
+        for _ in range(6):
+            X = random_presentation(ring, rng, max_gens=2, max_rels=2)
+            B = _redundant(ring, rng, [
+                [ring.random_element(rng) for _ in range(X.ngens)]
+                for _ in range(rng.randrange(1, 3))])
+            quot, proj = quotient_by(X, B)
+            ker, incl = kernel(proj)
+            if quot.is_zero_module:
+                # a map into the zero module keeps its source as presented
+                assert ker is X
+            else:
+                _assert_minimal(ker)
+            assert incl.target is X
+            assert same_submodule(X, _columns(incl), B)
+
+    @pytest.mark.parametrize("ring", GROUP_RINGS, ids=repr)
+    def test_kernel_of_a_free_map(self, ring):
+        rng = random.Random(93)
+        for _ in range(6):
+            X = random_presentation(ring, rng, max_gens=2, max_rels=2)
+            g = rng.randrange(1, 4)
+            mat = Matrix(ring, [[ring.random_element(rng) for _ in range(g)]
+                                for _ in range(X.ngens)], ncols=g)
+            f = ModuleMap(FPModule.free(ring, g), X, mat)
+            ker, incl = kernel(f)
+            _assert_minimal(ker)
+            assert f.compose(incl).is_zero_map()
+            # |ker| . |im| = |source|, with the image order from Howell rows
+            span = X.relations.rows + _columns(f)
+            quot = FPModule(ring, X.ngens, Matrix(ring, span, ncols=X.ngens))
+            assert ker.size * (X.size // quot.size) == ring.size ** g
+
+    @pytest.mark.parametrize("ring", GROUP_RINGS, ids=repr)
+    def test_dual_keeps_a_minimal_subset_of_the_functionals(self, ring):
+        rng = random.Random(94)
+        for _ in range(6):
+            X = random_presentation(ring, rng, max_gens=2, max_rels=3)
+            dual, Y = dual_module(X)
+            _assert_minimal(dual)
+            funcs = [list(r) for r in kernel_matrix(X.relations).rows
+                     if any(x != ring.zero for x in r)]
+            kept = [list(r) for r in Y.rows]
+            assert Y.ncols == X.ngens
+            assert _is_subsequence(kept, funcs)
+            assert same_submodule(FPModule.free(ring, X.ngens), kept, funcs)
+
+    @pytest.mark.parametrize("ring", GROUP_RINGS, ids=repr)
+    def test_vectors_that_die_give_no_generators(self, ring):
+        # Every vector is zero in the ambient, so the span is 0 = m.0 and
+        # every generator goes; the biduals of the empty presentation are R
+        # in degree 0 and 0 above.
+        rng = random.Random(95)
+        p = ring.from_int(ring.p)
+        rels = [[ring.random_element(rng) for _ in range(2)] for _ in range(2)]
+        X = FPModule(ring, 2, Matrix(ring, rels, ncols=2))
+        vectors = rels + [[ring.mul(p, x) for x in rels[0]],
+                          [ring.add(x, y) for x, y in zip(*rels)]]
+        sub, incl = present_submodule(X, vectors)
+        assert sub.ngens == 0 and incl.matrix.shape == (2, 0)
+        assert sub.size == 1
+        for r in range(3):
+            bid = ExteriorBidual(sub, r)
+            assert bid.dual.ngens == 0
+            assert bid.module.size == (ring.size if r == 0 else 1)
+            _assert_minimal(bid.module)
 
 
 class TestDuality:
