@@ -93,7 +93,7 @@ class EulerTower:
 
     __slots__ = ("p", "m", "m_big", "rank", "orders", "frobenius", "images",
                  "local_polys", "ring", "target", "n", "width",
-                 "_levels", "_target_levels", "_factors")
+                 "_levels", "_target_levels", "_factors", "_fibers")
 
     def __init__(self, p, m, m_big, rank, orders, frobenius, images,
                  local_polys=None):
@@ -151,6 +151,7 @@ class EulerTower:
         self._levels = {}
         self._target_levels = {}
         self._factors = {}
+        self._fibers = {}
 
     @property
     def n_primes(self) -> int:
@@ -237,15 +238,32 @@ class EulerTower:
             return x % Ss.n
         if Ss.rank == 1:
             return sum(x) % Ss.n
-        keep = [big.index(q) for q in small]
         out = [0] * Ss.rank
-        for i, c in enumerate(x):
-            if c == 0:
-                continue
-            exps = Sb.index_to_exp(i)
-            j = Ss.exp_to_index(tuple(exps[t] for t in keep))
-            out[j] += c
+        for j, c in zip(self._fiber_index(big, small), x):
+            if c:
+                out[j] += c
         return tuple(c % Ss.base.n for c in out)
+
+    def _fiber_index(self, big, small) -> tuple:
+        """Per index of the level ring at ``big``, the index at ``small`` of
+        its exponents on the kept symbol groups: the group map that both
+        corestriction and restriction read, built once per pair of levels
+        (both sorted, ``small`` inside ``big``, neither ring a chain ring)."""
+        key = (big, small)
+        if key not in self._fibers:
+            Ss = self.level_ring(small)
+            # The map is additive over the cyclic factors: a dropped factor
+            # weighs 0, a kept one its stride at ``small``.  Indices run
+            # with the first factor most significant.
+            weight = [0] * len(big)
+            for u, q in enumerate(small):
+                weight[big.index(q)] = Ss.exp_to_index(
+                    tuple(int(v == u) for v in range(len(small))))
+            index = [0]
+            for d, w in zip(self.level_ring(big).orders, weight):
+                index = [a + e * w for a in index for e in range(d)]
+            self._fibers[key] = index
+        return self._fibers[key]
 
     def restrict(self, small, big, x):
         """Norm spreading from a sub-level: sum of all fiber translates."""
@@ -257,15 +275,9 @@ class EulerTower:
         Ss = self.level_ring(small)
         if Sb.rank == 1:
             return x % Sb.n
-        keep = [big.index(q) for q in small]
-        out = [0] * Sb.rank
-        for i in range(Sb.rank):
-            exps = Sb.index_to_exp(i)
-            if Ss.rank == 1:
-                out[i] = x
-            else:
-                out[i] = x[Ss.exp_to_index(tuple(exps[t] for t in keep))]
-        return tuple(c % Sb.base.n for c in out)
+        if Ss.rank == 1:
+            return (x % Sb.base.n,) * Sb.rank
+        return tuple(x[j] % Sb.base.n for j in self._fiber_index(big, small))
 
     def inflate(self, small, big, x):
         """The section of corestriction that keeps exponents in place."""

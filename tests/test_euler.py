@@ -286,6 +286,34 @@ class TestLevelMaps:
                                        tower.euler_factor(q, big))
                 assert lhs == tower.euler_factor(q, small)
 
+    def test_level_maps_match_per_coordinate_reference(self):
+        # Mixed orders, so the strides of the kept factors differ between
+        # the two levels; the reference reads each coordinate's exponents.
+        tower = EulerTower(3, 1, 3, 1, (3, 9, 3), [_eye(4)] * 3,
+                           [[1, 0, 2], [0, 1, 1], [2, 1, 1]])
+        rng = random.Random(4)
+        levels = [d for k in range(4)
+                  for d in itertools.combinations(range(3), k)]
+        for big in levels:
+            Sb = tower.level_ring(big)
+            for small in levels:
+                if not set(small) < set(big) or not small:
+                    continue
+                Ss = tower.level_ring(small)
+                x = Sb.random_element(rng)
+                y = Ss.random_element(rng)
+                down = [0] * Ss.rank
+                up = []
+                for i, c in enumerate(x):
+                    exps = Sb.index_to_exp(i)
+                    j = Ss.exp_to_index(tuple(exps[big.index(q)]
+                                              for q in small))
+                    down[j] += c
+                    up.append(y[j])
+                assert tower.corestrict(big, small, x) == tuple(
+                    c % Ss.base.n for c in down)
+                assert tower.restrict(small, big, y) == tuple(up)
+
     def test_nesting_required(self):
         tower = _two_prime_tower()
         with pytest.raises(ValueError, match="sub-level"):
