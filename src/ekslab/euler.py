@@ -244,7 +244,7 @@ class EulerTower:
                 out[j] += c
         return tuple(c % Ss.base.n for c in out)
 
-    def _fiber_index(self, big, small) -> tuple:
+    def _fiber_index(self, big, small) -> list:
         """Per index of the level ring at ``big``, the index at ``small`` of
         its exponents on the kept symbol groups: the group map that both
         corestriction and restriction read, built once per pair of levels
