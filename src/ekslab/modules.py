@@ -353,6 +353,8 @@ def kernel(f: ModuleMap):
         # the whole source, presented as it is.
         return f.source, ModuleMap.identity(f.source)
     ker_base = kernel_int(cond, base.p, base.m)
+    # Lifts that die in the source are dropped here: the pruning would drop
+    # them too, but only after a second syzygy pass.
     gens = []
     for row in ker_base:
         vec = vec_from_base(ring, row)
