@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 
-from ekslab.rings import Matrix, span_rows_base, vec_to_base
+from ekslab.biduals import interior_product
+from ekslab.rings import Matrix, kernel_matrix, span_rows_base, vec_to_base
 
 
 def additive_closure(rows, n: int, limit: int = 1 << 16) -> frozenset:
@@ -237,3 +238,23 @@ def alternating_form_solutions(ring, functionals, r: int, limit: int = 200):
         [[int(i == j) for j in range(width)] for i in range(width)]
     H = howell_int(ker, width, base.p, base.m)
     return H, tindex
+
+
+def perp_rows(ring, sub_gens, ncols: int) -> list:
+    """Functional vectors vanishing on the span of the given vectors."""
+    A = Matrix(ring, [list(v) for v in sub_gens], ncols=ncols)
+    return [list(r) for r in kernel_matrix(A).rows]
+
+
+def table_in_sub_bidual(ring, n: int, k: int, table, sub_gens) -> bool:
+    """Free-ambient membership: does the table lie in the bidual of the span?
+
+    A degree-k table on R^n belongs to the embedded bidual of the submodule Y
+    spanned by ``sub_gens`` exactly when contraction by every functional
+    vanishing on Y kills it.
+    """
+    for ell in perp_rows(ring, sub_gens, n):
+        out = interior_product(ring, n, k, ell, table)
+        if any(v != ring.zero for v in out):
+            return False
+    return True

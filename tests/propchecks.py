@@ -33,8 +33,10 @@ from ekslab.modules import (
     kernel,
     present_submodule,
     same_submodule,
+    solve_map,
 )
 from ekslab.rings import Matrix, kernel_matrix, make_ring
+from oracles import table_in_sub_bidual
 
 
 def draw_module(ring, rng, max_gens=None):
@@ -97,6 +99,45 @@ def check_membership_reduction(ring, rng):
     criterion_gens = _membership_kernel(bt, vectors)
     assert same_submodule(bt.module, criterion_gens, image_gens), \
         "criterion set differs from the embedded sub-bidual"
+
+
+def check_push_preimage_membership(ring, rng):
+    """A table on a free ambient lies in the embedded bidual of a submodule
+    exactly when the bidual functor map of the inclusion reaches it.
+
+    Draws Y in R^n (its generators scaled by random powers of p) and a
+    degree k, and compares the preimage criterion with the functional
+    criterion of ``oracles.table_in_sub_bidual`` on the images of the
+    bidual generators of Y, on random tables, and on their p-power
+    multiples.  Returns ``(members, non_members)``.
+    """
+    p, m = ring.p, ring.m
+    n = rng.randrange(1, 4 if ring.rank == 1 else 3)
+    k = rng.randrange(1, n + 1)
+    ambient = FPModule.free(ring, n)
+    vectors = []
+    for _ in range(rng.randrange(1, 3)):
+        scale = ring.from_int(p ** rng.randrange(m))
+        vectors.append([ring.mul(scale, c) for c in ambient.random_element(rng)])
+    sub, incl = present_submodule(ambient, vectors)
+    bs, free, push = bidual_functor_map(incl, k)
+    gens = [incl.apply(sub.generator(i)) for i in range(sub.ngens)]
+    tables = [free.table(push.apply(bs.module.generator(i)))
+              for i in range(bs.module.ngens)]
+    width = len(r_subsets(n, k))
+    for _ in range(3):
+        table = [ring.random_element(rng) for _ in range(width)]
+        tables += [[ring.mul(ring.from_int(p ** j), v) for v in table]
+                   for j in range(m)]
+    members = 0
+    for table in tables:
+        coords = free.from_table(table)
+        assert coords is not None, "a free-ambient table is not a functional"
+        inside = solve_map(push, coords) is not None
+        assert inside == table_in_sub_bidual(ring, n, k, table, gens), \
+            "push preimage and functional criterion disagree on membership"
+        members += inside
+    return members, len(tables) - members
 
 
 def check_wedge_kernel(ring, rng):

@@ -61,6 +61,7 @@ from propchecks import (
     check_fitt0_bidual,
     check_membership_reduction,
     check_morph,
+    check_push_preimage_membership,
     check_wedge_kernel,
     draw_module,
     quotient_by,
@@ -569,6 +570,17 @@ class TestMembershipCriterion:
         for ring in RINGS:
             for _ in range(3):
                 check_membership_reduction(ring, rng)
+
+    def test_push_preimage_equals_functional_criterion(self):
+        rng = random.Random(89)
+        members = non_members = 0
+        for ring in RINGS + [make_ring(3, 3), make_ring(3, 1),
+                             make_ring(2, 2, (2,)), make_ring(2, 1, (4,))]:
+            for _ in range(8):
+                inside, outside = check_push_preimage_membership(ring, rng)
+                members += inside
+                non_members += outside
+        assert members and non_members
 
     def test_functor_injective(self):
         rng = random.Random(59)
