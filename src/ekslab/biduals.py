@@ -16,8 +16,16 @@ Two representations coexist deliberately:
 
 For a free module the dual generators are the dual basis, tables are indexed
 by plain r-subsets of coordinates, and the table calculus below (subsets,
-merge signs, wedge multiplication, interior products) is the workhorse the
-Euler/Kolyvagin/Stark engines run on.
+merge signs, interior products) is the workhorse the Euler/Kolyvagin/Stark
+engines run on.
+
+A submodule Y of X has one embedding of its bidual into that of X: the
+bidual functor map of the inclusion (``bidual_functor_map``).  Over the
+self-injective rings used here it is injective, and its image is the set of
+elements that contraction by every functional vanishing on Y kills
+(Burns-Sakamoto-Sano, part I).  So an element of the bidual of X lies in
+that of Y exactly when it has a preimage under this map, and a preimage
+solve is how the package decides it.
 """
 
 from __future__ import annotations
@@ -29,25 +37,11 @@ from .modules import (
     FPModule,
     Ideal,
     ModuleMap,
-    bidual_setup,
     dual_map,
     dual_module,
     factor_through,
-    present_submodule,
-    solve_map,
 )
-from .rings import (
-    Matrix,
-    Solver,
-    cochecks_int,
-    det_ring,
-    kernel_int,
-    kernel_matrix,
-    membership_int,
-    submodule_howell,
-    vec_from_base,
-    vec_to_base,
-)
+from .rings import Matrix, Solver, det_ring
 
 # ---------------------------------------------------------------------------
 # Subset combinatorics and the free wedge calculus.
@@ -88,27 +82,6 @@ def wedge_coeffs(ring, rows, n: int) -> list:
         sub = [[row[j] for j in A] for row in rows]
         out.append(det_ring(ring, sub))
     return out
-
-
-def wedge_mult_matrix(ring, n: int, k: int, r: int, phi) -> Matrix:
-    """Matrix of Psi -> Phi wedge Psi from degree k to degree k + r on R^n.
-
-    ``phi`` is a coefficient vector on the r-subsets of range(n).  Columns are
-    indexed by k-subsets, rows by (k+r)-subsets.
-    """
-    rows_idx = r_subsets(n, k + r)
-    cols_idx = r_subsets(n, k)
-    pos = {I: a for a, I in enumerate(rows_idx)}
-    out = [[ring.zero] * len(cols_idx) for _ in rows_idx]
-    for b, B in enumerate(cols_idx):
-        for a, A in enumerate(r_subsets(n, r)):
-            s = merge_sign(A, B)
-            if s == 0 or phi[a] == ring.zero:
-                continue
-            C = tuple(sorted(A + B))
-            coeff = phi[a] if s == 1 else ring.neg(phi[a])
-            out[pos[C]][b] = ring.add(out[pos[C]][b], coeff)
-    return Matrix(ring, out, ncols=len(cols_idx))
 
 
 @cache
@@ -218,46 +191,6 @@ def exterior_map(f: ModuleMap, r: int):
     return ext_s, ext_t, ModuleMap(ext_s.module, ext_t.module, mat)
 
 
-def contraction_map(X: FPModule, phi_rows, s: int) -> ModuleMap:
-    """Contraction of wedge^s X by phi_1 wedge ... wedge phi_r, as a map.
-
-    ``phi_rows`` are coefficient vectors of functionals on X (length ngens).
-    A single functional acts on a wedge x_1 ... x_s by the alternating sum
-    with sign (-1)^(i+1) on the term dropping x_i; a wedge of r functionals
-    acts as the composite with phi_1 applied first.  The result is the map
-    wedge^s X -> wedge^(s-r) X, well-definedness checked by construction.
-    """
-    ring = X.ring
-    g = X.ngens
-    r = len(phi_rows)
-    if r > s:
-        raise ValueError("contraction degree exceeds the wedge degree")
-    ext_top = exterior_power(X, s)
-    mats = []
-    k = s
-    for phi in phi_rows:
-        pos_prev = subset_position(g, k)
-        rows_idx = r_subsets(g, k - 1)
-        out = [[ring.zero] * len(r_subsets(g, k)) for _ in rows_idx]
-        pos_new = {I: a for a, I in enumerate(rows_idx)}
-        for I in r_subsets(g, k):
-            col = pos_prev[I]
-            for t, i in enumerate(I):
-                c = phi[i]
-                if c == ring.zero:
-                    continue
-                J = I[:t] + I[t + 1 :]
-                val = c if t % 2 == 0 else ring.neg(c)
-                out[pos_new[J]][col] = ring.add(out[pos_new[J]][col], val)
-        mats.append(Matrix(ring, out, ncols=len(r_subsets(g, k))))
-        k -= 1
-    total = mats[0] if mats else Matrix.identity(ring, len(ext_top.subsets))
-    for M in mats[1:]:
-        total = M.mul(total)
-    ext_bot = exterior_power(X, s - r)
-    return ModuleMap(ext_top.module, ext_bot.module, total)
-
-
 # ---------------------------------------------------------------------------
 # Exterior biduals.
 # ---------------------------------------------------------------------------
@@ -281,7 +214,7 @@ class ExteriorBidual:
     behind ``from_table`` are factored once, on first use.
     """
 
-    __slots__ = ("X", "r", "dual", "Y", "wedge", "module", "YW", "_ev",
+    __slots__ = ("X", "r", "dual", "Y", "wedge", "module", "YW",
                  "_dual_solver", "_table_solver")
 
     def __init__(self, X: FPModule, r: int):
@@ -292,7 +225,6 @@ class ExteriorBidual:
         self.dual, self.Y = dual_module(X)
         self.wedge = exterior_power(self.dual, r)
         self.module, self.YW = dual_module(self.wedge.module)
-        self._ev = None
         self._dual_solver = None
         self._table_solver = None
 
@@ -311,21 +243,6 @@ class ExteriorBidual:
         if self._table_solver is None:
             self._table_solver = Solver(self.YW.transpose())
         return self._table_solver
-
-    @property
-    def ev(self) -> ModuleMap:
-        """The canonical X -> degree-1 bidual map (an iso over these rings).
-
-        Only meaningful in degree 1, where the target presentation built here
-        coincides with the double dual: the degree-1 wedge of the dual is the
-        dual itself, relation row for relation row.
-        """
-        if self.r != 1:
-            raise ValueError("the evaluation map lives on the degree-1 bidual")
-        if self._ev is None:
-            _d, _Y, _dd, _Yd, ev = bidual_setup(self.X)
-            self._ev = ModuleMap(self.X, self.module, ev.matrix)
-        return self._ev
 
     def table(self, coords) -> list:
         """Values of the functional with these coordinates on the monomials."""
@@ -495,134 +412,6 @@ def contract_pullback(big: ExteriorBidual, big_incl: ModuleMap,
 
 
 # ---------------------------------------------------------------------------
-# Submodule membership inside a bidual (the linearized criterion).
-# ---------------------------------------------------------------------------
-
-
-def submodule_bidual_membership(bid: ExteriorBidual, coords, sub_gens) -> bool:
-    """Whether the element lies in the bidual of the given submodule.
-
-    ``sub_gens`` generate a submodule Y of bid.X.  The element F of the
-    degree-r bidual belongs to the (injectively embedded) degree-r bidual of
-    Y exactly when every contraction by a (r-1)-monomial in the dual
-    generators sends F into Y — a finite, linear criterion.
-    """
-    ring = bid.X.ring
-    base = ring.base
-    X = bid.X
-    sub_howell = submodule_howell(
-        ring, [list(v) for v in sub_gens] + X.relations.rows, X.ngens
-    )
-    if bid.r == 0:
-        return True
-    one = exterior_bidual(X, 1)
-    tbl = bid.table(coords)
-    t = bid.dual.ngens
-    for A in r_subsets(t, bid.r - 1):
-        phi = [ring.zero] * len(r_subsets(t, bid.r - 1))
-        phi[subset_position(t, bid.r - 1)[A]] = ring.one
-        out = contract_table(ring, t, bid.r, bid.r - 1, phi, tbl)
-        w = one.from_table(out)
-        if w is None:
-            raise RuntimeError("contraction left the bidual")
-        x = solve_map(one.ev, w)
-        if x is None:
-            raise RuntimeError("degree-1 bidual element outside the image of X")
-        if not membership_int(vec_to_base(ring, x), sub_howell, base.p, base.m):
-            return False
-    return True
-
-
-def bidual_kernel(X: FPModule, f_vec, r: int):
-    """Both sides of the kernel identity for a functional f on X.
-
-    Returns ``(lhs, rhs, equal, bid)`` where ``bid`` is the degree-r bidual
-    of X, ``lhs`` generates the submodule of elements supported on ker(f)
-    (tested by the linear membership criterion), ``rhs`` generates the kernel
-    of contraction by f on the bidual, and ``equal`` says whether they agree
-    as submodules.
-    """
-    from .modules import kernel as module_kernel
-
-    ring = X.ring
-    bid = exterior_bidual(X, r)
-    f_map = ModuleMap(X, FPModule.free(ring, 1), Matrix(ring, [list(f_vec)]))
-    ker_sub, ker_incl = module_kernel(f_map)
-    ker_gens = [ker_incl.apply(ker_sub.generator(i)) for i in range(ker_sub.ngens)]
-
-    lhs_gens = _membership_kernel(bid, ker_gens)
-
-    # f as a dual element: solve Y^T c = f (f kills relations of X, so it is
-    # an honest functional and the solve succeeds).
-    phi = bid.dual_solver.solve(f_vec)
-    if phi is None:
-        raise ValueError("f is not a functional on X")
-    target = exterior_bidual(X, r - 1)
-    cmap = bidual_contraction(bid, target, phi)
-    rhs_sub, rhs_incl = module_kernel(cmap)
-    rhs_gens = [rhs_incl.apply(rhs_sub.generator(i)) for i in range(rhs_sub.ngens)]
-
-    lhs_sub, _ = present_submodule(bid.module, lhs_gens)
-    equal = lhs_sub.size == rhs_sub.size and all(
-        submodule_bidual_membership(bid, gen, ker_gens) for gen in rhs_gens
-    )
-    return lhs_gens, rhs_gens, equal, bid
-
-
-def _membership_kernel(bid: ExteriorBidual, sub_gens) -> list:
-    """Generators of {F : all (r-1)-monomial contractions land in the span}.
-
-    The linear version of the membership criterion, for biduals too large to
-    enumerate: stack, over the monomials, the composite of contraction,
-    ev-inverse, and the submodule cochecks, then take an integer kernel.
-    """
-    ring = bid.X.ring
-    base = ring.base
-    X = bid.X
-    if bid.r == 0:
-        return [bid.module.generator(i) for i in range(bid.module.ngens)]
-    one = exterior_bidual(X, 1)
-    t = bid.dual.ngens
-    sub_howell = submodule_howell(
-        ring, [list(v) for v in sub_gens] + X.relations.rows, X.ngens
-    )
-    C = cochecks_int(sub_howell, X.ngens * ring.rank, base.p, base.m)
-    cond = []
-    g = bid.module.ngens
-    for A in r_subsets(t, bid.r - 1):
-        phi = [ring.zero] * len(r_subsets(t, bid.r - 1))
-        phi[subset_position(t, bid.r - 1)[A]] = ring.one
-        xs = []
-        for b in range(g):
-            tbl = bid.table(bid.module.generator(b))
-            out = contract_table(ring, t, bid.r, bid.r - 1, phi, tbl)
-            w = one.from_table(out)
-            xs.append(solve_map(one.ev, w))
-        # x depends R-linearly on the element; columns of the base-linear
-        # matrix are the scalar translates of the per-generator images.
-        full = []
-        for b in range(g):
-            for e in range(ring.rank):
-                unit = ring.from_vec(tuple(int(i == e) for i in range(ring.rank)))
-                scaled = [ring.mul(unit, xe) for xe in xs[b]]
-                full.append(vec_to_base(ring, scaled))
-        for crow in C:
-            cond.append([
-                sum(crow[u] * full[w][u] for u in range(len(crow))) % base.n
-                for w in range(g * ring.rank)
-            ])
-    if not cond:
-        return [bid.module.generator(i) for i in range(g)]
-    ker = kernel_int(cond, base.p, base.m)
-    gens = []
-    for row in ker:
-        vec = vec_from_base(ring, row)
-        if not bid.module.element_is_zero(vec):
-            gens.append(vec)
-    return gens
-
-
-# ---------------------------------------------------------------------------
 # Induced maps along ring surjections (free ambient, table form).
 # ---------------------------------------------------------------------------
 
@@ -654,51 +443,6 @@ def reduce_element(R, S, x):
 
 def reduce_table(R, S, table) -> list:
     return [reduce_element(R, S, v) for v in table]
-
-
-def perp_rows(ring, sub_gens, ncols: int) -> list:
-    """Functional vectors vanishing on the span of the given vectors."""
-    A = Matrix(ring, [list(v) for v in sub_gens], ncols=ncols)
-    return [list(r) for r in kernel_matrix(A).rows]
-
-
-def table_in_sub_bidual(ring, n: int, k: int, table, sub_gens) -> bool:
-    """Free-ambient membership: does the table lie in the bidual of the span?
-
-    A degree-k table on R^n belongs to the embedded bidual of the submodule Y
-    spanned by ``sub_gens`` exactly when contraction by every functional
-    vanishing on Y kills it.
-    """
-    for ell in perp_rows(ring, sub_gens, n):
-        out = interior_product(ring, n, k, ell, table)
-        if any(v != ring.zero for v in out):
-            return False
-    return True
-
-
-def induced_bidual_map(R, S, n: int, X_gens, Y_gens, r: int):
-    """The natural degree-r map along R -> S from tables on X to tables in Y.
-
-    ``X_gens`` span a submodule of the free R-module of rank n; ``Y_gens``
-    span a submodule of the free S-module of rank n.  The square commutes
-    when every reduced generator of X lies in the span of Y — checked here,
-    rejected otherwise.  The returned callable reduces a degree-r table
-    entrywise and verifies the result lands in the bidual of Y.
-    """
-    y_howell = submodule_howell(S, [list(v) for v in Y_gens], n)
-    base = S.base
-    for x in X_gens:
-        xr = [reduce_element(R, S, c) for c in x]
-        if not membership_int(vec_to_base(S, xr), y_howell, base.p, base.m):
-            raise ValueError("square does not commute: a reduced generator escapes")
-
-    def push(table):
-        out = reduce_table(R, S, table)
-        if not table_in_sub_bidual(S, n, r, out, Y_gens):
-            raise RuntimeError("reduced table escapes the target bidual")
-        return out
-
-    return push
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,11 @@ readings, keeping reports byte-stable.
 Exit codes: 0 when every selected check passes, 1 when at least one
 check fails (the report is still written), 2 for invalid parameters (an
 empty suite list among them), unreadable artifacts or an output path that
-cannot be written.  ``report`` takes its exit code from the report's
-checks, and exits 2 when the report's ``passed`` flag disagrees with them.
+cannot be written.  ``derive`` also exits 2, writing nothing, when the
+family is not an Euler system (a level's derivative element is not
+invariant), where ``verify`` reports that as failed checks.  ``report``
+takes its exit code from the report's checks, and exits 2 when the
+report's ``passed`` flag disagrees with them.
 """
 
 import argparse
@@ -37,6 +40,7 @@ from .euler import (
     consistent_instance,
     derivative_report,
     derived_tables,
+    invariance_holds,
     random_system,
 )
 from .euler import system_from_json as euler_system_from_json
@@ -506,6 +510,12 @@ def cmd_derive(args) -> int:
         raise CommandError(
             f"mismatched degree: family has degree {system.degree}, "
             f"instance core rank is {instance.core_rank}")
+
+    for d in tower.divisors():
+        if not invariance_holds(system, d):
+            raise CommandError(
+                f"not an Euler system: the derivative element at level "
+                f"{_level_name(d)} is not invariant")
 
     kdata = KolyvaginData(instance)
     tables = derived_tables(system)

@@ -19,7 +19,7 @@ import itertools
 import math
 import random
 
-from .biduals import contract_table, r_subsets
+from .biduals import contract_table, interior_product, r_subsets
 from .rings import (
     Matrix,
     det_int,
@@ -645,10 +645,6 @@ def derived_tables(system: EulerSystem) -> dict:
     return {d: derived_vector(system, d) for d in system.tower.divisors()}
 
 
-def _contract_once(ring, n, r, row, table):
-    return contract_table(ring, n, r, 1, list(row), list(table))
-
-
 def full_fs_holds(kdata, tables, divisor, q: int) -> bool:
     """The full-degree local comparison at (divisor, q): the singular
     contraction of the divisor's table equals the comparison unit times the
@@ -662,9 +658,9 @@ def full_fs_holds(kdata, tables, divisor, q: int) -> bool:
         raise ValueError("the comparison needs q inside the divisor")
     lower = tuple(x for x in nn if x != q)
     u = kdata.effective_unit(q)
-    lhs = _contract_once(ring, n, r, inst.singular_functional(q), tables[nn])
-    rhs = [ring.mul(u, c) for c in
-           _contract_once(ring, n, r, inst.finite_functional(q), tables[lower])]
+    lhs = interior_product(ring, n, r, inst.singular_functional(q), tables[nn])
+    rhs = [ring.mul(u, c) for c in interior_product(
+        ring, n, r, inst.finite_functional(q), tables[lower])]
     return lhs == rhs
 
 
@@ -819,7 +815,7 @@ def _constraint_matrix(ring, n, r, row):
     for i in range(width):
         e = [0] * width
         e[i] = 1
-        cols.append(_contract_once(ring, n, r, row, e))
+        cols.append(interior_product(ring, n, r, row, e))
     return [[cols[i][b] for i in range(width)] for b in range(len(cols[0]))]
 
 
@@ -897,9 +893,9 @@ def consistent_instance(p: int, m: int, rank: int, n_primes: int, seed: int,
                 u = kdata.effective_unit(q)
                 A = _constraint_matrix(Rbar, n, rank,
                                        instance.singular_functional(q))
-                want = _contract_once(Rbar, n, rank,
-                                      instance.finite_functional(q),
-                                      targets[lower])
+                want = interior_product(Rbar, n, rank,
+                                        instance.finite_functional(q),
+                                        targets[lower])
                 rows.extend(A)
                 rhs.extend((u * c) % M for c in want)
                 B = _constraint_matrix(Rbar, n, rank,
@@ -1031,7 +1027,12 @@ def derivative_report(system: EulerSystem) -> dict:
     the corestriction relations, the telescoping of each symbol-group
     order, the invariance of each level's derivative element, the derived
     classes and pair determinants, and the assembled vectors checked
-    against their permutation-sum form."""
+    against their permutation-sum form.
+
+    A level whose derivative element is not invariant has no derived class,
+    and a divisor with such a level inside it has no derived vector; the
+    report leaves out the derived class, the vector and the cross-check at
+    every such divisor."""
     tower = system.tower
     report = {
         "schema": "euler-derivative/1",
@@ -1048,11 +1049,15 @@ def derivative_report(system: EulerSystem) -> dict:
         "derived_vectors": {},
         "permutation_cross_check": {},
     }
+    broken = [set(d) for d in tower.divisors()
+              if not invariance_holds(system, d)]
     for d in tower.divisors():
         key = divisor_key(d)
-        report["invariance"][key] = invariance_holds(system, d)
-        report["derived_classes"][key] = derived_class(system, d)
+        report["invariance"][key] = set(d) not in broken
         report["pair_determinants"][key] = pairing_determinant(tower, d)
+        if any(b <= set(d) for b in broken):
+            continue
+        report["derived_classes"][key] = derived_class(system, d)
         vec = derived_vector(system, d)
         report["derived_vectors"][key] = vec
         report["permutation_cross_check"][key] = (

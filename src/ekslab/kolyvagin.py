@@ -25,11 +25,7 @@ Selmer module, with equality for bases over chain rings.
 
 from __future__ import annotations
 
-from .biduals import (
-    ExteriorBidual,
-    contract_pullback,
-    table_in_sub_bidual,
-)
+from .biduals import ExteriorBidual, contract_pullback
 from .modules import (
     Ideal,
     ModuleMap,
@@ -188,13 +184,12 @@ def verify_fs(system: Family):
 
 def component_from_ambient_table(data: KolyvaginData, divisor, table):
     """Coordinates of a component given as a degree-r value table on the
-    free ambient module, or None when the table is malformed (not a
-    functional, or not supported on the modified Selmer module)."""
-    module, incl = data.module(divisor)
-    gens = [incl.apply(module.generator(i)) for i in range(module.ngens)]
-    if not table_in_sub_bidual(data.ring, data.instance.ambient_rank,
-                               data.rank, list(table), gens):
-        return None
+    free ambient module, or None when the table is malformed.
+
+    The table is malformed when it is not a functional, or when it has no
+    preimage under the bidual functor map of the modified Selmer module's
+    inclusion: that map embeds the module's bidual in the ambient one, so
+    the preimage decides membership."""
     free, push = data.ambient_push(divisor)
     coords = free.from_table(list(table))
     if coords is None:

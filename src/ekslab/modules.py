@@ -340,8 +340,8 @@ def kernel(f: ModuleMap):
     Works by linearizing "f(x) dies in the target" with the target's
     membership cochecks and taking an integer kernel.  The kernel is
     presented by ``present_submodule`` on a minimal subset of the lifted
-    base-kernel generators; a map into the zero module keeps its source's
-    presentation.
+    base-kernel generators, or of the source's generators for a map into
+    the zero module.
     """
     ring = f.source.ring
     base = ring.base
@@ -350,8 +350,9 @@ def kernel(f: ModuleMap):
                                g * ring.rank, base.n) if g else []
     if not cond:
         # A map into the zero module (or from no generators): the kernel is
-        # the whole source, presented as it is.
-        return f.source, ModuleMap.identity(f.source)
+        # the whole source.
+        return present_submodule(
+            f.source, [f.source.generator(i) for i in range(g)])
     ker_base = kernel_int(cond, base.p, base.m)
     # Lifts that die in the source are dropped here: the pruning would drop
     # them too, but only after a second syzygy pass.
@@ -542,33 +543,6 @@ def dual_map(f: ModuleMap, dual_source, Y_source, dual_target, Y_target,
         ncols=dual_target.ngens,
     )
     return ModuleMap(dual_target, dual_source, mat)
-
-
-def bidual_setup(module: FPModule):
-    """Dual, double dual, and the canonical map into the double dual.
-
-    Returns ``(dual, Y, double, Yd, ev)`` where ev : module -> double sends a
-    generator e_i to the functional phi -> phi(e_i).  Over the self-injective
-    rings used here ev is an isomorphism for every finitely presented module,
-    and the test suite checks exactly that.
-    """
-    ring = module.ring
-    dual, Y = dual_module(module)
-    double, Yd = dual_module(dual)
-    cols = []
-    solver = Solver(Yd.transpose())
-    for i in range(module.ngens):
-        sol = solver.solve([Y.rows[a][i] for a in range(Y.nrows)])
-        if sol is None:
-            raise RuntimeError("evaluation functional escapes the double dual")
-        cols.append(sol)
-    mat = Matrix(
-        ring,
-        [[cols[i][b] for i in range(module.ngens)] for b in range(double.ngens)],
-        ncols=module.ngens,
-    )
-    ev = ModuleMap(module, double, mat)
-    return dual, Y, double, Yd, ev
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,15 @@ from __future__ import annotations
 
 import itertools
 
-from ekslab.biduals import interior_product
-from ekslab.rings import Matrix, kernel_matrix, span_rows_base, vec_to_base
+from ekslab.biduals import (
+    exterior_power,
+    interior_product,
+    merge_sign,
+    r_subsets,
+    subset_position,
+)
+from ekslab.modules import ModuleMap
+from ekslab.rings import Matrix, kernel_matrix, span_rows_base
 
 
 def additive_closure(rows, n: int, limit: int = 1 << 16) -> frozenset:
@@ -258,3 +265,65 @@ def table_in_sub_bidual(ring, n: int, k: int, table, sub_gens) -> bool:
         if any(v != ring.zero for v in out):
             return False
     return True
+
+
+def wedge_mult_matrix(ring, n: int, k: int, r: int, phi) -> Matrix:
+    """Matrix of Psi -> Phi wedge Psi from degree k to degree k + r on R^n.
+
+    ``phi`` is a coefficient vector on the r-subsets of range(n).  Columns are
+    indexed by k-subsets, rows by (k+r)-subsets.
+    """
+    rows_idx = r_subsets(n, k + r)
+    cols_idx = r_subsets(n, k)
+    pos = {I: a for a, I in enumerate(rows_idx)}
+    out = [[ring.zero] * len(cols_idx) for _ in rows_idx]
+    for b, B in enumerate(cols_idx):
+        for a, A in enumerate(r_subsets(n, r)):
+            s = merge_sign(A, B)
+            if s == 0 or phi[a] == ring.zero:
+                continue
+            C = tuple(sorted(A + B))
+            coeff = phi[a] if s == 1 else ring.neg(phi[a])
+            out[pos[C]][b] = ring.add(out[pos[C]][b], coeff)
+    return Matrix(ring, out, ncols=len(cols_idx))
+
+
+
+def contraction_map(X: FPModule, phi_rows, s: int) -> ModuleMap:
+    """Contraction of wedge^s X by phi_1 wedge ... wedge phi_r, as a map.
+
+    ``phi_rows`` are coefficient vectors of functionals on X (length ngens).
+    A single functional acts on a wedge x_1 ... x_s by the alternating sum
+    with sign (-1)^(i+1) on the term dropping x_i; a wedge of r functionals
+    acts as the composite with phi_1 applied first.  The result is the map
+    wedge^s X -> wedge^(s-r) X, well-definedness checked by construction.
+    """
+    ring = X.ring
+    g = X.ngens
+    r = len(phi_rows)
+    if r > s:
+        raise ValueError("contraction degree exceeds the wedge degree")
+    ext_top = exterior_power(X, s)
+    mats = []
+    k = s
+    for phi in phi_rows:
+        pos_prev = subset_position(g, k)
+        rows_idx = r_subsets(g, k - 1)
+        out = [[ring.zero] * len(r_subsets(g, k)) for _ in rows_idx]
+        pos_new = {I: a for a, I in enumerate(rows_idx)}
+        for I in r_subsets(g, k):
+            col = pos_prev[I]
+            for t, i in enumerate(I):
+                c = phi[i]
+                if c == ring.zero:
+                    continue
+                J = I[:t] + I[t + 1 :]
+                val = c if t % 2 == 0 else ring.neg(c)
+                out[pos_new[J]][col] = ring.add(out[pos_new[J]][col], val)
+        mats.append(Matrix(ring, out, ncols=len(r_subsets(g, k))))
+        k -= 1
+    total = mats[0] if mats else Matrix.identity(ring, len(ext_top.subsets))
+    for M in mats[1:]:
+        total = M.mul(total)
+    ext_bot = exterior_power(X, s - r)
+    return ModuleMap(ext_top.module, ext_bot.module, total)

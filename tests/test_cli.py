@@ -580,6 +580,46 @@ class TestMalformedArtifacts:
         assert "not a JSON object" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def non_euler_bundle(tmp_path_factory):
+    """The consistent Z/9 r1 s3 bundle with one coordinate of its class at
+    level 0 moved, so that level's derivative element is not invariant."""
+    root = tmp_path_factory.mktemp("non-euler")
+    bundle = _gen(root, "bundle.json", "3,2", 1, 3, profile="consistent")
+    doc = json.loads(bundle.read_text())
+    doc["euler"]["classes"]["0"][0][1] += 1
+    path = root / "non-euler.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestNonEulerFamily:
+    def test_verify_fails_invariance_and_relations(self, tmp_path, capsys,
+                                                    non_euler_bundle):
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", str(non_euler_bundle),
+                         "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        failed = sorted(k for k, ok in report["checks"].items() if not ok)
+        assert failed == ["euler/invariance/0", "euler/relations"]
+        assert report["witnesses"]["euler/relations"] == [
+            "0,1,2>0", "0,1>0", "0,2>0", "0>"]
+        # Only the divisors without level 0 inside have a derived vector.
+        assert sorted(report["data"]["euler"]["derived-vectors"]) == [
+            "", "1", "1,2", "2"]
+
+    def test_derive_exits_2_naming_the_level(self, tmp_path, capsys,
+                                             non_euler_bundle):
+        out = tmp_path / "derive.json"
+        assert cli.main(["derive", str(non_euler_bundle),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "derivative element at level 0 is not invariant" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestGenRejectsNoPrimes:
     @pytest.mark.parametrize("profile", [
         "generic", "class-trivial", "pir-basis", "degenerate", "tower",
