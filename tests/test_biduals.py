@@ -539,6 +539,32 @@ def _wedge_dual_coords(bid, f_vecs):
 
 
 class TestMembershipCriterion:
+    def test_degree_zero_always_member(self):
+        # the degree-0 bidual of any submodule is the whole ring: 1 has a
+        # preimage under the functor map of the inclusion
+        X = FPModule(Z4, 2, Matrix(Z4, [[2, 0]]))
+        bid = exterior_bidual(X, 0)
+        _sub, incl = present_submodule(X, [[Z4.zero, Z4.one]])
+        push = bidual_functor_map(incl, 0, target=bid)[2]
+        assert solve_map(push, bid.module.generator(0)) is not None
+
+    def test_frozen_plane_degree_two(self):
+        # X free of rank 3 over Z/4, submodule = span(e1, e2): in degree 2
+        # xi(e1 ^ e2) has a preimage, xi(e1 ^ e3) and xi(e2 ^ e3) none
+        X = FPModule.free(Z4, 3)
+        bid = exterior_bidual(X, 2)
+        _plane, incl = present_submodule(
+            X, [[Z4.one, Z4.zero, Z4.zero], [Z4.zero, Z4.one, Z4.zero]])
+        push = bidual_functor_map(incl, 2, target=bid)[2]
+        xi = bid.xi()
+        wedge = exterior_power(X, 2)
+        found = {}
+        for k, I in enumerate(wedge.subsets):
+            monomial = [Z4.zero] * len(wedge.subsets)
+            monomial[k] = Z4.one
+            found[tuple(I)] = solve_map(push, xi.apply(monomial)) is not None
+        assert found == {(0, 1): True, (0, 2): False, (1, 2): False}
+
     def test_frozen_split_line(self):
         # X free of rank 2 over Z/4, submodule = first axis: xi(e1) has a
         # preimage under the functor map of the axis inclusion, xi(e2) none
