@@ -40,10 +40,12 @@ from .modules import (
     dual_map,
     dual_module,
     factor_through,
+    free_map,
+    solve_map,
 )
 # Unused here: perfbench/tests checks that the tracer wraps this module's
 # binding of kernel_int.
-from .rings import Matrix, Solver, det_ring, kernel_int  # noqa: F401
+from .rings import Matrix, det_ring, kernel_int  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # Subset combinatorics and the free wedge calculus.
@@ -168,19 +170,16 @@ class ExteriorPower:
         self.module = FPModule(ring, ngens, Matrix(ring, rows, ncols=ngens))
 
 
-def exterior_power(X: FPModule, r: int) -> ExteriorPower:
-    return ExteriorPower(X, r)
-
-
 def exterior_map(f: ModuleMap, r: int):
     """The induced map on r-th exterior powers (minors of the matrix).
 
-    Returns ``(ext_source, ext_target, map)``.  Functorial: minors compose by
-    Cauchy-Binet, and the test suite checks it on random pairs.
+    The map goes between the ``module``s of the degree-r exterior powers of
+    f.source and f.target.  Functorial: minors compose by Cauchy-Binet, and
+    the test suite checks it on random pairs.
     """
     ring = f.source.ring
-    ext_s = exterior_power(f.source, r)
-    ext_t = exterior_power(f.target, r)
+    ext_s = ExteriorPower(f.source, r)
+    ext_t = ExteriorPower(f.target, r)
     M = f.matrix
     rows = []
     for J in ext_t.subsets:
@@ -190,7 +189,7 @@ def exterior_map(f: ModuleMap, r: int):
             row.append(det_ring(ring, sub))
         rows.append(row)
     mat = Matrix(ring, rows, ncols=len(ext_s.subsets))
-    return ext_s, ext_t, ModuleMap(ext_s.module, ext_t.module, mat)
+    return ModuleMap(ext_s.module, ext_t.module, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +210,11 @@ class ExteriorBidual:
 
     Elements are coordinate vectors in ``module``; ``table`` and
     ``from_table`` convert to and from value tables on the wedge monomials of
-    the dual generators, where contraction is cheap.  ``dual_solver`` gives
-    the dual coordinates of a functional vector on X; it and the solver
-    behind ``from_table`` are factored once, on first use.
+    the dual generators, where contraction is cheap.  ``dual_solver`` is the
+    free map Y^T, whose ``solve_map`` preimage of a functional vector on X is
+    its coordinates in the dual's generators; ``table_solver``, the free map
+    YW^T, plays that part for ``from_table``.  Each is built, and factored,
+    once, on first use.
     """
 
     __slots__ = ("X", "r", "dual", "Y", "wedge", "module", "YW",
@@ -225,25 +226,26 @@ class ExteriorBidual:
         self.X = X
         self.r = r
         self.dual, self.Y = dual_module(X)
-        self.wedge = exterior_power(self.dual, r)
+        self.wedge = ExteriorPower(self.dual, r)
         self.module, self.YW = dual_module(self.wedge.module)
         self._dual_solver = None
         self._table_solver = None
 
     @property
-    def dual_solver(self) -> Solver:
-        """Solver of Y^T: the coordinates in the dual's generators of a
-        functional vector on X, or None when it does not kill the
-        relations."""
+    def dual_solver(self) -> ModuleMap:
+        """The free map Y^T: the ``solve_map`` preimage of a functional
+        vector on X is its coordinates in the dual's generators, or None
+        when it does not kill the relations."""
         if self._dual_solver is None:
-            self._dual_solver = Solver(self.Y.transpose())
+            self._dual_solver = free_map(self.Y.transpose())
         return self._dual_solver
 
     @property
-    def table_solver(self) -> Solver:
-        """Solver of YW^T: coordinates of value tables in ``module``."""
+    def table_solver(self) -> ModuleMap:
+        """The free map YW^T: preimages are coordinates of value tables in
+        ``module``."""
         if self._table_solver is None:
-            self._table_solver = Solver(self.YW.transpose())
+            self._table_solver = free_map(self.YW.transpose())
         return self._table_solver
 
     def table(self, coords) -> list:
@@ -261,7 +263,7 @@ class ExteriorBidual:
         for rel in self.wedge.module.relations.rows:
             if ring.dot(rel, table) != ring.zero:
                 return None
-        return self.table_solver.solve(table)
+        return solve_map(self.table_solver, table)
 
     def xi(self) -> ModuleMap:
         """The canonical map from the exterior power into the bidual.
@@ -272,7 +274,7 @@ class ExteriorBidual:
         for free modules.
         """
         ring = self.X.ring
-        ext = exterior_power(self.X, self.r)
+        ext = ExteriorPower(self.X, self.r)
         cols = []
         for I in ext.subsets:
             tbl = []
@@ -292,31 +294,25 @@ class ExteriorBidual:
         return ModuleMap(ext.module, self.module, mat)
 
 
-def exterior_bidual(X: FPModule, r: int) -> ExteriorBidual:
-    return ExteriorBidual(X, r)
-
-
 def bidual_functor_map(f: ModuleMap, r: int, source=None, target=None):
     """The induced map on degree-r biduals, functorially.
 
-    Returns ``(bid_source, bid_target, map)``, the map going from
-    ``bid_source.module`` to ``bid_target.module``.  Built by pulling back
-    duals, wedging the pullback, and dualizing again; injective whenever f
-    is, over the self-injective rings used here.
+    The map goes from the source bidual's ``module`` to the target bidual's.
+    Built by pulling back duals, wedging the pullback, and dualizing again;
+    injective whenever f is, over the self-injective rings used here.
 
     ``source`` and ``target`` are optional degree-r biduals of f.source and
     f.target (or of modules with the same presentation) that the caller
-    already holds; they are used and returned as they are, together with
-    their factored solvers.  A missing one is built.  A bidual of another
-    degree or another module raises ValueError.
+    already holds; they are used as they are, together with their factored
+    solvers, so the map runs between their ``module``s.  A missing one is
+    built.  A bidual of another degree or another module raises ValueError.
     """
     bs = _checked_bidual(f.source, r, source, "source")
     bt = _checked_bidual(f.target, r, target, "target")
     pull = dual_map(f, bs.dual, bs.Y, bt.dual, bt.Y, bs.dual_solver)
-    _es, _et, wedge_pull = exterior_map(pull, r)
-    push = dual_map(wedge_pull, bt.module, bt.YW, bs.module, bs.YW,
+    wedge_pull = exterior_map(pull, r)
+    return dual_map(wedge_pull, bt.module, bt.YW, bs.module, bs.YW,
                     bt.table_solver)
-    return bs, bt, push
 
 
 def _checked_bidual(X: FPModule, r: int, bid, role: str) -> ExteriorBidual:
@@ -402,14 +398,14 @@ def contract_pullback(big: ExteriorBidual, big_incl: ModuleMap,
     restrict = big_incl.matrix.transpose()
     rows = []
     for q in sorted(functionals, reverse=True):
-        sol = big.dual_solver.solve(restrict.apply(list(functionals[q])))
+        sol = solve_map(big.dual_solver, restrict.apply(list(functionals[q])))
         if sol is None:
             raise RuntimeError(not_dual)
         rows.append(sol)
     phi = wedge_coeffs(ring, rows, big.dual.ngens)
     contr = bidual_contraction(big, lowered, phi)
     sub = factor_through(small_incl, big_incl, escapes)
-    _bs, _bt, push = bidual_functor_map(sub, small.r, small, lowered)
+    push = bidual_functor_map(sub, small.r, small, lowered)
     return factor_through(contr, push, outside, scale=scale)
 
 

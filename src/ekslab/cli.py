@@ -34,7 +34,7 @@ import json
 import random
 import sys
 
-from .biduals import exterior_bidual, fitt0_via_bidual, r_subsets
+from .biduals import ExteriorBidual, fitt0_via_bidual, r_subsets
 from .euler import (
     EulerTower,
     consistent_instance,
@@ -184,7 +184,7 @@ def suite_bidual(instance, seed: int):
         width = len(r_subsets(n, r))
         if width > 35:
             break
-        bid = exterior_bidual(FPModule.free(ring, n), r)
+        bid = ExteriorBidual(FPModule.free(ring, n), r)
         wedge_map = bid.xi()
         vectors = [[ring.one if i == 0 else ring.zero for i in range(width)]]
         for _ in range(3):

@@ -16,7 +16,6 @@ the contraction-system machinery in :mod:`ekslab.kolyvagin`.
 """
 
 import itertools
-import math
 import random
 
 from .biduals import contract_table, interior_product, r_subsets
@@ -201,10 +200,6 @@ class EulerTower:
             out = tuple(vec)
         self._factors[key] = out
         return out
-
-    def value_at_one(self, q: int) -> int:
-        """P_q(1) at working precision."""
-        return sum(self.local_polys[q]) % self.ring.n
 
     def derivative_at_one(self, q: int) -> int:
         """P_q'(1) at working precision."""
@@ -1010,16 +1005,29 @@ def system_to_json(system: EulerSystem) -> dict:
 
 
 def system_from_json(data: dict) -> EulerSystem:
+    """An Euler system document, checked against its tower: the degree lies
+    between 1 and the tower's rank, the classes are keyed by the tower's
+    divisors, each once, and each class has C(n, degree) coordinates."""
     if data.get("schema") != "euler-system/1":
         raise ValueError("not a euler-system/1 document")
     tower = tower_from_json(data["tower"])
+    degree = int_from_json(data["degree"], "degree")
+    if not 1 <= degree <= tower.rank:
+        raise ValueError(f"degree {degree} is not between 1 and the tower's "
+                         f"rank {tower.rank}")
+    divisors = [divisor_from_key(key) for key in data["classes"]]
+    if sorted(tuple(sorted(d)) for d in divisors) != sorted(tower.divisors()):
+        raise ValueError(f"class keys {sorted(data['classes'])} are not the "
+                         f"tower's divisors, each once")
+    width = len(r_subsets(tower.n, degree))
     classes = {}
-    for key, v in data["classes"].items():
-        d = divisor_from_key(key)
+    for d, (key, v) in zip(divisors, data["classes"].items()):
+        if len(v) != width:
+            raise ValueError(f"class {key!r} has {len(v)} coordinates, not "
+                             f"C({tower.n}, {degree}) = {width}")
         S = tower.level_ring(d)
         classes[d] = [element_from_json(S, c) for c in v]
-    return EulerSystem(tower, int_from_json(data["degree"], "degree"), classes,
-                       meta=data.get("meta"))
+    return EulerSystem(tower, degree, classes, meta=data.get("meta"))
 
 
 def derivative_report(system: EulerSystem) -> dict:

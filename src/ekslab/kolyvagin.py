@@ -35,7 +35,6 @@ from .modules import (
     solve_map,
 )
 from .rings import (
-    element_from_json,
     element_to_json,
     howell_int,
     kernel_int,
@@ -46,9 +45,7 @@ from .rings import (
 from .selmer import (
     SelmerInstance,
     core_vertices,
-    divisor_from_key,
     divisor_key,
-    instance_from_json,
     instance_to_json,
 )
 from .stark import Family, FamilyData, StarkData, canonical_basis_system, \
@@ -111,12 +108,6 @@ class KolyvaginData(FamilyData):
     def record_to_json(self) -> dict:
         return {"sigma_exponents": {
             str(q): a for q, a in sorted(self.sigma_exponents.items())}}
-
-    @classmethod
-    def from_record(cls, instance: SelmerInstance, doc: dict):
-        exps = {int(q): int(a)
-                for q, a in doc.get("sigma_exponents", {}).items()}
-        return cls(instance, sigma_exponents=exps)
 
     def effective_unit(self, q: int):
         """The comparison unit at q for the chosen symbol-group generator."""
@@ -559,23 +550,3 @@ def family_to_json(system: Family) -> dict:
 # The writer's traced name (perfbench/tracer.py): ``derive`` writes the
 # Kolyvagin system it reads off the derived classes.
 kolyvagin_to_json = family_to_json
-
-_FAMILY_DATA = {cls.schema: cls for cls in (StarkData, KolyvaginData)}
-
-
-def family_from_json(doc: dict, data: FamilyData = None):
-    """Rebuild ``(data, system)`` from ``family_to_json`` output, with the
-    data class its schema names; reuse ``data`` when supplied."""
-    cls = _FAMILY_DATA.get(doc.get("schema"))
-    if cls is None:
-        raise ValueError(f"not a family document: schema {doc.get('schema')!r}")
-    if data is None:
-        data = cls.from_record(instance_from_json(doc["instance"]), doc)
-    elif not isinstance(data, cls):
-        raise ValueError(f"a {doc['schema']} document needs {cls.__name__}")
-    ring = data.ring
-    comps = {
-        divisor_from_key(key): [element_from_json(ring, x) for x in v]
-        for key, v in doc["components"].items()
-    }
-    return data, Family(data, comps)

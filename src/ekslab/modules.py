@@ -6,8 +6,9 @@ everything downstream — duals, biduals, Fitting ideals, annihilators — reduc
 to exact linear algebra over Z/p^m through restriction of scalars:
 
 * membership in a submodule of a free module becomes a linear condition
-  (the double-annihilator trick in ``cochecks_int``), so kernels, fixed
-  points, and syzygies are all plain integer kernel computations;
+  (the double-annihilator trick in ``cochecks_int``), so kernels and
+  syzygies are plain integer kernel computations; the fixed points of an
+  endomorphism sigma are the kernel of sigma - 1;
 * duality is concrete: a functional on R^g/N is a vector y in R^g killed by
   every relation row, and the canonical map into the double dual can be
   written down as a matrix and checked for bijectivity.
@@ -20,15 +21,12 @@ from operator import mul
 
 from .rings import (
     Matrix,
-    Solver,
     back_substitute,
     cochecks_int,
     howell_int,
     kernel_int,
     kernel_matrix,
     membership_int,
-    quotient_reps_int,
-    reduce_mod_rows,
     row_module_size,
     smith_int,
     submodule_howell,
@@ -66,15 +64,6 @@ class FPModule:
     def free(cls, ring, n: int) -> "FPModule":
         return cls(ring, n, Matrix.zeros(ring, 0, n))
 
-    @classmethod
-    def cyclic(cls, ring, a) -> "FPModule":
-        """R / (a), presented on one generator."""
-        return cls(ring, 1, Matrix(ring, [[a]]))
-
-    @classmethod
-    def zero(cls, ring) -> "FPModule":
-        return cls(ring, 0, Matrix.zeros(ring, 0, 0))
-
     # -- canonical base-level data -------------------------------------------
 
     @property
@@ -104,10 +93,6 @@ class FPModule:
             self._size = ambient // row_module_size(self.rel_howell, base.p, base.m)
         return self._size
 
-    @property
-    def is_zero_module(self) -> bool:
-        return self.size == 1
-
     # -- elements --------------------------------------------------------------
 
     def zero_element(self) -> list:
@@ -128,34 +113,6 @@ class FPModule:
         r = self.ring
         return self.element_is_zero([r.sub(a, b) for a, b in zip(u, v)])
 
-    def canonical_rep(self, vec) -> list:
-        base = self.ring.base
-        flat = reduce_mod_rows(
-            vec_to_base(self.ring, vec), self.rel_howell, base.p, base.m
-        )
-        return vec_from_base(self.ring, flat)
-
-    def canonical_reps(self):
-        """Iterate base-coordinate tuples, one per element of the module."""
-        base = self.ring.base
-        return quotient_reps_int(
-            self.rel_howell, self.ngens * self.ring.rank, base.p, base.m
-        )
-
-    def from_base(self, flat) -> list:
-        return vec_from_base(self.ring, list(flat))
-
-    def random_element(self, rng) -> list:
-        return [self.ring.random_element(rng) for _ in range(self.ngens)]
-
-    def scale_element(self, c, vec) -> list:
-        r = self.ring
-        return [r.mul(c, x) for x in vec]
-
-    def add_elements(self, u, v) -> list:
-        r = self.ring
-        return [r.add(a, b) for a, b in zip(u, v)]
-
     def __repr__(self):
         return f"FPModule({self.ring!r}, ngens={self.ngens}, nrels={self.relations.nrows})"
 
@@ -173,7 +130,8 @@ class ModuleMap:
     P, the exponents, and the part of Q that back-substitution reads (the
     rows of the source coordinates, the columns of the diagonal).  Every
     later ``solve_map`` and ``factor_through`` along the map is then one
-    back-substitution.
+    back-substitution.  This is the package's one factor-once solver: a
+    plain system A.x = b is solved along ``free_map(A)``.
     """
 
     __slots__ = ("source", "target", "matrix", "_lift")
@@ -225,9 +183,6 @@ class ModuleMap:
         if first.target.ngens != self.source.ngens:
             raise ValueError("composition shape mismatch")
         return ModuleMap(first.source, self.target, self.matrix.mul(first.matrix))
-
-    def add(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(self.source, self.target, self.matrix.add(other.matrix))
 
     def sub(self, other: "ModuleMap") -> "ModuleMap":
         return ModuleMap(self.source, self.target, self.matrix.sub(other.matrix))
@@ -364,12 +319,6 @@ def kernel(f: ModuleMap):
     return present_submodule(f.source, gens)
 
 
-def image(f: ModuleMap):
-    """Image of a module map, as ``(img, incl)`` with incl into the target."""
-    cols = f.matrix.transpose().rows
-    return present_submodule(f.target, [list(c) for c in cols])
-
-
 def cokernel(f: ModuleMap):
     """Cokernel of a module map, as ``(coker, proj)`` from the target."""
     ring = f.target.ring
@@ -379,6 +328,14 @@ def cokernel(f: ModuleMap):
     coker = FPModule(ring, f.target.ngens, f.target.relations.stack(img_rows))
     proj = ModuleMap(f.target, coker, Matrix.identity(ring, f.target.ngens))
     return coker, proj
+
+
+def free_map(A: Matrix) -> ModuleMap:
+    """A as the map R^ncols -> R^nrows of free modules: ``solve_map`` along
+    it solves A.x = b, with A factored once for every right-hand side."""
+    ring = A.ring
+    return ModuleMap(FPModule.free(ring, A.ncols),
+                     FPModule.free(ring, A.nrows), A)
 
 
 def solve_map(f: ModuleMap, target_vec):
@@ -441,32 +398,6 @@ def is_isomorphism(f: ModuleMap) -> bool:
     return is_injective(f) and is_surjective(f)
 
 
-def same_submodule(ambient: FPModule, gens_a, gens_b) -> bool:
-    """Whether two generating sets span the same submodule of ``ambient``."""
-    ring = ambient.ring
-    rel = ambient.relations.rows
-    ha = submodule_howell(ring, [list(v) for v in gens_a] + rel, ambient.ngens)
-    hb = submodule_howell(ring, [list(v) for v in gens_b] + rel, ambient.ngens)
-    return ha == hb
-
-
-def direct_sum(*modules):
-    """Direct sum with block-diagonal relations; returns the new module."""
-    if not modules:
-        raise ValueError("direct sum of no modules")
-    ring = modules[0].ring
-    ngens = sum(mod.ngens for mod in modules)
-    rows = []
-    offset = 0
-    for mod in modules:
-        for rel in mod.relations.rows:
-            row = [ring.zero] * ngens
-            row[offset : offset + mod.ngens] = rel
-            rows.append(row)
-        offset += mod.ngens
-    return FPModule(ring, ngens, Matrix(ring, rows, ncols=ngens))
-
-
 def chain_invariants(module: FPModule) -> list:
     """Exponents e with module isomorphic to the sum of R/(p^e), descending.
 
@@ -509,30 +440,25 @@ def dual_module(module: FPModule):
     return dual, incl.matrix.transpose()
 
 
-def dual_eval(Y: Matrix, phi_coords, x):
-    """Evaluate the dual element with the given coordinates at x."""
-    return Y.ring.dot(phi_coords, Y.apply(x))
-
-
 def dual_map(f: ModuleMap, dual_source, Y_source, dual_target, Y_target,
-             solver: Solver | None = None):
+             solver: ModuleMap | None = None):
     """The pullback f* : target* -> source*, phi -> phi o f.
 
     Takes the duals of source and target as produced by ``dual_module``.  The
     pullback of a functional with vector v is the vector M^T . v, which kills
     the source relations because f is well defined; its coordinates in the
-    source dual's generators come from solves against Y_source^T, factored
-    once.  A caller that already holds a ``Solver`` of Y_source^T passes it
-    as ``solver``.
+    source dual's generators are its ``solve_map`` preimage along the free
+    map ``free_map(Y_source^T)``, factored once.  A caller that already
+    holds that map passes it as ``solver``.
     """
     ring = f.source.ring
     Mt = f.matrix.transpose()
     if solver is None:
-        solver = Solver(Y_source.transpose())
+        solver = free_map(Y_source.transpose())
     cols = []
     for b in range(dual_target.ngens):
         v = list(Y_target.rows[b])
-        sol = solver.solve(Mt.apply(v))
+        sol = solve_map(solver, Mt.apply(v))
         if sol is None:
             raise RuntimeError("pullback functional escapes the source dual")
         cols.append(sol)
@@ -567,19 +493,6 @@ class Ideal:
     @classmethod
     def unit(cls, ring) -> "Ideal":
         return cls(ring, [ring.one])
-
-    @classmethod
-    def principal(cls, ring, x) -> "Ideal":
-        return cls(ring, [x])
-
-    @classmethod
-    def from_exponent(cls, ring, k: int) -> "Ideal":
-        """(p^k) over a chain ring; k >= m gives the zero ideal."""
-        if ring.rank != 1:
-            raise ValueError("exponent form requires a chain ring")
-        if k >= ring.m:
-            return cls.zero(ring)
-        return cls(ring, [ring.p ** k])
 
     @property
     def howell(self) -> list:
@@ -620,10 +533,6 @@ class Ideal:
     def mul(self, other: "Ideal") -> "Ideal":
         r = self.ring
         return Ideal(r, [r.mul(a, b) for a in self.gens for b in other.gens])
-
-    def scale(self, c) -> "Ideal":
-        r = self.ring
-        return Ideal(r, [r.mul(c, g) for g in self.gens])
 
     @property
     def size(self) -> int:
@@ -716,49 +625,3 @@ def annihilator(module: FPModule) -> Ideal:
     gens = [ring.from_vec(tuple(row)) for row in ker]
     return Ideal(ring, [g for g in gens if g != ring.zero])
 
-
-# ---------------------------------------------------------------------------
-# Fixed points of commuting endomorphisms.
-# ---------------------------------------------------------------------------
-
-
-def fixed_points(module: FPModule, maps):
-    """Common fixed points of commuting endomorphisms, as (sub, incl).
-
-    ``maps`` is a single ModuleMap or a list of them, each an endomorphism of
-    ``module``.  Non-commuting inputs are rejected: the fixed submodule of a
-    group action only deserves the name when the maps generate one.
-    """
-    if isinstance(maps, ModuleMap):
-        maps = [maps]
-    for f in maps:
-        if f.source is not module or f.target is not module:
-            raise ValueError("fixed points need endomorphisms of the module")
-    for a, b in itertools.combinations(maps, 2):
-        if not a.compose(b).equals(b.compose(a)):
-            raise ValueError("fixed points of non-commuting maps are not an action's")
-    ring = module.ring
-    base = ring.base
-    g = module.ngens
-    ident = Matrix.identity(ring, g)
-    cond = []
-    C = module.cochecks
-    for f in maps:
-        Db = f.matrix.sub(ident).to_base()
-        for crow in C:
-            cond.append(
-                [sum(crow[u] * Db[u][w] for u in range(len(Db))) % base.n
-                 for w in range(g * ring.rank)]
-            )
-    if not cond:
-        ker_base = [
-            [int(i == j) for j in range(g * ring.rank)] for i in range(g * ring.rank)
-        ]
-    else:
-        ker_base = kernel_int(cond, base.p, base.m)
-    gens = []
-    for row in ker_base:
-        vec = vec_from_base(ring, row)
-        if not module.element_is_zero(vec):
-            gens.append(vec)
-    return present_submodule(module, gens)

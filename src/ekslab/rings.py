@@ -18,7 +18,6 @@ makes ideals and submodules comparable by simple equality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import mul
@@ -97,10 +96,6 @@ class ChainRing:
     def neg(self, a: int) -> int:
         return (-a) % self.n
 
-    def smul(self, c: int, a: int) -> int:
-        """Multiply by an integer scalar (same as mul for a chain ring)."""
-        return (c * a) % self.n
-
     def val(self, a: int) -> int:
         """p-adic valuation of a in [0, m]; val(0) = m."""
         a %= self.n
@@ -119,12 +114,6 @@ class ChainRing:
         if not self.is_unit(a):
             raise ZeroDivisionError(f"{a} is not a unit modulo {self.p}^{self.m}")
         return pow(a, -1, self.n)
-
-    def elements(self):
-        return range(self.n)
-
-    def units(self):
-        return (x for x in range(self.n) if x % self.p != 0)
 
     def random_element(self, rng) -> int:
         return rng.randrange(self.n)
@@ -314,10 +303,6 @@ class GroupRing:
         n = self.base.n
         return tuple((-x) % n for x in a)
 
-    def smul(self, c: int, a) -> tuple:
-        n = self.base.n
-        return tuple((c * x) % n for x in a)
-
     def mul(self, a, b) -> tuple:
         return self.dot((a,), (b,))
 
@@ -404,9 +389,6 @@ class GroupRing:
 
     def from_int(self, c: int) -> tuple:
         return (c % self.base.n,) + (0,) * (self.rank - 1)
-
-    def elements(self):
-        return itertools.product(range(self.base.n), repeat=self.rank)
 
     def random_element(self, rng) -> tuple:
         n = self.base.n
@@ -530,36 +512,6 @@ def membership_int(x, howell_rows, p: int, m: int) -> bool:
             for t in range(j, len(x)):
                 x[t] = (x[t] - q * row[t]) % n
     return not any(x)
-
-
-def reduce_mod_rows(x, howell_rows, p: int, m: int) -> list:
-    """Canonical representative of x modulo the row module (Howell form given).
-
-    At each pivot column with pivot p^k the representative entry lies in
-    [0, p^k); non-pivot columns are untouched.  Representatives are therefore
-    unique per coset, and enumerating them enumerates the quotient.
-    """
-    n = p ** m
-    x = [c % n for c in x]
-    for row in howell_rows:
-        j = next(t for t, c in enumerate(row) if c)
-        pk = row[j]
-        q = x[j] // pk
-        if q:
-            for t in range(j, len(x)):
-                x[t] = (x[t] - q * row[t]) % n
-    return x
-
-
-def quotient_reps_int(howell_rows, ncols: int, p: int, m: int):
-    """Iterate the canonical representatives of (Z/p^m)^ncols / row module."""
-    n = p ** m
-    bound = [n] * ncols
-    for row in howell_rows:
-        j = next(t for t, c in enumerate(row) if c)
-        bound[j] = row[j]  # pivot p^k: residues range over [0, p^k)
-    for combo in itertools.product(*(range(b) for b in bound)):
-        yield reduce_mod_rows(list(combo), howell_rows, p, m)
 
 
 def row_module_size(howell_rows, p: int, m: int) -> int:
@@ -774,10 +726,10 @@ class Matrix:
 
     ``Matrix(ring, rows)`` reduces every entry and rejects ragged rows, so
     rows from outside (JSON included) always pass through both.  ``mul``,
-    ``transpose``, ``stack``, ``scale``, ``add`` and ``sub`` build their
-    result from rows they have just produced, already reduced and of one
-    length, and pass ``reduced=True`` to skip that pass; such rows must be
-    fresh lists the new matrix owns.
+    ``transpose``, ``stack`` and ``sub`` build their result from rows they
+    have just produced, already reduced and of one length, and pass
+    ``reduced=True`` to skip that pass; such rows must be fresh lists the new
+    matrix owns.
     """
 
     __slots__ = ("ring", "rows", "nrows", "ncols")
@@ -829,20 +781,6 @@ class Matrix:
             reduced=True,
         )
 
-    def add(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        r = self.ring
-        return Matrix(
-            r,
-            [
-                [r.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            ncols=self.ncols,
-            reduced=True,
-        )
-
     def sub(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
@@ -854,13 +792,6 @@ class Matrix:
                 for ra, rb in zip(self.rows, other.rows)
             ],
             ncols=self.ncols,
-            reduced=True,
-        )
-
-    def scale(self, c) -> "Matrix":
-        r = self.ring
-        return Matrix(
-            r, [[r.mul(c, x) for x in row] for row in self.rows], ncols=self.ncols,
             reduced=True,
         )
 
@@ -973,31 +904,6 @@ def howell_form(A: Matrix):
     else:
         H = Matrix(base, H_rows) if H_rows else Matrix.zeros(base, 0, A.ncols * ring.rank)
     return H, kernel_matrix(A)
-
-
-class Solver:
-    """Solves A.x = b over the ring of A for many right-hand sides b.
-
-    The Smith form of the restriction of scalars of A is computed once, at
-    construction; each ``solve`` is then one back-substitution.
-    """
-
-    __slots__ = ("ring", "ncols", "_smith")
-
-    def __init__(self, A: Matrix):
-        self.ring = A.ring
-        self.ncols = A.ncols
-        base = A.ring.base
-        self._smith = smith_int(A.to_base(), base.p, base.m) if A.nrows else None
-
-    def solve(self, b):
-        """One solution x of A.x = b, or None when the system has none."""
-        ring = self.ring
-        if self._smith is None:
-            return [ring.zero] * self.ncols
-        base = ring.base
-        x = back_substitute(self._smith, vec_to_base(ring, b), base.p, base.m)
-        return None if x is None else vec_from_base(ring, x)
 
 
 def det_ring(ring, rows) -> object:

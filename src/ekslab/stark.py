@@ -79,7 +79,7 @@ class FamilyData:
             if deg not in self._free:
                 self._free[deg] = ExteriorBidual(
                     FPModule.free(self.ring, self.instance.ambient_rank), deg)
-            _bs, _bt, push = bidual_functor_map(
+            push = bidual_functor_map(
                 self.module(key)[1], deg, self.bidual(key), self._free[deg])
             self._push[key] = (self._free[deg], push)
         return self._push[key]
@@ -92,12 +92,9 @@ class FamilyData:
         return free.table(push.apply(list(coords)))
 
     def record_to_json(self) -> dict:
-        """Document fields, besides the instance, that rebuild this data."""
+        """Document fields, besides the instance, that record this data's
+        own choices."""
         return {}
-
-    @classmethod
-    def from_record(cls, instance: SelmerInstance, doc: dict):
-        return cls(instance)
 
 
 _TRANSITION_ERRORS = (

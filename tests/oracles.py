@@ -4,6 +4,10 @@ Everything here is deliberately naive — exhaustive enumeration, additive
 closures, full Hom-set searches — so that a disagreement with the package
 always indicts the clever code, not the oracle.  Guard rails raise when an
 enumeration would be too large instead of silently grinding.
+
+The small constructions the tests build and compare with live here too:
+ring elements, cyclic modules and direct sums, span equality by Howell
+forms, coset representatives, and a matrix as a map of free modules.
 """
 
 from __future__ import annotations
@@ -11,14 +15,109 @@ from __future__ import annotations
 import itertools
 
 from ekslab.biduals import (
-    exterior_power,
+    ExteriorPower,
     interior_product,
     merge_sign,
     r_subsets,
     subset_position,
 )
-from ekslab.modules import ModuleMap
-from ekslab.rings import Matrix, kernel_matrix, span_rows_base
+from ekslab.modules import FPModule, ModuleMap
+from ekslab.rings import (
+    Matrix,
+    kernel_matrix,
+    span_rows_base,
+    submodule_howell,
+    vec_from_base,
+)
+
+
+def ring_elements(ring):
+    """Every element of the ring: ints for a chain ring, coordinate tuples
+    in the group basis for a group ring."""
+    if ring.rank == 1:
+        return range(ring.n)
+    return itertools.product(range(ring.base.n), repeat=ring.rank)
+
+
+def cyclic(ring, a) -> FPModule:
+    """R / (a), presented on one generator."""
+    return FPModule(ring, 1, Matrix(ring, [[a]]))
+
+
+def direct_sum(*modules):
+    """Direct sum with block-diagonal relations; returns the new module."""
+    if not modules:
+        raise ValueError("direct sum of no modules")
+    ring = modules[0].ring
+    ngens = sum(mod.ngens for mod in modules)
+    rows = []
+    offset = 0
+    for mod in modules:
+        for rel in mod.relations.rows:
+            row = [ring.zero] * ngens
+            row[offset : offset + mod.ngens] = rel
+            rows.append(row)
+        offset += mod.ngens
+    return FPModule(ring, ngens, Matrix(ring, rows, ncols=ngens))
+
+
+def same_submodule(ambient: FPModule, gens_a, gens_b) -> bool:
+    """Whether two generating sets span the same submodule of ``ambient``."""
+    ring = ambient.ring
+    rel = ambient.relations.rows
+    ha = submodule_howell(ring, [list(v) for v in gens_a] + rel, ambient.ngens)
+    hb = submodule_howell(ring, [list(v) for v in gens_b] + rel, ambient.ngens)
+    return ha == hb
+
+
+def free_system(A: Matrix) -> ModuleMap:
+    """A as the map R^ncols -> R^nrows of free modules, so that
+    ``solve_map`` along it solves A.x = b."""
+    ring = A.ring
+    return ModuleMap(FPModule.free(ring, A.ncols),
+                     FPModule.free(ring, A.nrows), A)
+
+
+def reduce_mod_rows(x, howell_rows, p: int, m: int) -> list:
+    """Canonical representative of x modulo the row module (Howell form given).
+
+    At each pivot column with pivot p^k the representative entry lies in
+    [0, p^k); non-pivot columns are untouched.  Representatives are therefore
+    unique per coset, and enumerating them enumerates the quotient.
+    """
+    n = p ** m
+    x = [c % n for c in x]
+    for row in howell_rows:
+        j = next(t for t, c in enumerate(row) if c)
+        pk = row[j]
+        q = x[j] // pk
+        if q:
+            for t in range(j, len(x)):
+                x[t] = (x[t] - q * row[t]) % n
+    return x
+
+
+def quotient_reps_int(howell_rows, ncols: int, p: int, m: int):
+    """Iterate the canonical representatives of (Z/p^m)^ncols / row module."""
+    n = p ** m
+    bound = [n] * ncols
+    for row in howell_rows:
+        j = next(t for t, c in enumerate(row) if c)
+        bound[j] = row[j]  # pivot p^k: residues range over [0, p^k)
+    for combo in itertools.product(*(range(b) for b in bound)):
+        yield reduce_mod_rows(list(combo), howell_rows, p, m)
+
+
+def canonical_reps(module):
+    """Iterate base-coordinate tuples, one per element of the module."""
+    base = module.ring.base
+    return quotient_reps_int(
+        module.rel_howell, module.ngens * module.ring.rank, base.p, base.m
+    )
+
+
+def from_base(module, flat) -> list:
+    return vec_from_base(module.ring, list(flat))
 
 
 def additive_closure(rows, n: int, limit: int = 1 << 16) -> frozenset:
@@ -58,7 +157,7 @@ def enumerate_solutions(A: Matrix, b, limit: int = 1 << 16) -> list:
         raise RuntimeError(f"domain of size {total} exceeds oracle limit {limit}")
     b = [ring.reduce(x) for x in b]
     out = []
-    for combo in itertools.product(ring.elements(), repeat=A.ncols):
+    for combo in itertools.product(ring_elements(ring), repeat=A.ncols):
         if A.apply(list(combo)) == b:
             out.append(list(combo))
     return out
@@ -69,7 +168,7 @@ def annihilator_elements(ring, gens, limit: int = 1 << 14) -> frozenset:
     if ring.size > limit:
         raise RuntimeError(f"ring of size {ring.size} exceeds oracle limit {limit}")
     out = []
-    for y in ring.elements():
+    for y in ring_elements(ring):
         if all(ring.mul(y, g) == ring.zero for g in gens):
             out.append(tuple(ring.to_vec(y)))
     return frozenset(out)
@@ -97,7 +196,7 @@ def module_elements(module, limit: int = 1 << 12) -> list:
     """All elements of a finitely presented module as canonical ambient reps."""
     if module.size > limit:
         raise RuntimeError(f"module of size {module.size} exceeds oracle limit {limit}")
-    return [module.from_base(rep) for rep in module.canonical_reps()]
+    return [from_base(module, rep) for rep in canonical_reps(module)]
 
 
 def all_homomorphisms(source, target, limit: int = 1 << 12) -> list:
@@ -111,7 +210,8 @@ def all_homomorphisms(source, target, limit: int = 1 << 12) -> list:
     total = (ring.size ** target.ngens) ** source.ngens
     if total > limit:
         raise RuntimeError(f"hom search space {total} exceeds oracle limit {limit}")
-    candidates = list(itertools.product(ring.elements(), repeat=target.ngens))
+    candidates = list(itertools.product(ring_elements(ring),
+                                        repeat=target.ngens))
     homs = []
     for images in itertools.product(candidates, repeat=source.ngens):
         ok = True
@@ -139,7 +239,7 @@ def all_functionals(module, limit: int = 1 << 12) -> list:
     if total > limit:
         raise RuntimeError(f"functional search space {total} exceeds limit {limit}")
     out = []
-    for combo in itertools.product(ring.elements(), repeat=module.ngens):
+    for combo in itertools.product(ring_elements(ring), repeat=module.ngens):
         ok = True
         for rel in module.relations.rows:
             acc = ring.zero
@@ -303,7 +403,7 @@ def contraction_map(X: FPModule, phi_rows, s: int) -> ModuleMap:
     r = len(phi_rows)
     if r > s:
         raise ValueError("contraction degree exceeds the wedge degree")
-    ext_top = exterior_power(X, s)
+    ext_top = ExteriorPower(X, s)
     mats = []
     k = s
     for phi in phi_rows:
@@ -325,5 +425,5 @@ def contraction_map(X: FPModule, phi_rows, s: int) -> ModuleMap:
     total = mats[0] if mats else Matrix.identity(ring, len(ext_top.subsets))
     for M in mats[1:]:
         total = M.mul(total)
-    ext_bot = exterior_power(X, s - r)
+    ext_bot = ExteriorPower(X, s - r)
     return ModuleMap(ext_top.module, ext_bot.module, total)

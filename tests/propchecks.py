@@ -10,6 +10,7 @@ import random
 
 from ekslab.biduals import (
     ExteriorBidual,
+    ExteriorPower,
     bidual_contraction,
     bidual_functor_map,
     exterior_map,
@@ -29,11 +30,15 @@ from ekslab.modules import (
     is_injective,
     kernel,
     present_submodule,
-    same_submodule,
     solve_map,
 )
 from ekslab.rings import Matrix, kernel_matrix, make_ring
-from oracles import table_in_sub_bidual
+from oracles import same_submodule, table_in_sub_bidual
+
+
+def random_element(module, rng) -> list:
+    """A random vector of ring elements, one per generator of the module."""
+    return [module.ring.random_element(rng) for _ in range(module.ngens)]
 
 
 def draw_module(ring, rng, max_gens=None):
@@ -74,10 +79,10 @@ def check_bidual_functor_injective(ring, rng):
     """Inclusions induce injections on every exterior bidual degree."""
     ambient = draw_module(ring, rng)
     nvec = rng.randrange(1, 3)
-    vectors = [ambient.random_element(rng) for _ in range(nvec)]
+    vectors = [random_element(ambient, rng) for _ in range(nvec)]
     sub, incl = present_submodule(ambient, vectors)
     r = draw_degree(rng, ambient.ngens * ring.rank)
-    _bs, _bt, f = bidual_functor_map(incl, r)
+    f = bidual_functor_map(incl, r)
     assert is_injective(f), "bidual functor lost injectivity on an inclusion"
 
 
@@ -98,9 +103,11 @@ def check_push_preimage_membership(ring, rng):
     vectors = []
     for _ in range(rng.randrange(1, 3)):
         scale = ring.from_int(p ** rng.randrange(m))
-        vectors.append([ring.mul(scale, c) for c in ambient.random_element(rng)])
+        vectors.append([ring.mul(scale, c)
+                        for c in random_element(ambient, rng)])
     sub, incl = present_submodule(ambient, vectors)
-    bs, free, push = bidual_functor_map(incl, k)
+    bs, free = ExteriorBidual(sub, k), ExteriorBidual(ambient, k)
+    push = bidual_functor_map(incl, k, bs, free)
     gens = [incl.apply(sub.generator(i)) for i in range(sub.ngens)]
     tables = [free.table(push.apply(bs.module.generator(i)))
               for i in range(bs.module.ngens)]
@@ -124,12 +131,13 @@ def check_wedge_kernel(ring, rng):
     """ker(wedge^r Y -> wedge^r Z) is spanned by sub wedge (r-1)-monomials."""
     ambient = draw_module(ring, rng)
     nvec = rng.randrange(1, 3)
-    vectors = [ambient.random_element(rng) for _ in range(nvec)]
+    vectors = [random_element(ambient, rng) for _ in range(nvec)]
     _sub, _incl = present_submodule(ambient, vectors)
     quot, proj = quotient_by(ambient, vectors)
     g = ambient.ngens
     r = rng.randrange(1, min(3, max(g, 1)) + 1)
-    ext_s, _ext_t, wmap = exterior_map(proj, r)
+    ext_s = ExteriorPower(ambient, r)
+    wmap = exterior_map(proj, r)
     ker_sub, ker_incl = kernel(wmap)
     kernel_gens = [ker_incl.apply(ker_sub.generator(i))
                    for i in range(ker_sub.ngens)]
@@ -162,8 +170,9 @@ def bidual_kernel_sides(X, f_vec, r: int):
     ring = X.ring
     f_map = ModuleMap(X, FPModule.free(ring, 1), Matrix(ring, [list(f_vec)]))
     _ker, ker_incl = kernel(f_map)
-    _bs, bid, push = bidual_functor_map(ker_incl, r)
-    phi = bid.dual_solver.solve(list(f_vec))
+    bid = ExteriorBidual(X, r)
+    push = bidual_functor_map(ker_incl, r, target=bid)
+    phi = solve_map(bid.dual_solver, list(f_vec))
     assert phi is not None, "f is not a functional on X"
     contr = bidual_contraction(bid, ExteriorBidual(X, r - 1), phi)
     ker, incl = kernel(contr)
@@ -180,7 +189,7 @@ def check_bidual_kernel(ring, rng):
     from ekslab.modules import dual_module
 
     dual, Y = dual_module(X)
-    coords = dual.random_element(rng)
+    coords = random_element(dual, rng)
     f_vec = Y.transpose().apply(coords)
     size, ker_size, inside = bidual_kernel_sides(X, f_vec, r)
     assert inside and size == ker_size, \

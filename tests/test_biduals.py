@@ -15,13 +15,13 @@ import pytest
 
 import ekslab.biduals
 from ekslab.biduals import (
+    ExteriorBidual,
+    ExteriorPower,
     bidual_contraction,
     bidual_functor_map,
     contract_pullback,
     contract_table,
-    exterior_bidual,
     exterior_map,
-    exterior_power,
     fitt0_via_bidual,
     interior_product,
     merge_sign,
@@ -39,15 +39,16 @@ from ekslab.modules import (
     is_isomorphism,
     kernel,
     present_submodule,
-    same_submodule,
     solve_map,
 )
-from ekslab.rings import ChainRing, Matrix, Solver, det_ring, make_ring, \
+from ekslab.rings import ChainRing, Matrix, det_ring, make_ring, \
     membership_int, row_module_size, vec_to_base
 from oracles import (
     all_functionals,
     alternating_form_solutions,
     contraction_map,
+    free_system,
+    same_submodule,
     wedge_mult_matrix,
 )
 from propchecks import (
@@ -62,6 +63,7 @@ from propchecks import (
     check_wedge_kernel,
     draw_module,
     quotient_by,
+    random_element,
 )
 
 RINGS = [
@@ -201,25 +203,25 @@ class TestExteriorPower:
     def test_free_module_wedge_is_free(self):
         for ring in [Z4, F3C3]:
             X = FPModule.free(ring, 3)
-            W = exterior_power(X, 2)
+            W = ExteriorPower(X, 2)
             assert len(W.subsets) == 3
             assert W.module.size == ring.size ** 3
 
     def test_frozen_z4_mixed_square(self):
         # wedge^2 of Z/4 + Z/2 is Z/2: the single relation 2 e2 survives
         X = FPModule(Z4, 2, Matrix(Z4, [[0, 2]]))
-        W = exterior_power(X, 2)
+        W = ExteriorPower(X, 2)
         assert W.module.size == 2
         assert W.module.rel_howell == [[2]]
 
     def test_wedge_beyond_generators_vanishes(self):
         X = FPModule(Z9, 2, Matrix(Z9, [[3, 0]]))
-        W = exterior_power(X, 3)
+        W = ExteriorPower(X, 3)
         assert W.module.size == 1
 
     def test_degree_zero_is_the_ring(self):
         X = FPModule(Z8, 2, Matrix(Z8, [[2, 4]]))
-        W = exterior_power(X, 0)
+        W = ExteriorPower(X, 0)
         assert W.module.size == Z8.size
 
     def test_chain_ring_invariant_oracle(self):
@@ -236,7 +238,7 @@ class TestExteriorPower:
                 X = FPModule(ring, g, Matrix(ring, rows, ncols=g))
                 exps = chain_invariants(X)
                 for r in range(1, min(3, g) + 1):
-                    W = exterior_power(X, r)
+                    W = ExteriorPower(X, r)
                     expect = sorted(
                         (min(I) for I in itertools.combinations(exps, r)),
                         reverse=True)
@@ -254,15 +256,15 @@ class TestExteriorPower:
                                    for _ in range(3)])
                 f = ModuleMap(X, X, mf)
                 g = ModuleMap(X, X, mg)
-                _s, _t, wf = exterior_map(f, 2)
-                _s, _t, wg = exterior_map(g, 2)
-                _s, _t, wgf = exterior_map(g.compose(f), 2)
+                wf = exterior_map(f, 2)
+                wg = exterior_map(g, 2)
+                wgf = exterior_map(g.compose(f), 2)
                 assert wg.compose(wf).equals(wgf)
 
     def test_exterior_map_identity(self):
         X = FPModule(Z8, 3, Matrix(Z8, [[2, 0, 4]]))
-        _s, _t, w = exterior_map(ModuleMap.identity(X), 2)
-        assert w.equals(ModuleMap.identity(_s.module))
+        w = exterior_map(ModuleMap.identity(X), 2)
+        assert w.equals(ModuleMap.identity(w.source))
 
 
 class TestContractionMap:
@@ -297,8 +299,8 @@ class TestContractionMap:
                 cm = contraction_map(X, [phi], 2)
                 wedge_vec = wedge_coeffs(ring, xs, n)
                 out_module = cm.matrix.apply(wedge_vec)
-                bid2 = exterior_bidual(X, 2)
-                bid1 = exterior_bidual(X, 1)
+                bid2 = ExteriorBidual(X, 2)
+                bid1 = ExteriorBidual(X, 1)
                 coords = bid2.from_table(_free_table(bid2, wedge_vec))
                 contr = bidual_contraction(
                     bid2, bid1, _dual_coords(bid2, phi))
@@ -310,7 +312,7 @@ class TestContractionMap:
 def _dual_coords(bid, f_vec):
     """Coordinates of a functional on X in the dual generators, wedged to
     the degree needed by a one-step contraction."""
-    sol = Solver(bid.Y.transpose()).solve(list(f_vec))
+    sol = solve_map(free_system(bid.Y.transpose()), list(f_vec))
     assert sol is not None
     return wedge_coeffs(bid.X.ring, [sol], bid.dual.ngens)[: len(
         r_subsets(bid.dual.ngens, 1))]
@@ -325,7 +327,7 @@ def _free_table(bid, coeff_vec):
     coefficient expansion — i.e. push coeff_vec through xi.
     """
     ring = bid.X.ring
-    ext = exterior_power(bid.X, bid.r)
+    ext = ExteriorPower(bid.X, bid.r)
     tbl = [ring.zero] * len(bid.wedge.subsets)
     for pos_i, I in enumerate(ext.subsets):
         c = coeff_vec[pos_i]
@@ -342,7 +344,7 @@ class TestBidualModule:
         for ring in [Z4, Z9, F3C3]:
             X = FPModule.free(ring, 3)
             for r in range(0, 4):
-                bid = exterior_bidual(X, r)
+                bid = ExteriorBidual(X, r)
                 binom = [1, 3, 3, 1][r]
                 assert bid.module.size == ring.size ** binom
                 assert is_isomorphism(bid.xi())
@@ -352,13 +354,13 @@ class TestBidualModule:
         for ring in RINGS:
             for _ in range(4):
                 X = draw_module(ring, rng)
-                bid = exterior_bidual(X, 1)
+                bid = ExteriorBidual(X, 1)
                 assert bid.module.size == X.size
                 assert is_isomorphism(bid.xi())
 
     def test_frozen_cyclic_degree_one(self):
         X = FPModule(Z4, 1, Matrix(Z4, [[2]]))
-        bid = exterior_bidual(X, 1)
+        bid = ExteriorBidual(X, 1)
         assert bid.module.size == 2
 
     def test_frozen_xi_zero_map(self):
@@ -366,8 +368,8 @@ class TestBidualModule:
         # xi pairs through det [[2,0],[0,2]] = 0 — neither injective nor
         # surjective
         X = FPModule(Z4, 2, Matrix(Z4, [[2, 0], [0, 2]]))
-        W = exterior_power(X, 2)
-        bid = exterior_bidual(X, 2)
+        W = ExteriorPower(X, 2)
+        bid = ExteriorBidual(X, 2)
         assert W.module.size == 2
         assert bid.module.size == 2
         x = bid.xi()
@@ -376,7 +378,7 @@ class TestBidualModule:
 
     def test_from_table_roundtrip_and_rejection(self):
         X = FPModule(Z4, 2, Matrix(Z4, [[0, 2]]))
-        bid = exterior_bidual(X, 2)
+        bid = ExteriorBidual(X, 2)
         # the wedge of the dual is Z/2 here: tables must kill 2
         for coords in [bid.module.zero_element()] + [
             bid.module.generator(i) for i in range(bid.module.ngens)
@@ -392,11 +394,15 @@ class TestBidualModule:
         rng = random.Random(44)
         for ring in RINGS:
             X = draw_module(ring, rng)
-            bid = exterior_bidual(X, 1)
+            bid = ExteriorBidual(X, 1)
+            Yt = bid.Y.transpose()
+            assert bid.dual_solver.matrix == Yt
+            assert bid.dual_solver.source.relations.nrows == 0
+            assert bid.dual_solver.target.relations.nrows == 0
             for _ in range(4):
                 f = [ring.random_element(rng) for _ in range(X.ngens)]
-                assert bid.dual_solver.solve(f) == Solver(
-                    bid.Y.transpose()).solve(f)
+                assert solve_map(bid.dual_solver, f) == solve_map(
+                    free_system(Yt), f)
 
 
 class TestContractPullback:
@@ -407,15 +413,16 @@ class TestContractPullback:
         for ring in [Z9, F3C3]:
             X = FPModule.free(ring, 3)
             incl = ModuleMap.identity(X)
-            b3, b1 = exterior_bidual(X, 3), exterior_bidual(X, 1)
+            b3, b1 = ExteriorBidual(X, 3), ExteriorBidual(X, 1)
             f0, f2 = ([ring.random_element(rng) for _ in range(3)]
                       for _ in range(2))
             minus = ring.neg(ring.one)
             got = contract_pullback(b3, incl, {0: f0, 2: f2}, b1, incl,
-                                    exterior_bidual(X, 1), minus,
+                                    ExteriorBidual(X, 1), minus,
                                     self.MESSAGES)
-            dual = Solver(b3.Y.transpose())
-            phi = wedge_coeffs(ring, [dual.solve(f2), dual.solve(f0)], 3)
+            dual = free_system(b3.Y.transpose())
+            rows = [solve_map(dual, f2), solve_map(dual, f0)]
+            phi = wedge_coeffs(ring, rows, 3)
             want = bidual_contraction(b3, b1, phi)
             for b in range(b3.module.ngens):
                 x = b3.module.generator(b)
@@ -428,8 +435,9 @@ class TestContractPullback:
         line_incl = ModuleMap(line, ambient, Matrix(Z9, [[1], [0]]))
         with pytest.raises(RuntimeError, match="escapes"):
             contract_pullback(
-                exterior_bidual(line, 1), line_incl, {}, exterior_bidual(line, 1),
-                ModuleMap.identity(ambient), exterior_bidual(ambient, 1),
+                ExteriorBidual(line, 1), line_incl, {},
+                ExteriorBidual(line, 1),
+                ModuleMap.identity(ambient), ExteriorBidual(ambient, 1),
                 Z9.one, self.MESSAGES)
 
 
@@ -439,7 +447,7 @@ class TestBidualFunctorReuse:
     @staticmethod
     def _inclusion(ring, rng):
         ambient = draw_module(ring, rng, max_gens=3)
-        vectors = [ambient.random_element(rng) for _ in range(2)]
+        vectors = [random_element(ambient, rng) for _ in range(2)]
         return present_submodule(ambient, vectors)[1]
 
     def test_cached_biduals_give_the_same_map(self):
@@ -447,44 +455,43 @@ class TestBidualFunctorReuse:
         for ring in RINGS:
             for r in (1, 2):
                 incl = self._inclusion(ring, rng)
-                _bs, _bt, fresh = bidual_functor_map(incl, r)
-                bs = exterior_bidual(incl.source, r)
-                bt = exterior_bidual(incl.target, r)
-                got_s, got_t, push = bidual_functor_map(incl, r, bs, bt)
-                assert got_s is bs and got_t is bt
+                fresh = bidual_functor_map(incl, r)
+                bs = ExteriorBidual(incl.source, r)
+                bt = ExteriorBidual(incl.target, r)
+                push = bidual_functor_map(incl, r, bs, bt)
                 assert push.source is bs.module and push.target is bt.module
                 assert push.matrix == fresh.matrix
-                only_source = bidual_functor_map(incl, r, source=bs)[2]
+                only_source = bidual_functor_map(incl, r, source=bs)
                 assert only_source.matrix == fresh.matrix
 
     def test_same_presentation_is_accepted(self):
         X = FPModule(Z9, 2, Matrix(Z9, [[3, 0]]))
         twin = FPModule(Z9, 2, Matrix(Z9, [[3, 0]]))
         f = ModuleMap.identity(X)
-        push = bidual_functor_map(f, 1, exterior_bidual(twin, 1))[2]
-        assert push.matrix == bidual_functor_map(f, 1)[2].matrix
+        push = bidual_functor_map(f, 1, ExteriorBidual(twin, 1))
+        assert push.matrix == bidual_functor_map(f, 1).matrix
 
     def test_wrong_degree_rejected(self):
         incl = self._inclusion(Z9, random.Random(62))
         with pytest.raises(ValueError, match="degree"):
-            bidual_functor_map(incl, 1, source=exterior_bidual(incl.source, 2))
+            bidual_functor_map(incl, 1, source=ExteriorBidual(incl.source, 2))
         with pytest.raises(ValueError, match="degree"):
-            bidual_functor_map(incl, 2, target=exterior_bidual(incl.target, 1))
+            bidual_functor_map(incl, 2, target=ExteriorBidual(incl.target, 1))
 
     def test_wrong_module_rejected(self):
         incl = self._inclusion(Z9, random.Random(63))
         other = FPModule(Z9, incl.source.ngens,
                          Matrix(Z9, [[3] * incl.source.ngens]))
         with pytest.raises(ValueError, match="different module"):
-            bidual_functor_map(incl, 1, source=exterior_bidual(other, 1))
+            bidual_functor_map(incl, 1, source=ExteriorBidual(other, 1))
         # The source's bidual is not one of the target.
         if incl.source.ngens != incl.target.ngens:
             with pytest.raises(ValueError, match="different module"):
                 bidual_functor_map(
-                    incl, 1, target=exterior_bidual(incl.source, 1))
+                    incl, 1, target=ExteriorBidual(incl.source, 1))
         over_z4 = FPModule.free(Z4, incl.target.ngens)
         with pytest.raises(ValueError, match="different module"):
-            bidual_functor_map(incl, 1, target=exterior_bidual(over_z4, 1))
+            bidual_functor_map(incl, 1, target=ExteriorBidual(over_z4, 1))
 
 
 class TestBidualContraction:
@@ -495,8 +502,8 @@ class TestBidualContraction:
         for ring in [Z8, Z9, F3C3]:
             n = 3
             X = FPModule.free(ring, n)
-            bid2 = exterior_bidual(X, 2)
-            bid1 = exterior_bidual(X, 1)
+            bid2 = ExteriorBidual(X, 2)
+            bid1 = ExteriorBidual(X, 1)
             xi2, xi1 = bid2.xi(), bid1.xi()
             for _ in range(6):
                 phi = [ring.random_element(rng) for _ in range(n)]
@@ -510,7 +517,7 @@ class TestBidualContraction:
         rng = random.Random(47)
         ring = Z9
         X = FPModule.free(ring, 3)
-        b3, b2, b1 = (exterior_bidual(X, r) for r in (3, 2, 1))
+        b3, b2, b1 = (ExteriorBidual(X, r) for r in (3, 2, 1))
         for _ in range(6):
             f1 = [ring.random_element(rng) for _ in range(3)]
             f2 = [ring.random_element(rng) for _ in range(3)]
@@ -522,8 +529,8 @@ class TestBidualContraction:
 
     def test_degree_mismatch_rejected(self):
         X = FPModule.free(Z4, 2)
-        b1 = exterior_bidual(X, 1)
-        b2 = exterior_bidual(X, 2)
+        b1 = ExteriorBidual(X, 1)
+        b2 = ExteriorBidual(X, 2)
         with pytest.raises(ValueError):
             bidual_contraction(b1, b2, [Z4.one])
 
@@ -532,7 +539,7 @@ def _wedge_dual_coords(bid, f_vecs):
     ring = bid.X.ring
     rows = []
     for f in f_vecs:
-        sol = Solver(bid.Y.transpose()).solve(list(f))
+        sol = solve_map(free_system(bid.Y.transpose()), list(f))
         assert sol is not None
         rows.append(sol)
     return wedge_coeffs(ring, rows, bid.dual.ngens)
@@ -543,21 +550,21 @@ class TestMembershipCriterion:
         # the degree-0 bidual of any submodule is the whole ring: 1 has a
         # preimage under the functor map of the inclusion
         X = FPModule(Z4, 2, Matrix(Z4, [[2, 0]]))
-        bid = exterior_bidual(X, 0)
+        bid = ExteriorBidual(X, 0)
         _sub, incl = present_submodule(X, [[Z4.zero, Z4.one]])
-        push = bidual_functor_map(incl, 0, target=bid)[2]
+        push = bidual_functor_map(incl, 0, target=bid)
         assert solve_map(push, bid.module.generator(0)) is not None
 
     def test_frozen_plane_degree_two(self):
         # X free of rank 3 over Z/4, submodule = span(e1, e2): in degree 2
         # xi(e1 ^ e2) has a preimage, xi(e1 ^ e3) and xi(e2 ^ e3) none
         X = FPModule.free(Z4, 3)
-        bid = exterior_bidual(X, 2)
+        bid = ExteriorBidual(X, 2)
         _plane, incl = present_submodule(
             X, [[Z4.one, Z4.zero, Z4.zero], [Z4.zero, Z4.one, Z4.zero]])
-        push = bidual_functor_map(incl, 2, target=bid)[2]
+        push = bidual_functor_map(incl, 2, target=bid)
         xi = bid.xi()
-        wedge = exterior_power(X, 2)
+        wedge = ExteriorPower(X, 2)
         found = {}
         for k, I in enumerate(wedge.subsets):
             monomial = [Z4.zero] * len(wedge.subsets)
@@ -569,9 +576,9 @@ class TestMembershipCriterion:
         # X free of rank 2 over Z/4, submodule = first axis: xi(e1) has a
         # preimage under the functor map of the axis inclusion, xi(e2) none
         X = FPModule.free(Z4, 2)
-        bid = exterior_bidual(X, 1)
+        bid = ExteriorBidual(X, 1)
         _axis, incl = present_submodule(X, [[Z4.one, Z4.zero]])
-        push = bidual_functor_map(incl, 1, target=bid)[2]
+        push = bidual_functor_map(incl, 1, target=bid)
         xi = bid.xi()
         assert solve_map(push, xi.apply([Z4.one, Z4.zero])) is not None
         assert solve_map(push, xi.apply([Z4.zero, Z4.one])) is None
@@ -626,7 +633,8 @@ class TestWedgeKernelLemma:
         ambient = FPModule.free(Z4, 2)
         vectors = [[2, Z4.zero]]
         quot, proj = quotient_by(ambient, vectors)
-        ext_s, _ext_t, wmap = exterior_map(proj, 2)
+        ext_s = ExteriorPower(ambient, 2)
+        wmap = exterior_map(proj, 2)
         ker_sub, ker_incl = kernel(wmap)
         assert ker_sub.size == 2
         kernel_gens = [ker_incl.apply(ker_sub.generator(i))
@@ -661,7 +669,7 @@ class TestFittZero:
     def test_frozen_diagonal(self):
         phis = [[2, Z8.zero], [Z8.zero, 2]]
         got = fitt0_via_bidual(Z8, 2, phis)
-        assert got == Ideal.principal(Z8, 4)
+        assert got == Ideal(Z8, [4])
         Z = FPModule(Z8, 2, Matrix(Z8, [[2, 0], [0, 2]]))
         assert got == fitting_ideal(Z, 0)
 
@@ -694,7 +702,7 @@ class TestAlternatingFormOracle:
         ring, rel_rows, r = ORACLE_FIXTURES[case]
         g = len(rel_rows[0]) if rel_rows else 1
         X = FPModule(ring, g, Matrix(ring, rel_rows, ncols=g))
-        bid = exterior_bidual(X, r)
+        bid = ExteriorBidual(X, r)
         funcs = all_functionals(X)
         H, tindex = alternating_form_solutions(ring, funcs, r)
         base = ring.base
@@ -708,7 +716,8 @@ class TestAlternatingFormOracle:
             for t, a in tindex.items():
                 rows = []
                 for i in t:
-                    sol = Solver(bid.Y.transpose()).solve(list(funcs[i]))
+                    sol = solve_map(free_system(bid.Y.transpose()),
+                                    list(funcs[i]))
                     assert sol is not None
                     rows.append(sol)
                 W = wedge_coeffs(ring, rows, bid.dual.ngens)
@@ -744,17 +753,40 @@ def _referenced_names(tree, skip=None) -> set:
     return names
 
 
+# Reached only from tests, on purpose: perfbench's tracer wraps howell_form,
+# and chain_invariants waits for the structure report of ROADMAP item 4.
+TEST_ONLY = {"howell_form", "chain_invariants"}
+
+
+def _public_definitions(tree):
+    """``(name, node)`` of every top-level function and every public method
+    of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_")):
+                    yield f"{node.name}.{sub.name}", sub
+
+
 def test_every_bidual_function_is_used_by_the_package():
-    # Test-only helpers belong in tests/oracles.py, not in the bidual layer.
-    own = Path(ekslab.biduals.__file__)
+    # Test-only helpers belong in tests/oracles.py, not in the ring, module
+    # or bidual layer.  A name counts as used when it is read somewhere in
+    # src/ekslab/ outside its own definition.
+    package = Path(ekslab.biduals.__file__).parent
     trees = {path: ast.parse(path.read_text())
-             for path in sorted(own.parent.glob("*.py"))}
+             for path in sorted(package.glob("*.py"))}
     unused = []
-    for node in trees[own].body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        if not any(node.name in _referenced_names(
-                tree, node if path == own else None)
-                for path, tree in trees.items()):
-            unused.append(node.name)
+    for layer in ("rings", "modules", "biduals"):
+        own = package / f"{layer}.py"
+        for name, node in _public_definitions(trees[own]):
+            short = name.rsplit(".", 1)[-1]
+            if short in TEST_ONLY:
+                continue
+            if not any(short in _referenced_names(
+                    tree, node if path == own else None)
+                    for path, tree in trees.items()):
+                unused.append(f"{layer}.{name}")
     assert not unused, f"reached only from outside the package: {unused}"

@@ -581,16 +581,57 @@ class TestMalformedArtifacts:
 
 
 @pytest.fixture(scope="module")
-def non_euler_bundle(tmp_path_factory):
+def consistent_z9_r1_s3(tmp_path_factory):
+    """The consistent Z/9 r1 s3 bundle of seed 0, as parsed JSON."""
+    root = tmp_path_factory.mktemp("consistent")
+    bundle = _gen(root, "bundle.json", "3,2", 1, 3, profile="consistent")
+    return json.loads(bundle.read_text())
+
+
+@pytest.fixture(scope="module")
+def non_euler_bundle(tmp_path_factory, consistent_z9_r1_s3):
     """The consistent Z/9 r1 s3 bundle with one coordinate of its class at
     level 0 moved, so that level's derivative element is not invariant."""
     root = tmp_path_factory.mktemp("non-euler")
-    bundle = _gen(root, "bundle.json", "3,2", 1, 3, profile="consistent")
-    doc = json.loads(bundle.read_text())
+    doc = json.loads(json.dumps(consistent_z9_r1_s3))
     doc["euler"]["classes"]["0"][0][1] += 1
     path = root / "non-euler.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _drop_level_0(euler):
+    del euler["classes"]["0"]
+
+
+def _shorten_level_0(euler):
+    euler["classes"]["0"].pop()
+
+
+class TestMalformedEulerPart:
+    """An euler part must fit its tower: a degree between 1 and the rank
+    (here 1), a class at every divisor, each with C(n, degree) coordinates
+    (here C(4, 1) = 4).  Each edit is rejected as malformed, exit 2."""
+
+    @pytest.mark.parametrize("mutate, needle", [
+        (_set("degree", 2), "degree 2"),
+        (_drop_level_0, "divisors"),
+        (_shorten_level_0, "3 coordinates, not C(4, 1) = 4"),
+    ], ids=["degree-2", "level-0-missing", "level-0-short"])
+    @pytest.mark.parametrize("command", ["verify", "derive"])
+    def test_exit_2_naming_the_fault(self, tmp_path, capsys,
+                                     consistent_z9_r1_s3, command, mutate,
+                                     needle):
+        doc = json.loads(json.dumps(consistent_z9_r1_s3))
+        mutate(doc["euler"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed artifact (part 'euler')" in err and needle in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestNonEulerFamily:

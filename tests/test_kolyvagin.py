@@ -33,8 +33,6 @@ from ekslab.kolyvagin import (
     core_projection_invert,
     divisor_sign,
     enumerate_systems,
-    family_from_json,
-    family_to_json,
     fitt_ind_corollary,
     fitt_ind_step,
     kolyvagin_ideals,
@@ -572,50 +570,6 @@ class TestSolutionEnumeration:
         assert len(layout) == len(list(inst.divisors()))
 
 
-class TestSerialization:
-    def test_stark_system_round_trip(self):
-        inst = generate_instance(Z25, 1, 2, profile="generic", seed="ser-1")
-        sdata = StarkData(inst)
-        basis = canonical_basis_system(sdata)
-        blob = json.dumps(family_to_json(basis), sort_keys=True)
-        sd, back = family_from_json(json.loads(blob))
-        assert isinstance(sd, StarkData)
-        assert back.components == basis.components
-
-    def test_kolyvagin_round_trip_keeps_generator_record(self):
-        inst = generate_instance(Z25, 1, 2, profile="generic", seed="ser-1")
-        sdata = StarkData(inst)
-        kdata = KolyvaginData(inst, sigma_exponents={0: 3})
-        reg = regulator(canonical_basis_system(sdata), kdata)
-        blob = json.dumps(kolyvagin_to_json(reg), sort_keys=True)
-        kd, back = family_from_json(json.loads(blob))
-        assert back.components == reg.components
-        assert kd.sigma_exponents == {0: 3}
-
-    def test_group_ring_round_trip(self):
-        inst = generate_instance(Z9C3, 1, 1, profile="generic", seed="ser-2")
-        sdata = StarkData(inst)
-        kdata = KolyvaginData(inst)
-        reg = regulator(canonical_basis_system(sdata), kdata)
-        blob = json.dumps(family_to_json(reg), sort_keys=True)
-        kd, back = family_from_json(json.loads(blob))
-        assert kd is not kdata
-        assert back.components == reg.components
-        # supplied data is reused, and reads the same components
-        same, again = family_from_json(json.loads(blob), kdata)
-        assert same is kdata
-        assert again.components == reg.components
-
-    def test_wrong_schema_rejected(self):
-        with pytest.raises(ValueError):
-            family_from_json({"schema": "nope"})
-        # a Stark system's document does not read onto Kolyvagin data
-        inst = generate_instance(Z25, 1, 1, profile="generic", seed="ser-3")
-        doc = family_to_json(canonical_basis_system(StarkData(inst)))
-        with pytest.raises(ValueError):
-            family_from_json(doc, KolyvaginData(inst))
-
-
 # ---------------------------------------------------------------------------
 # Pinned values.  A passing report holds only check names and verdicts, so
 # these digests pin what the engines compute: every transition from the top
@@ -711,7 +665,7 @@ def _ambient_pins(inst):
         if bid.r not in free:
             free[bid.r] = ExteriorBidual(
                 FPModule.free(ring, inst.ambient_rank), bid.r)
-        _bs, _bt, push = bidual_functor_map(
+        push = bidual_functor_map(
             inst.strict_module(divisor, q)[1], bid.r, bid, free[bid.r])
         return [element_to_json(ring, x)
                 for x in free[bid.r].table(push.apply(list(coords)))]

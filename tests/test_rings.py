@@ -16,7 +16,6 @@ from ekslab.rings import (
     ChainRing,
     GroupRing,
     Matrix,
-    Solver,
     _group_table,
     cochecks_int,
     det_int,
@@ -29,7 +28,6 @@ from ekslab.rings import (
     matrix_from_json,
     matrix_to_json,
     membership_int,
-    quotient_reps_int,
     ring_from_json,
     ring_to_json,
     row_module_size,
@@ -46,6 +44,7 @@ from ekslab.modules import (
     ModuleMap,
     _cocheck_conditions,
     kernel,
+    solve_map,
     syzygies,
 )
 from oracles import (
@@ -53,7 +52,10 @@ from oracles import (
     annihilator_elements,
     det_permutation_expansion,
     enumerate_solutions,
+    free_system,
     ideal_elements,
+    quotient_reps_int,
+    ring_elements,
     span_set,
 )
 
@@ -144,7 +146,7 @@ class TestGroupTable:
 class TestUnits:
     @pytest.mark.parametrize("R", CHAIN_RINGS)
     def test_unit_iff_residue_nonzero(self, R):
-        for x in R.elements():
+        for x in ring_elements(R):
             assert R.is_unit(x) == (x % R.p != 0)
             if R.is_unit(x):
                 assert R.mul(x, R.inv(x)) == 1
@@ -291,7 +293,7 @@ class TestSolve:
     def test_frozen_2x_eq_2_over_z4(self):
         R = make_ring(2, 2)
         A = Matrix(R, [[2]])
-        particular = Solver(A).solve([2])
+        particular = solve_map(free_system(A), [2])
         assert particular is not None
         K = kernel_matrix(A)
         sols = {(particular[0] + c * K.rows[0][0]) % 4 for c in range(4)} if K.nrows else {particular[0]}
@@ -299,12 +301,12 @@ class TestSolve:
 
     def test_frozen_2x_eq_1_over_z4_has_no_solution(self):
         R = make_ring(2, 2)
-        assert Solver(Matrix(R, [[2]])).solve([1]) is None
+        assert solve_map(free_system(Matrix(R, [[2]])), [1]) is None
 
     def test_frozen_diag_5_1_over_z25(self):
         R = make_ring(5, 2)
         A = Matrix(R, [[5, 0], [0, 1]])
-        particular = Solver(A).solve([0, 3])
+        particular = solve_map(free_system(A), [0, 3])
         assert particular is not None
         K = kernel_matrix(A)
         got = set()
@@ -326,7 +328,7 @@ class TestSolve:
             A = rand_matrix(R, rng, k, g)
             b = [R.random_element(rng) for _ in range(k)]
             expected = enumerate_solutions(A, b)
-            got = Solver(A).solve(b)
+            got = solve_map(free_system(A), b)
             if not expected:
                 assert got is None, f"solver found a solution where none exists: {got}"
             else:
@@ -348,8 +350,9 @@ class TestSolve:
 
 
 class TestSolver:
-    """One factorization, many right-hand sides: the answers must be those
-    of a fresh elimination per right-hand side."""
+    """One factorization, many right-hand sides: ``solve_map`` along a map
+    of free modules must answer as a fresh elimination per right-hand
+    side."""
 
     @staticmethod
     def _rhs(R, rng, A, count):
@@ -370,10 +373,10 @@ class TestSolver:
         nones = 0
         for _ in range(10):
             A = rand_matrix(R, rng, rng.randint(1, 4), rng.randint(1, 4))
-            solver = Solver(A)
+            solver = free_system(A)
             Ab = A.to_base()
             for b in self._rhs(R, rng, A, 8):
-                got = solver.solve(b)
+                got = solve_map(solver, b)
                 want = solve_int(Ab, vec_to_base(R, b), base.p, base.m)
                 if want is None:
                     nones += 1
@@ -381,7 +384,7 @@ class TestSolver:
                 else:
                     assert got == vec_from_base(R, want)
                     assert A.apply(got) == [R.reduce(x) for x in b]
-                assert Solver(A).solve(b) == got
+                assert solve_map(free_system(A), b) == got
         if base.m > 1:
             assert nones, "no unsolvable right-hand side was drawn"
 
@@ -391,14 +394,14 @@ class TestSolver:
         max_cols = 1 if R.size > 256 else 2
         for _ in range(6):
             A = rand_matrix(R, rng, rng.randint(1, 2), rng.randint(1, max_cols))
-            solver = Solver(A)
+            solver = free_system(A)
             K = kernel_matrix(A)
             g = A.ncols
             ker_set = span_set(R, K.rows, g) if K.nrows else frozenset(
                 {(0,) * (g * R.rank)})
             for b in self._rhs(R, rng, A, 4):
                 expected = enumerate_solutions(A, b)
-                got = solver.solve(b)
+                got = solve_map(solver, b)
                 if not expected:
                     assert got is None
                     continue
@@ -411,8 +414,8 @@ class TestSolver:
 
     def test_empty_matrix_solves_everything(self):
         R = make_ring(3, 2)
-        solver = Solver(Matrix.zeros(R, 0, 3))
-        assert solver.solve([]) == [0, 0, 0]
+        solver = free_system(Matrix.zeros(R, 0, 3))
+        assert solve_map(solver, []) == [0, 0, 0]
 
 
 class TestGroupRingLinear:
@@ -521,7 +524,7 @@ class TestMatrixApi:
         with pytest.raises(ValueError, match="inner dims"):
             A.mul(A)
         with pytest.raises(ValueError, match="shape mismatch"):
-            A.add(B)
+            A.sub(B)
         with pytest.raises(ValueError, match="vector length"):
             A.apply([1, 2])
 
@@ -646,7 +649,7 @@ class TestRingDot:
     @pytest.mark.parametrize("R", DOT_RINGS, ids=str)
     def test_syzygies_in_zero_ambient(self, R):
         # Every coefficient vector is a syzygy of vectors in a zero module.
-        syz = syzygies(FPModule.zero(R), [[], [], []])
+        syz = syzygies(FPModule.free(R, 0), [[], [], []])
         assert all(len(v) == 3 for v in syz)
         identity = [[R.one if i == j else R.zero for j in range(3)]
                     for i in range(3)]
@@ -655,11 +658,11 @@ class TestRingDot:
     @pytest.mark.parametrize("R", DOT_RINGS, ids=str)
     def test_kernel_with_zero_target_or_source(self, R):
         free = FPModule.free(R, 2)
-        to_zero = ModuleMap(free, FPModule.zero(R), Matrix.zeros(R, 0, 2))
+        to_zero = ModuleMap(free, FPModule.free(R, 0), Matrix.zeros(R, 0, 2))
         ker, incl = kernel(to_zero)
         assert incl.matrix == Matrix.identity(R, 2)
         assert ker.size == free.size
-        from_zero = ModuleMap(FPModule.zero(R), free, Matrix.zeros(R, 2, 0))
+        from_zero = ModuleMap(FPModule.free(R, 0), free, Matrix.zeros(R, 2, 0))
         ker, incl = kernel(from_zero)
         assert ker.ngens == 0 and incl.matrix.shape == (0, 0)
 
@@ -742,7 +745,6 @@ class TestChainFastPaths:
     @pytest.mark.parametrize("R", FAST_PATH_RINGS, ids=str)
     def test_unreduced_constructors_match_a_fresh_matrix(self, R):
         rng = random.Random(83 + R.base.n)
-        c = _unreduced(R, rng)
         for k, g in SHAPES:
             A = Matrix(R, [[_unreduced(R, rng) for _ in range(g)]
                            for _ in range(k)], ncols=g)
@@ -750,8 +752,7 @@ class TestChainFastPaths:
                            for _ in range(k)], ncols=g)
             C = Matrix(R, [[_unreduced(R, rng) for _ in range(3)]
                            for _ in range(g)], ncols=3)
-            for out in (A.mul(C), A.transpose(), A.stack(B), A.scale(c),
-                        A.add(B), A.sub(B)):
+            for out in (A.mul(C), A.transpose(), A.stack(B), A.sub(B)):
                 assert out == Matrix(R, out.rows, ncols=out.ncols)
             assert A.transpose().shape == (g, k)
             assert A.stack(B).shape == (2 * k, g)
