@@ -410,40 +410,6 @@ def contract_pullback(big: ExteriorBidual, big_incl: ModuleMap,
 
 
 # ---------------------------------------------------------------------------
-# Induced maps along ring surjections (free ambient, table form).
-# ---------------------------------------------------------------------------
-
-
-def reduce_element(R, S, x):
-    """Push a ring element along the canonical surjection R -> S.
-
-    Chain to chain lowers the coefficient modulus; group to group may also
-    quotient the grading group (exponents reduced componentwise), which sums
-    colliding coefficients — the coefficient-projection form of corestriction.
-    """
-    if R.rank == 1 and S.rank == 1:
-        return x % S.n
-    if R.rank == 1 or S.rank == 1:
-        if S.rank == 1:
-            # group ring onto a chain ring: collapse the group (sum all
-            # coefficients) and reduce the modulus.
-            return sum(x) % S.n
-        raise ValueError("no canonical surjection from a chain ring to a group ring")
-    out = [0] * S.rank
-    for idx, coeff in enumerate(x):
-        if coeff == 0:
-            continue
-        exps = R.index_to_exp(idx)
-        new = tuple(e % o for e, o in zip(exps, S.orders))
-        out[S.exp_to_index(new)] = (out[S.exp_to_index(new)] + coeff) % S.base.n
-    return tuple(c % S.base.n for c in out)
-
-
-def reduce_table(R, S, table) -> list:
-    return [reduce_element(R, S, v) for v in table]
-
-
-# ---------------------------------------------------------------------------
 # Fitting ideals through the bidual calculus.
 # ---------------------------------------------------------------------------
 

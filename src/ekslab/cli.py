@@ -498,7 +498,11 @@ def cmd_derive(args) -> int:
     system, instance = _load_derive_inputs(args.artifacts)
     tower = system.tower
     ring = instance.ring
-    if ring.rank != 1 or ring.n != tower.p ** tower.m:
+    if ring.rank != 1:
+        raise CommandError(
+            "derive needs chain-ring coefficients Z/p^m; the instance ring "
+            "is a group ring")
+    if ring.n != tower.p ** tower.m:
         raise CommandError(
             f"mismatched target modulus: family reduces to "
             f"{tower.p ** tower.m}, instance ring has modulus {ring.n}")

@@ -241,8 +241,8 @@ class EulerTower:
 
     def _fiber_index(self, big, small) -> list:
         """Per index of the level ring at ``big``, the index at ``small`` of
-        its exponents on the kept symbol groups: the group map that both
-        corestriction and restriction read, built once per pair of levels
+        its exponents on the kept symbol groups: the group map that
+        corestriction reads, built once per pair of levels
         (both sorted, ``small`` inside ``big``, neither ring a chain ring)."""
         key = (big, small)
         if key not in self._fibers:
@@ -259,20 +259,6 @@ class EulerTower:
                 index = [a + e * w for a in index for e in range(d)]
             self._fibers[key] = index
         return self._fibers[key]
-
-    def restrict(self, small, big, x):
-        """Norm spreading from a sub-level: sum of all fiber translates."""
-        big = tuple(sorted(big))
-        small = tuple(sorted(small))
-        if not set(small) <= set(big):
-            raise ValueError("restriction goes from a sub-level to a level")
-        Sb = self.level_ring(big)
-        Ss = self.level_ring(small)
-        if Sb.rank == 1:
-            return x % Sb.n
-        if Ss.rank == 1:
-            return (x % Sb.base.n,) * Sb.rank
-        return tuple(x[j] % Sb.base.n for j in self._fiber_index(big, small))
 
     def inflate(self, small, big, x):
         """The section of corestriction that keeps exponents in place."""

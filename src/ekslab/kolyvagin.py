@@ -357,35 +357,6 @@ def main_theorem_holds(facts: dict, is_basis: bool) -> bool:
     return all(facts[key] for key in claimed)
 
 
-def fitt_ind_step(instance: SelmerInstance, divisor, i: int) -> dict:
-    """One level of the Fitting-ideal induction at a divisor.
-
-    The sum over primes q outside the divisor of the (i-1)-st Fitting
-    ideals of the dual Selmer modules at divisor + q sits inside the i-th
-    Fitting ideal at the divisor.  Equality is asserted by the theory when
-    the Selmer module at the divisor has vanishing annihilator and the
-    prime supply is large enough; with a fixed finite prime set the latter
-    is a property of the instance, so both facts are reported rather than
-    assumed.
-    """
-    key = tuple(sorted(divisor))
-    inside = set(key)
-    lhs = Ideal.zero(instance.ring)
-    for q in range(instance.n_primes):
-        if q in inside:
-            continue
-        bigger = tuple(sorted(key + (q,)))
-        lhs = lhs.add(fitting_ideal(instance.dual_selmer(bigger), i - 1))
-    rhs = fitting_ideal(instance.dual_selmer(key), i)
-    module, _incl = instance.selmer_module(key)
-    ann = annihilator(module)
-    return {
-        "contained": lhs.leq(rhs),
-        "equal": lhs == rhs,
-        "ann_vanishes": ann.is_zero(),
-    }
-
-
 def fitt_ind_corollary(instance: SelmerInstance, i: int) -> dict:
     """The summed form of the Fitting-ideal induction.
 

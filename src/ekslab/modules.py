@@ -581,8 +581,10 @@ def fitting_ideal(module: FPModule, i: int = 0) -> Ideal:
 
     Conventions: minors of non-positive size give the unit ideal; asking for
     minors larger than the relation row count gives the zero ideal.  The
-    result is presentation independent, so the canonical Howell generators of
-    the relation module are used rather than the raw relation rows.
+    result does not depend on which generators of the relations are taken.
+    The Howell rows are taken because over a chain ring they number at most
+    ngens, and so give fewer minors than the raw rows; over a group ring
+    they can number |G|·ngens.
     """
     from .rings import det_ring
 

@@ -110,11 +110,6 @@ class ChainRing:
     def is_unit(self, a: int) -> bool:
         return a % self.p != 0
 
-    def inv(self, a: int) -> int:
-        if not self.is_unit(a):
-            raise ZeroDivisionError(f"{a} is not a unit modulo {self.p}^{self.m}")
-        return pow(a, -1, self.n)
-
     def random_element(self, rng) -> int:
         return rng.randrange(self.n)
 
@@ -330,14 +325,6 @@ class GroupRing:
         # Local ring with maximal ideal (p, sigma_i - 1): units are exactly the
         # elements whose augmentation is a unit of the base.
         return self.base.is_unit(self.augmentation(a))
-
-    def inv(self, a) -> tuple:
-        if not self.is_unit(a):
-            raise ZeroDivisionError("element is not a unit of the group ring")
-        rows = self.action_matrix(a)
-        e0 = [1] + [0] * (self.rank - 1)
-        sol = solve_int(rows, e0, self.base.p, self.base.m)
-        return tuple(sol)
 
     def action_matrix(self, a) -> list:
         """Base matrix of multiplication by a: column t holds a*g_t in coordinates."""

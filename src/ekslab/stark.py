@@ -23,8 +23,6 @@ from .biduals import (
     bidual_functor_map,
     content_ideal,
     contract_pullback,
-    reduce_element,
-    reduce_table,
 )
 from .modules import (
     FPModule,
@@ -321,12 +319,11 @@ def verify_stark_theorem(system: Family, is_basis: bool) -> dict:
 
 
 def reduce_instance(instance: SelmerInstance, S) -> SelmerInstance:
-    """The instance with every coefficient reduced along R -> S."""
-    R = instance.ring
+    """The chain-ring instance with every coefficient reduced mod ``S.n``."""
 
     def red_matrix(M):
-        return Matrix(S, [[reduce_element(R, S, c) for c in row]
-                          for row in M.rows], ncols=M.ncols)
+        return Matrix(S, [[c % S.n for c in row] for row in M.rows],
+                      ncols=M.ncols)
 
     primes = [
         PrimeData(pd.label, pd.group_order,
@@ -338,18 +335,12 @@ def reduce_instance(instance: SelmerInstance, S) -> SelmerInstance:
                           red_matrix(instance.transverse))
 
 
-def reduce_ideal(R, S, ideal: Ideal) -> Ideal:
-    """The image ideal under coefficient reduction R -> S."""
-    return Ideal(S, [reduce_element(R, S, g) for g in ideal.gens])
-
-
 class StarkTower:
     """One instance over Z/p^m together with its reductions to every lower
-    power of p, and the induced reduction and lifting of systems.
+    power of p, and the induced reduction of systems.
 
     Chain-ring coefficients only; the top coordinate of a system is a plain
-    integer residue, so lifting means reading the same integer in the next
-    ring up and reducing means taking it mod the smaller power.
+    integer residue, so reducing means taking it mod the smaller power.
     """
 
     __slots__ = ("top_level", "p", "_instances", "_data")
@@ -362,10 +353,6 @@ class StarkTower:
         self.p = ring.p
         self._instances = {ring.m: instance}
         self._data = {}
-
-    @property
-    def levels(self) -> list:
-        return list(range(1, self.top_level + 1))
 
     def ring_at(self, level: int):
         return make_ring(self.p, level)
@@ -387,26 +374,9 @@ class StarkTower:
         """The system one level down with the reduced top coordinate."""
         if level <= 1:
             raise ValueError("nothing below the first level")
-        R = self.ring_at(level)
-        S = self.ring_at(level - 1)
-        top = [reduce_element(R, S, c) for c in system.top_component()]
+        n = self.ring_at(level - 1).n
+        top = [c % n for c in system.top_component()]
         return stark_from_top(self.data_at(level - 1), top)
-
-    def lift_system(self, level: int, system: Family) -> Family:
-        """A system one level up reducing to the given one: the top
-        coordinate lifts as the same integer residue."""
-        if level >= self.top_level:
-            raise ValueError("nothing above the top level")
-        top = [int(c) for c in system.top_component()]
-        return stark_from_top(self.data_at(level + 1), top)
-
-    def systems_from_top(self, top_system: Family) -> dict:
-        """The compatible family obtained by reducing a top-level system
-        down the whole tower, keyed by level."""
-        out = {self.top_level: top_system}
-        for level in range(self.top_level, 1, -1):
-            out[level - 1] = self.reduce_system(level, out[level])
-        return out
 
 
 def shadow_reduction_matches(tower: StarkTower, level: int,
@@ -415,31 +385,12 @@ def shadow_reduction_matches(tower: StarkTower, level: int,
     the free-ambient value table of every component, reduced entrywise,
     equals the table of the reduced system's component."""
     low = tower.reduce_system(level, system)
-    R = tower.ring_at(level)
-    S = tower.ring_at(level - 1)
+    n = tower.ring_at(level - 1).n
     data_hi = tower.data_at(level)
     data_lo = tower.data_at(level - 1)
     for d in data_hi.instance.divisors():
         hi = data_hi.ambient_table(d, system.component(d))
         lo = data_lo.ambient_table(d, low.component(d))
-        if reduce_table(R, S, hi) != lo:
+        if [v % n for v in hi] != lo:
             return False
     return True
-
-
-def tower_exponent_table(tower: StarkTower, top_system: Family) -> list:
-    """Exponents of the content ideals down the tower.
-
-    Entry [i][level - 1] is the exponent k with the level's i-th content
-    ideal equal to (p^k) — the zero ideal giving the level itself.  The
-    recurrence k(level) = min(k(level + 1), level) holds row by row, which
-    is how the limits stabilize.
-    """
-    systems = tower.systems_from_top(top_system)
-    s = tower.instance_at(tower.top_level).n_primes
-    table = [[0] * tower.top_level for _ in range(s + 1)]
-    for level in tower.levels:
-        ideals = system_ideals(systems[level])
-        for i in range(s + 1):
-            table[i][level - 1] = ideals[i].exponent()
-    return table

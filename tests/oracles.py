@@ -39,6 +39,17 @@ def ring_elements(ring):
     return itertools.product(range(ring.base.n), repeat=ring.rank)
 
 
+def reduce_element(R, S, x):
+    """Push a ring element along the surjection R -> S onto a lower
+    coefficient modulus: a group ring keeps its group, or onto a chain ring
+    collapses it (the coordinates are summed)."""
+    if R.rank == 1:
+        return x % S.n
+    if S.rank == 1:
+        return sum(x) % S.n
+    return tuple(c % S.base.n for c in x)
+
+
 def cyclic(ring, a) -> FPModule:
     """R / (a), presented on one generator."""
     return FPModule(ring, 1, Matrix(ring, [[a]]))

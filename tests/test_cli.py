@@ -661,6 +661,19 @@ class TestNonEulerFamily:
         assert not out.exists()
 
 
+class TestDeriveNeedsChainRing:
+    def test_group_ring_instance_exits_2(self, tmp_path, capsys):
+        tower = _gen(tmp_path, "tower.json", "3,2", 1, 3, profile="tower")
+        group = _gen(tmp_path, "group.json", "3,2,3", 1, 3)
+        out = tmp_path / "derive.json"
+        assert cli.main(["derive", str(tower), str(group),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "derive needs chain-ring coefficients" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestGenRejectsNoPrimes:
     @pytest.mark.parametrize("profile", [
         "generic", "class-trivial", "pir-basis", "degenerate", "tower",

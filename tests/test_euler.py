@@ -228,6 +228,15 @@ class TestLocalFactors:
                 assert pairing.pair_entry(q, qq) == pairing.images[q][qq] % 5
 
 
+def _restrict(tower, small, big, y):
+    """Norm spreading from a sub-level: each coordinate of the level ring at
+    ``big`` is y's coordinate at its exponents on the symbol groups kept."""
+    Sb, Ss = tower.level_ring(big), tower.level_ring(small)
+    return tuple(y[Ss.exp_to_index(tuple(Sb.index_to_exp(i)[big.index(q)]
+                                         for q in small))]
+                 for i in range(Sb.rank))
+
+
 class TestLevelMaps:
     def test_restrict_after_corestrict_is_norm(self):
         tower = _two_prime_tower()
@@ -239,8 +248,8 @@ class TestLevelMaps:
         rng = random.Random(0)
         for _ in range(10):
             x = Sb.random_element(rng)
-            lhs = tower.restrict(small, big,
-                                 tower.corestrict(big, small, x))
+            lhs = _restrict(tower, small, big,
+                            tower.corestrict(big, small, x))
             assert lhs == Sb.mul(tuple(norm), x)
 
     def test_corestrict_after_restrict_is_fiber_size(self):
@@ -250,8 +259,7 @@ class TestLevelMaps:
         rng = random.Random(1)
         for _ in range(10):
             y = Ss.random_element(rng)
-            lhs = tower.corestrict(big, small,
-                                   tower.restrict(small, big, y))
+            lhs = tower.corestrict(big, small, _restrict(tower, small, big, y))
             assert lhs == Ss.mul(Ss.from_int(5), y)
 
     def test_corestrict_is_multiplicative(self):
@@ -301,25 +309,19 @@ class TestLevelMaps:
                     continue
                 Ss = tower.level_ring(small)
                 x = Sb.random_element(rng)
-                y = Ss.random_element(rng)
                 down = [0] * Ss.rank
-                up = []
                 for i, c in enumerate(x):
                     exps = Sb.index_to_exp(i)
                     j = Ss.exp_to_index(tuple(exps[big.index(q)]
                                               for q in small))
                     down[j] += c
-                    up.append(y[j])
                 assert tower.corestrict(big, small, x) == tuple(
                     c % Ss.base.n for c in down)
-                assert tower.restrict(small, big, y) == tuple(up)
 
     def test_nesting_required(self):
         tower = _two_prime_tower()
         with pytest.raises(ValueError, match="sub-level"):
             tower.corestrict((0,), (1,), tower.level_ring((0,)).one)
-        with pytest.raises(ValueError, match="sub-level"):
-            tower.restrict((1,), (0,), tower.level_ring((1,)).one)
 
 
 class TestCanonicalSystem:

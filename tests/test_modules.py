@@ -7,6 +7,7 @@ compare the package against full enumeration on small presentations over all
 seven standard rings.
 """
 
+import itertools
 import random
 
 import pytest
@@ -48,6 +49,7 @@ from oracles import (
     annihilator_elements,
     canonical_reps,
     cyclic,
+    det_permutation_expansion,
     direct_sum,
     from_base,
     ideal_elements,
@@ -607,6 +609,33 @@ class TestFittingIdeals:
         assert X.size == Y.size
         for i in range(4):
             assert fitting_ideal(X, i) == fitting_ideal(Y, i)
+
+    @pytest.mark.parametrize("ring", [make_ring(3, 2, (3,)),
+                                      make_ring(2, 3, (4,))])
+    def test_group_ring_minors_of_the_own_relations(self, ring):
+        # Fitting ideals do not depend on the generators of the relations:
+        # the minors of the module's own nonzero relation rows give them,
+        # and appending a duplicate and a zero row changes nothing.  The
+        # entries lie in the maximal ideal, so no ideal below the top is
+        # the unit ideal.
+        rng = random.Random(29)
+        maximal = [ring.from_int(ring.base.p),
+                   ring.sub(ring.generator(0), ring.one)]
+        for g, k in [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3)]:
+            rows = [[ring.mul(rng.choice(maximal), ring.random_element(rng))
+                     for _ in range(g)] for _ in range(k)]
+            rows = [row for row in rows if any(c != ring.zero for c in row)]
+            X = FPModule(ring, g, Matrix(ring, rows, ncols=g))
+            fat = FPModule(ring, g, Matrix(
+                ring, rows + rows[:1] + [[ring.zero] * g], ncols=g))
+            for i in range(g + 1):
+                minors = [det_permutation_expansion(
+                              ring, [[rows[a][b] for b in cols] for a in sel])
+                          for sel in itertools.combinations(range(len(rows)),
+                                                            g - i)
+                          for cols in itertools.combinations(range(g), g - i)]
+                assert fitting_ideal(X, i) == Ideal(ring, minors)
+                assert fitting_ideal(fat, i) == Ideal(ring, minors)
 
     def test_fitt0_inside_annihilator(self):
         rng = random.Random(23)

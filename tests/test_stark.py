@@ -25,14 +25,12 @@ from ekslab.stark import (
     StarkTower,
     canonical_basis_system,
     core_projections_bijective,
-    reduce_ideal,
     reduce_instance,
     shadow_reduction_matches,
     stark_from_top,
     system_compatible,
     system_ideals,
     system_is_basis,
-    tower_exponent_table,
     verify_cocycle,
     verify_stark_theorem,
 )
@@ -290,6 +288,29 @@ class TestCoreProjections:
         assert core_projections_bijective(StarkData(inst))
 
 
+def _systems_down(tower, top_system) -> dict:
+    """The top-level system and its reductions down the whole tower, keyed
+    by level."""
+    out = {tower.top_level: top_system}
+    for level in range(tower.top_level, 1, -1):
+        out[level - 1] = tower.reduce_system(level, out[level])
+    return out
+
+
+def _exponent_table(tower, top_system) -> list:
+    """Entry [i][level - 1] is the exponent of the level's i-th content
+    ideal down the tower (the zero ideal reads as the level itself)."""
+    systems = _systems_down(tower, top_system)
+    ideals = [system_ideals(systems[level])
+              for level in range(1, tower.top_level + 1)]
+    return [[row[i].exponent() for row in ideals]
+            for i in range(len(ideals[0]))]
+
+
+def _reduce_ideal(S, ideal):
+    return Ideal(S, [g % S.n for g in ideal.gens])
+
+
 class TestTower:
     def test_rejects_group_rings(self):
         inst = generate_instance(Z9C3, 1, 2, profile="generic", seed=18)
@@ -304,8 +325,6 @@ class TestTower:
             tower.instance_at(4)
         with pytest.raises(ValueError):
             tower.reduce_system(1, canonical_basis_system(tower.data_at(1)))
-        with pytest.raises(ValueError):
-            tower.lift_system(3, canonical_basis_system(tower.data_at(3)))
 
     def test_reduced_instance_keeps_shape(self):
         inst = _graded_z125_instance()
@@ -318,14 +337,14 @@ class TestTower:
     def test_frozen_exponent_table(self):
         tower = StarkTower(_graded_z125_instance())
         basis = canonical_basis_system(tower.data_at(3))
-        table = tower_exponent_table(tower, basis)
-        assert table == [[1, 2, 2], [1, 1, 1], [0, 0, 0]]
+        assert _exponent_table(tower, basis) == [[1, 2, 2], [1, 1, 1],
+                                                 [0, 0, 0]]
 
     def test_exponent_recurrence_and_top_limit(self):
         inst = _graded_z125_instance()
         tower = StarkTower(inst)
         basis = canonical_basis_system(tower.data_at(3))
-        table = tower_exponent_table(tower, basis)
+        table = _exponent_table(tower, basis)
         for row in table:
             for level in (1, 2):
                 assert row[level - 1] == min(row[level], level)
@@ -336,18 +355,18 @@ class TestTower:
     def test_ideal_identity_down_the_tower(self):
         tower = StarkTower(_graded_z125_instance())
         basis = canonical_basis_system(tower.data_at(3))
-        systems = tower.systems_from_top(basis)
+        systems = _systems_down(tower, basis)
         for level in (3, 2):
-            R, S = tower.ring_at(level), tower.ring_at(level - 1)
+            S = tower.ring_at(level - 1)
             hi = system_ideals(systems[level])
             lo = system_ideals(systems[level - 1])
-            assert all(reduce_ideal(R, S, hi[i]) == lo[i]
+            assert all(_reduce_ideal(S, hi[i]) == lo[i]
                        for i in range(len(hi)))
 
     def test_shadow_reduction_commutes(self):
         tower = StarkTower(_graded_z125_instance())
         basis = canonical_basis_system(tower.data_at(3))
-        systems = tower.systems_from_top(basis)
+        systems = _systems_down(tower, basis)
         assert shadow_reduction_matches(tower, 3, systems[3])
         assert shadow_reduction_matches(tower, 2, systems[2])
 
@@ -356,7 +375,9 @@ class TestTower:
         low_data = tower.data_at(1)
         for c in range(5):
             sys1 = stark_from_top(low_data, [c])
-            back = tower.reduce_system(2, tower.lift_system(1, sys1))
+            # the lift reads the same integer residue one level up
+            lift = stark_from_top(tower.data_at(2), [c])
+            back = tower.reduce_system(2, lift)
             for d in low_data.instance.divisors():
                 assert low_data.bidual(d).module.elements_equal(
                     back.component(d), sys1.component(d))
@@ -365,11 +386,11 @@ class TestTower:
         inst = generate_instance(Z125, 2, 2, profile="generic", seed=19)
         tower = StarkTower(inst)
         basis = canonical_basis_system(tower.data_at(3))
-        systems = tower.systems_from_top(basis)
+        systems = _systems_down(tower, basis)
         for level in (3, 2):
-            R, S = tower.ring_at(level), tower.ring_at(level - 1)
+            S = tower.ring_at(level - 1)
             hi = system_ideals(systems[level])
             lo = system_ideals(systems[level - 1])
-            assert all(reduce_ideal(R, S, hi[i]) == lo[i]
+            assert all(_reduce_ideal(S, hi[i]) == lo[i]
                        for i in range(len(hi)))
             assert shadow_reduction_matches(tower, level, systems[level])
