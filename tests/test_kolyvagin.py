@@ -642,6 +642,42 @@ class TestPinnedValues:
         assert _pinned_values(inst) == digests
 
 
+def _all_pairs_values(inst):
+    """Digests of every transition T(m, n), n inside m, and of every
+    regulator component map, as matrices in presentation coordinates."""
+    def key(d):
+        return ",".join(str(q) for q in d)
+
+    sdata, kdata = _views(inst)
+    divisors = inst.divisors()
+    transitions = {
+        f"{key(m)}>{key(n)}": matrix_to_json(sdata.transition(m, n).matrix)
+        for m in divisors for n in divisors if set(n) <= set(m)}
+    components = {
+        key(d): matrix_to_json(regulator_component_map(sdata, kdata, d).matrix)
+        for d in divisors}
+    return _value_digest(transitions), _value_digest(components)
+
+
+class TestAllPairsPins:
+    # Recorded with the contraction still built in each module's own dual
+    # coordinates, before it moved to the free ambient's tables.
+    @pytest.mark.parametrize("ring, r, s, digests", [
+        (Z9, 1, 3, (
+            "df265c03030f784b91047123d213ee6404c2b939655f7f67dde24500c5570af4",
+            "64c750da56359f7f643b0e8f5d3d87fdc83385b3184de95ed772d94f4d272a49")),
+        (Z25, 2, 3, (
+            "7ff4c96ff9cf581d478d830bc7992ddf2936c192a76f1a267671ed898e40ef51",
+            "610575b19b4f0be4279471d37c7ab804953970167bc275004419dcbd9a437746")),
+        (Z9C3, 1, 2, (
+            "1638415e85f11d82558f83e888f1d10457c6161eb1dfe995df669d643e9614d3",
+            "f9244c14b4930008160c1638abb600d73c50edb1854d58aebba04e980079f09d")),
+    ], ids=["z9-r1-s3", "z25-r2-s3", "z9c3-r1-s2"])
+    def test_every_transition_and_regulator_map(self, ring, r, s, digests):
+        inst = generate_instance(ring, r, s, profile="generic", seed=0)
+        assert _all_pairs_values(inst) == digests
+
+
 # ---------------------------------------------------------------------------
 # Presentation-free pins.  The digests above are written in the coordinates
 # of one presentation of each module, so a change of presentation moves them
