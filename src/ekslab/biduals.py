@@ -74,20 +74,6 @@ def merge_sign(A, B) -> int:
     return -1 if inv % 2 else 1
 
 
-def wedge_coeffs(ring, rows, n: int) -> list:
-    """Coefficients of row_1 wedge ... wedge row_r on the r-subsets of range(n).
-
-    The coefficient on a subset A is the r x r minor of the stacked rows at
-    the columns of A.
-    """
-    r = len(rows)
-    out = []
-    for A in r_subsets(n, r):
-        sub = [[row[j] for j in A] for row in rows]
-        out.append(det_ring(ring, sub))
-    return out
-
-
 @cache
 def _contraction_plan(n: int, k: int, r: int) -> tuple:
     """Per (k-r)-subset B of range(n), in order, the triples (a, sign, c)
@@ -215,21 +201,37 @@ class ExteriorBidual:
     its coordinates in the dual's generators; ``table_solver``, the free map
     YW^T, plays that part for ``from_table``.  Each is built, and factored,
     once, on first use.
+
+    A bidual of a submodule of a free ambient R^n may carry the
+    ``inclusion`` X -> R^n together with ``free``, the degree-r bidual of
+    R^n, which the caller's biduals of one degree share.  ``embedding``,
+    the bidual functor map of the inclusion into ``free``, is then the
+    module's one embedding into the free ambient, built, and factored,
+    once.  The free module's bidual is presented on its value tables (its
+    ``YW`` is the identity), so the embedding's columns are the value
+    tables on plain r-subsets of coordinates of the generators of
+    ``module``.
     """
 
-    __slots__ = ("X", "r", "dual", "Y", "wedge", "module", "YW",
-                 "_dual_solver", "_table_solver")
+    __slots__ = ("X", "r", "dual", "Y", "wedge", "module", "YW", "inclusion",
+                 "free", "_dual_solver", "_table_solver", "_embedding")
 
-    def __init__(self, X: FPModule, r: int):
+    def __init__(self, X: FPModule, r: int, inclusion: ModuleMap | None = None,
+                 free: "ExteriorBidual | None" = None):
         if r < 0:
             raise ValueError("negative bidual degree")
+        if (inclusion is None) != (free is None):
+            raise ValueError("an inclusion and its free bidual come together")
         self.X = X
         self.r = r
         self.dual, self.Y = dual_module(X)
         self.wedge = ExteriorPower(self.dual, r)
         self.module, self.YW = dual_module(self.wedge.module)
+        self.inclusion = inclusion
+        self.free = free
         self._dual_solver = None
         self._table_solver = None
+        self._embedding = None
 
     @property
     def dual_solver(self) -> ModuleMap:
@@ -247,6 +249,16 @@ class ExteriorBidual:
         if self._table_solver is None:
             self._table_solver = free_map(self.YW.transpose())
         return self._table_solver
+
+    @property
+    def embedding(self) -> ModuleMap:
+        """The bidual functor map of ``inclusion`` into ``free``: injective
+        over the self-injective rings used here, and its preimages decide
+        which ambient tables lie in this bidual."""
+        if self._embedding is None:
+            self._embedding = bidual_functor_map(
+                self.inclusion, self.r, self, self.free)
+        return self._embedding
 
     def table(self, coords) -> list:
         """Values of the functional with these coordinates on the monomials."""
@@ -333,7 +345,8 @@ def bidual_contraction(source: ExteriorBidual, target: ExteriorBidual, phi) -> M
     """Contraction map between biduals: (Phi . F)(Psi) = F(Phi wedge Psi).
 
     ``phi`` is a coefficient vector on the (source.r - target.r)-subsets of
-    the dual generators (e.g. from ``wedge_coeffs`` on dual coordinate rows).
+    the dual generators: the minors of the stacked dual coordinate rows of
+    the functionals, for a wedge of functionals.
     The map is the dual of left wedge multiplication by Phi.
     """
     if source.X is not target.X and source.X.ngens != target.X.ngens:
@@ -360,23 +373,27 @@ def bidual_contraction(source: ExteriorBidual, target: ExteriorBidual, phi) -> M
     return ModuleMap(source.module, target.module, mat)
 
 
-def contract_pullback(big: ExteriorBidual, big_incl: ModuleMap,
-                      functionals: dict, lowered: ExteriorBidual,
-                      small_incl: ModuleMap, small: ExteriorBidual, scale,
-                      messages) -> ModuleMap:
-    """Contract by a wedge of local functionals, then pull back to a
-    smaller module's bidual: the one construction behind the Stark
-    transitions, the Kolyvagin relation maps and the regulator.
+def contract_pullback(big: ExteriorBidual, functionals: dict,
+                      small: ExteriorBidual, scale, messages) -> ModuleMap:
+    """Contract by a wedge of local functionals in the free ambient and
+    read the result in a smaller module's bidual: the one construction
+    behind the Stark transitions, the Kolyvagin relation maps and the
+    regulator.
 
-    ``big`` is a bidual of a module X with inclusion ``big_incl`` into the
-    free ambient, ``lowered`` the bidual of X in the degree that remains
-    after contracting, and ``small`` the bidual, in that degree, of a
-    submodule Y of X with inclusion ``small_incl`` into the same ambient.
-    ``functionals`` maps prime indices to functionals on the ambient.  Each
-    is restricted along ``big_incl`` and read in X's dual generators; they
-    are wedged in *descending* prime order, the contraction by that wedge is
-    identified with its preimage under the (injective) bidual functor map
-    of Y -> X, and the result is multiplied by the unit ``scale``.
+    ``big`` and ``small`` are biduals of modules X and Y of one free ambient
+    R^n, each with its ``inclusion`` and ``embedding`` (P_X, P_Y), with Y
+    inside X and ``small.r`` the degree left after contracting ``big``.
+    ``functionals`` maps prime indices to functionals on the ambient, wedged
+    in *descending* prime order into phi.  The map is
+
+        T = scale . P_Y^-1 (phi _| P_X(.)):
+
+    each generator's ambient table (a column of P_X) is contracted by the
+    ambient functionals, largest prime first, solved along P_Y, and scaled.
+    It is the contraction by the restricted functionals in X's own bidual
+    followed by the preimage under the bidual functor map of Y -> X: by
+    naturality P_X(i*phi _| a) = phi _| P_X(a), with P_Y = P_X o (Y -> X)
+    that gives P_Y(T a) = scale . phi _| P_X(a), and P_Y is injective.
 
     The callers' signs make the maps compose exactly:
       * a transition from divisor m to a subdivisor n contracts by the
@@ -389,24 +406,33 @@ def contract_pullback(big: ExteriorBidual, big_incl: ModuleMap,
         indices of n), nu the number of primes of n; with it the
         Kolyvagin relation holds with no further factor.
 
-    ``messages`` are the ``RuntimeError`` texts for a functional outside
-    X's dual, for Y escaping X, and for a contracted element outside the
-    bidual of Y.
+    ``messages`` are the ``RuntimeError`` texts for a functional whose
+    restriction to X is outside X's dual, for Y escaping X, and for a
+    contracted element outside the bidual of Y.
     """
     not_dual, escapes, outside = messages
     ring = big.X.ring
-    restrict = big_incl.matrix.transpose()
-    rows = []
-    for q in sorted(functionals, reverse=True):
-        sol = solve_map(big.dual_solver, restrict.apply(list(functionals[q])))
-        if sol is None:
+    order = [functionals[q] for q in sorted(functionals, reverse=True)]
+    restrict = big.inclusion.matrix.transpose()
+    for ell in order:
+        if solve_map(big.dual_solver, restrict.apply(list(ell))) is None:
             raise RuntimeError(not_dual)
-        rows.append(sol)
-    phi = wedge_coeffs(ring, rows, big.dual.ngens)
-    contr = bidual_contraction(big, lowered, phi)
-    sub = factor_through(small_incl, big_incl, escapes)
-    push = bidual_functor_map(sub, small.r, small, lowered)
-    return factor_through(contr, push, outside, scale=scale)
+    factor_through(small.inclusion, big.inclusion, escapes)
+    if small.r != big.r - len(order):
+        raise ValueError("the small bidual must have the contracted degree")
+    n = big.free.X.ngens
+    tables = []
+    for col in big.embedding.matrix.transpose().rows:
+        table, k = col, big.r
+        for ell in order:
+            table = interior_product(ring, n, k, ell, table)
+            k -= 1
+        tables.append(table)
+    target = small.free.module
+    contracted = ModuleMap(big.module, target, Matrix(
+        ring, [[table[a] for table in tables] for a in range(target.ngens)],
+        ncols=len(tables), reduced=True))
+    return factor_through(contracted, small.embedding, outside, scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,16 @@ rank-one local lines is multiplication by the comparison unit carried by
 the prime's Frobenius data, optionally twisted by the chosen generator of
 the prime's symbol group.
 
-The regulator sends a divisor-indexed contraction system to such a family:
-it contracts each relaxed component by the wedge of the finite-part
-functionals of the primes in the divisor, pulls the result back into the
-bidual of the modified Selmer module, and scales by the comparison units
-and a divisor sign.  The wedge order and the sign, which make the relation
-above hold without any further factors, are stated once in
+Every bidual here sits in the bidual of the free ambient through its one
+embedding, and every map here is a contraction there.  The regulator sends
+a divisor-indexed contraction system to such a family: it contracts the
+ambient table of each relaxed component by the wedge of the finite-part
+functionals of the primes in the divisor, reads the result in the bidual
+of the modified Selmer module by its preimage under that module's
+embedding, and scales by the comparison units and a divisor sign.  The
+singular-value and finite-singular maps contract by one functional the
+same way.  The wedge order and the sign, which make the relation above
+hold without any further factors, are stated once in
 ``biduals.contract_pullback``.
 
 The value-content ideals of such a family, summed over divisors with a
@@ -30,7 +34,6 @@ from .modules import (
     Ideal,
     ModuleMap,
     annihilator,
-    fitting_ideal,
     is_injective,
     solve_map,
 )
@@ -121,8 +124,8 @@ class KolyvaginData(FamilyData):
     def strict_bidual(self, divisor, q: int) -> ExteriorBidual:
         key = (tuple(sorted(divisor)), q)
         if key not in self._strict_bidual:
-            module, _incl = self.instance.strict_module(*key)
-            self._strict_bidual[key] = ExteriorBidual(module, self.rank - 1)
+            self._strict_bidual[key] = self.ambient_bidual(
+                self.instance.strict_module(*key), self.rank - 1)
         return self._strict_bidual[key]
 
     def _drop_map(self, divisor, q, row, scale) -> ModuleMap:
@@ -130,11 +133,9 @@ class KolyvaginData(FamilyData):
         the strict bidual at (divisor + q); ``divisor`` may or may not
         contain q, ``row`` is the ambient functional, ``scale`` a unit."""
         with_q = tuple(sorted(set(divisor) | {q}))
-        return contract_pullback(
-            self.bidual(divisor), self.module(divisor)[1], {q: row},
-            self.bidual(divisor, self.rank - 1),
-            self.instance.strict_module(with_q, q)[1],
-            self.strict_bidual(with_q, q), scale, _DROP_ERRORS)
+        return contract_pullback(self.bidual(divisor), {q: row},
+                                 self.strict_bidual(with_q, q), scale,
+                                 _DROP_ERRORS)
 
     def v_map(self, divisor, q: int) -> ModuleMap:
         """The singular-value map at q |  divisor: contraction by the
@@ -178,14 +179,13 @@ def component_from_ambient_table(data: KolyvaginData, divisor, table):
     free ambient module, or None when the table is malformed.
 
     The table is malformed when it is not a functional, or when it has no
-    preimage under the bidual functor map of the modified Selmer module's
-    inclusion: that map embeds the module's bidual in the ambient one, so
-    the preimage decides membership."""
-    free, push = data.ambient_push(divisor)
-    coords = free.from_table(list(table))
+    preimage under the modified Selmer module's bidual ``embedding``: the
+    embedding is injective, so the preimage decides membership."""
+    bid = data.bidual(divisor)
+    coords = bid.free.from_table(list(table))
     if coords is None:
         return None
-    return solve_map(push, coords)
+    return solve_map(bid.embedding, coords)
 
 
 def system_from_ambient_tables(data: KolyvaginData, tables: dict):
@@ -214,8 +214,9 @@ def regulator_component_map(sdata: StarkData, kdata: KolyvaginData,
 
     From the degree-(r + nu) bidual of the relaxed module to the degree-r
     bidual of the modified Selmer module: contraction by the wedge of the
-    divisor's finite-part functionals, pulled back along the inclusion,
-    scaled by the comparison units and the divisor sign.
+    divisor's finite-part functionals in the free ambient, read in the
+    modified bidual through its embedding, and scaled by the comparison
+    units and the divisor sign.
     """
     key = tuple(sorted(divisor))
     if key not in kdata._reg_map:
@@ -225,9 +226,7 @@ def regulator_component_map(sdata: StarkData, kdata: KolyvaginData,
         for q in key:
             scale = ring.mul(scale, kdata.effective_unit(q))
         kdata._reg_map[key] = contract_pullback(
-            sdata.bidual(key), sdata.module(key)[1],
-            {q: inst.finite_functional(q) for q in key},
-            sdata.bidual(key, kdata.rank), kdata.module(key)[1],
+            sdata.bidual(key), {q: inst.finite_functional(q) for q in key},
             kdata.bidual(key), scale, _REGULATOR_ERRORS)
     return kdata._reg_map[key]
 
@@ -329,10 +328,7 @@ def verify_main_theorem(system: Family) -> dict:
     inst = system.data.instance
     table = level_table(system)
     contents = table["contents"]
-    # at the empty divisor the modified module is the unmodified one
-    fitt0 = table["fitt0"] = {
-        d: fitting_ideal(inst.dual_selmer(d), 0) if d
-        else inst.dual_fitting(0) for d in contents}
+    fitt0 = table["fitt0"] = {d: inst.dual_fitting(0, d) for d in contents}
     table.update(
         chain_ring=system.data.ring.rank == 1,
         im_in_fitt0=all(contents[d].leq(fitt0[d]) for d in contents),
@@ -369,7 +365,7 @@ def fitt_ind_corollary(instance: SelmerInstance, i: int) -> dict:
     lhs = Ideal.zero(instance.ring)
     for d in instance.divisors():
         if len(d) == i:
-            lhs = lhs.add(fitting_ideal(instance.dual_selmer(d), 0))
+            lhs = lhs.add(instance.dual_fitting(0, d))
     rhs = instance.dual_fitting(i)
     ann_all = all(
         annihilator(instance.selmer_module(d)[0]).is_zero()

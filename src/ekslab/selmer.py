@@ -278,13 +278,16 @@ class SelmerInstance:
         return self._memo("cokernel", lambda f: cokernel(f)[0],
                           self._states(divisor, drop))
 
-    def dual_fitting(self, i: int) -> Ideal:
-        """The i-th Fitting ideal of the unmodified dual Selmer module,
-        computed once per instance: the structure theorems of both sides
-        and the bidual suite compare against these."""
-        if i not in self._fitting:
-            self._fitting[i] = fitting_ideal(self.dual_selmer(()), i)
-        return self._fitting[i]
+    def dual_fitting(self, i: int, divisor=(), drop=None) -> Ideal:
+        """The i-th Fitting ideal of ``dual_selmer(divisor, drop)``, by
+        default of the unmodified dual Selmer module: computed once per
+        instance and module, so the Fitting recursion, the structure
+        theorems of both sides and the bidual suite share them."""
+        key = (i, self._states(divisor, drop))
+        if key not in self._fitting:
+            self._fitting[key] = fitting_ideal(self.dual_selmer(divisor, drop),
+                                               i)
+        return self._fitting[key]
 
     def residue_ranks(self, divisor):
         """(Selmer rank, dual Selmer rank) of the reduction to the residue
@@ -372,11 +375,10 @@ def fitt_recursion_holds(instance: SelmerInstance, divisor, i: int) -> bool:
     """
     if i < 1:
         raise ValueError("the recursion starts at the first Fitting ideal")
-    lhs = fitting_ideal(instance.dual_selmer(divisor), i)
+    lhs = instance.dual_fitting(i, divisor)
     total = Ideal.zero(instance.ring)
     for q in range(instance.n_primes):
-        total = total.add(
-            fitting_ideal(instance.dual_selmer(divisor, drop=q), i - 1))
+        total = total.add(instance.dual_fitting(i - 1, divisor, drop=q))
     return lhs == total
 
 

@@ -16,14 +16,17 @@ import itertools
 
 from ekslab.biduals import (
     ExteriorPower,
+    bidual_contraction,
+    bidual_functor_map,
     interior_product,
     merge_sign,
     r_subsets,
     subset_position,
 )
-from ekslab.modules import FPModule, ModuleMap
+from ekslab.modules import FPModule, ModuleMap, factor_through, solve_map
 from ekslab.rings import (
     Matrix,
+    det_ring,
     kernel_matrix,
     span_rows_base,
     submodule_howell,
@@ -438,3 +441,66 @@ def contraction_map(X: FPModule, phi_rows, s: int) -> ModuleMap:
         total = M.mul(total)
     ext_bot = ExteriorPower(X, s - r)
     return ModuleMap(ext_top.module, ext_bot.module, total)
+
+
+def wedge_coeffs(ring, rows, n: int) -> list:
+    """Coefficients of row_1 wedge ... wedge row_r on the r-subsets of range(n).
+
+    The coefficient on a subset A is the r x r minor of the stacked rows at
+    the columns of A.
+    """
+    r = len(rows)
+    out = []
+    for A in r_subsets(n, r):
+        sub = [[row[j] for j in A] for row in rows]
+        out.append(det_ring(ring, sub))
+    return out
+
+
+def contract_pullback_reference(big, big_incl, functionals: dict, lowered,
+                                small_incl, small, scale, messages):
+    """``biduals.contract_pullback`` computed in X's own dual coordinates,
+    the route the package took before it contracted in the free ambient.
+
+    ``big`` is a bidual of X with inclusion ``big_incl`` into the free
+    ambient, ``lowered`` the bidual of X in the degree left after
+    contracting, and ``small`` that degree's bidual of a submodule Y of X
+    with inclusion ``small_incl``.  Each functional is restricted to X and
+    read in X's dual generators; they are wedged in descending prime order,
+    the contraction lands in ``lowered``, and its preimage under the bidual
+    functor map of Y -> X, times ``scale``, is the result.  ``messages``
+    are the texts for a functional outside X's dual, for Y escaping X, and
+    for a contracted element outside the bidual of Y.
+    """
+    not_dual, escapes, outside = messages
+    ring = big.X.ring
+    restrict = big_incl.matrix.transpose()
+    rows = []
+    for q in sorted(functionals, reverse=True):
+        sol = solve_map(big.dual_solver, restrict.apply(list(functionals[q])))
+        if sol is None:
+            raise RuntimeError(not_dual)
+        rows.append(sol)
+    phi = wedge_coeffs(ring, rows, big.dual.ngens)
+    contr = bidual_contraction(big, lowered, phi)
+    sub = factor_through(small_incl, big_incl, escapes)
+    push = bidual_functor_map(sub, small.r, small, lowered)
+    return factor_through(contr, push, outside, scale=scale)
+
+
+def cocycle_on_every_chain(data) -> bool:
+    """``stark.verify_cocycle`` over every chain of three divisors
+    n inside m' inside m, the identity chains included."""
+    divisors = data.instance.divisors()
+    for m in divisors:
+        for mp in divisors:
+            if not set(mp) <= set(m):
+                continue
+            for n in divisors:
+                if not set(n) <= set(mp):
+                    continue
+                direct = data.transition(m, n)
+                two_step = data.transition(mp, n).compose(data.transition(m, mp))
+                if not direct.equals(two_step):
+                    return False
+    return True

@@ -17,7 +17,6 @@ from ekslab.biduals import (
     interior_product,
     merge_sign,
     r_subsets,
-    wedge_coeffs,
 )
 from ekslab.modules import (
     FPModule,
@@ -31,7 +30,12 @@ from ekslab.modules import (
     solve_map,
 )
 from ekslab.rings import Matrix, kernel_matrix, make_ring
-from oracles import reduce_element, same_submodule, table_in_sub_bidual
+from oracles import (
+    reduce_element,
+    same_submodule,
+    table_in_sub_bidual,
+    wedge_coeffs,
+)
 
 
 def random_element(module, rng) -> list:

@@ -28,7 +28,6 @@ from ekslab.biduals import (
     merge_sign,
     r_subsets,
     subset_position,
-    wedge_coeffs,
 )
 from ekslab.modules import (
     FPModule,
@@ -48,7 +47,9 @@ from oracles import (
     alternating_form_solutions,
     contraction_map,
     free_system,
+    contract_pullback_reference,
     same_submodule,
+    wedge_coeffs,
     wedge_mult_matrix,
 )
 from propchecks import (
@@ -349,6 +350,16 @@ class TestBidualModule:
                 assert bid.module.size == ring.size ** binom
                 assert is_isomorphism(bid.xi())
 
+    def test_free_bidual_is_presented_on_its_value_tables(self):
+        # contract_pullback reads ambient tables as coordinates in the free
+        # bidual: that needs a free presentation with YW the identity.
+        for ring in [Z9, make_ring(3, 2, (3,))]:
+            for n in range(3, 6 if ring.rank == 1 else 5):
+                for r in range(n + 1):
+                    bid = ExteriorBidual(FPModule.free(ring, n), r)
+                    assert bid.module.relations.nrows == 0
+                    assert bid.YW == Matrix.identity(ring, len(r_subsets(n, r)))
+
     def test_degree_one_is_double_dual(self):
         rng = random.Random(41)
         for ring in RINGS:
@@ -405,6 +416,11 @@ class TestBidualModule:
                     free_system(Yt), f)
 
 
+def _embedded(X, r, incl):
+    """The degree-r bidual of X with its inclusion into a free ambient."""
+    return ExteriorBidual(X, r, incl, ExteriorBidual(incl.target, r))
+
+
 class TestContractPullback:
     MESSAGES = ("not a functional", "escapes", "outside")
 
@@ -413,12 +429,11 @@ class TestContractPullback:
         for ring in [Z9, F3C3]:
             X = FPModule.free(ring, 3)
             incl = ModuleMap.identity(X)
-            b3, b1 = ExteriorBidual(X, 3), ExteriorBidual(X, 1)
+            b3, b1 = _embedded(X, 3, incl), _embedded(X, 1, incl)
             f0, f2 = ([ring.random_element(rng) for _ in range(3)]
                       for _ in range(2))
             minus = ring.neg(ring.one)
-            got = contract_pullback(b3, incl, {0: f0, 2: f2}, b1, incl,
-                                    ExteriorBidual(X, 1), minus,
+            got = contract_pullback(b3, {0: f0, 2: f2}, b1, minus,
                                     self.MESSAGES)
             dual = free_system(b3.Y.transpose())
             rows = [solve_map(dual, f2), solve_map(dual, f0)]
@@ -435,10 +450,75 @@ class TestContractPullback:
         line_incl = ModuleMap(line, ambient, Matrix(Z9, [[1], [0]]))
         with pytest.raises(RuntimeError, match="escapes"):
             contract_pullback(
-                ExteriorBidual(line, 1), line_incl, {},
-                ExteriorBidual(line, 1),
-                ModuleMap.identity(ambient), ExteriorBidual(ambient, 1),
+                _embedded(line, 1, line_incl), {},
+                _embedded(ambient, 1, ModuleMap.identity(ambient)),
                 Z9.one, self.MESSAGES)
+
+    @staticmethod
+    def _scaled_span(ring, rng, ambient, vectors):
+        """The span of the vectors, each scaled by a random power of p, so
+        the presentation carries relations."""
+        scaled = []
+        for v in vectors:
+            p, m = ring.base.p, ring.base.m
+            c = ring.from_int(p ** rng.randrange(m))
+            scaled.append([ring.mul(c, x) for x in v])
+        return present_submodule(ambient, scaled)
+
+    @staticmethod
+    def _outcome(build):
+        try:
+            return build(), None
+        except RuntimeError as exc:
+            return None, str(exc)
+
+    @pytest.mark.parametrize("ring", [Z9, Z8, make_ring(3, 2, (3,)),
+                                      make_ring(2, 3, (4,))], ids=str)
+    def test_the_ambient_route_equals_the_dual_coordinate_route(self, ring):
+        # Y inside X inside R^n; Y is cut out of X by the functionals (the
+        # shape of a transition, which lands), a random submodule of X
+        # (which mostly does not), or a random submodule of R^n (which
+        # mostly escapes).
+        rng = random.Random(f"pullback-{ring}")
+        n = 3 if ring.rank == 1 else 2
+        ambient = FPModule.free(ring, n)
+        outcomes = set()
+        for trial in range(18 if ring.rank == 1 else 9):
+            X, x_incl = self._scaled_span(ring, rng, ambient, [
+                [ring.random_element(rng) for _ in range(n)]
+                for _ in range(rng.randrange(2, n + 1))])
+            shape, t = trial % 3, trial // 3 % 3
+            funcs = {q: [ring.random_element(rng) for _ in range(n)]
+                     for q in rng.sample(range(4), t)}
+            if shape == 0:
+                cut = ModuleMap(X, FPModule.free(ring, t), Matrix(
+                    ring, [x_incl.matrix.transpose().apply(f)
+                           for f in funcs.values()], ncols=X.ngens))
+                _Y, y_in_x = kernel(cut)
+                Y, y_incl = present_submodule(ambient, [
+                    x_incl.apply(v) for v in y_in_x.matrix.transpose().rows])
+            else:
+                y_vecs = ([x_incl.apply(random_element(X, rng))]
+                          if shape == 1 else
+                          [[ring.random_element(rng) for _ in range(n)]])
+                Y, y_incl = self._scaled_span(ring, rng, ambient, y_vecs)
+            r = t + 1 if t < n else t
+            big = _embedded(X, r, x_incl)
+            small = _embedded(Y, r - t, y_incl)
+            scale = ring.neg(ring.one) if trial % 2 else ring.one
+            got, got_err = self._outcome(lambda: contract_pullback(
+                big, funcs, small, scale, self.MESSAGES))
+            want, want_err = self._outcome(
+                lambda: contract_pullback_reference(
+                    big, x_incl, funcs, ExteriorBidual(X, r - t), y_incl,
+                    small, scale, self.MESSAGES))
+            assert got_err == want_err
+            if got is not None:
+                assert got.source is want.source
+                assert got.target is want.target
+                assert got.equals(want)
+            outcomes.add(got_err)
+        assert outcomes == {None, "escapes", "outside"}
 
 
 class TestBidualFunctorReuse:

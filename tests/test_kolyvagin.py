@@ -770,9 +770,12 @@ class TestAmbientPins:
     @pytest.mark.parametrize("ring, r, s", [
         (Z9, 1, 3), (Z25, 2, 3), (Z9C3, 1, 2),
     ], ids=["z9-r1-s3", "z25-r2-s3", "z9c3-r1-s2"])
-    def test_ambient_push_is_injective(self, ring, r, s):
+    def test_every_ambient_embedding_is_injective(self, ring, r, s):
         inst = generate_instance(ring, r, s, profile="generic", seed=0)
-        for data in _views(inst):
-            for d in inst.divisors():
-                _free, push = data.ambient_push(d)
-                assert is_injective(push)
+        sdata, kdata = _views(inst)
+        biduals = [data.bidual(d) for data in (sdata, kdata)
+                   for d in inst.divisors()]
+        biduals += [kdata.strict_bidual(d, q) for d in inst.divisors()
+                    for q in d]
+        for bid in biduals:
+            assert is_injective(bid.embedding)

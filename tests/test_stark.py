@@ -7,6 +7,7 @@ import pytest
 from ekslab.biduals import ExteriorBidual
 from ekslab.modules import (
     Ideal,
+    ModuleMap,
     factor_through,
     fitting_ideal,
     is_isomorphism,
@@ -34,13 +35,14 @@ from ekslab.stark import (
     verify_cocycle,
     verify_stark_theorem,
 )
-from oracles import same_submodule
+from oracles import cocycle_on_every_chain, same_submodule
 
 Z8 = make_ring(2, 3)
 Z25 = make_ring(5, 2)
 F5 = make_ring(5, 1)
 Z9C3 = make_ring(3, 2, (3,))
 Z125 = make_ring(5, 3)
+Z9 = make_ring(3, 2)
 
 RINGS = [Z8, Z25, F5, Z9C3]
 
@@ -176,6 +178,30 @@ class TestCocycle:
     def test_cocycle_across_profiles(self, profile):
         inst = generate_instance(Z25, 2, 3, profile=profile, seed=6)
         assert verify_cocycle(StarkData(inst))
+
+    @pytest.mark.parametrize("ring, s", [(Z9, 3), (Z9C3, 2)],
+                             ids=["z9-r1-s3", "z9c3-r1-s2"])
+    def test_one_prime_first_chains_decide_like_every_chain(self, ring, s):
+        # Corrupt each computed transition in turn.  T(m, m) is the identity
+        # by construction, which the one-prime-first check takes as given,
+        # so the identity entries of the cache are left alone.
+        data = StarkData(generate_instance(ring, 1, s, profile="generic",
+                                           seed=0))
+        assert cocycle_on_every_chain(data) and verify_cocycle(data)
+        unit = ring.from_int(1 + ring.base.p)
+        verdicts = []
+        for (m, n), T in list(data._transition.items()):
+            if m == n:
+                continue
+            for c in (ring.neg(ring.one), unit):
+                data._transition[m, n] = ModuleMap(T.source, T.target, Matrix(
+                    ring, [[ring.mul(c, x) for x in row]
+                           for row in T.matrix.rows], ncols=T.matrix.ncols))
+                verdict = verify_cocycle(data)
+                assert verdict == cocycle_on_every_chain(data), (m, n, c)
+                verdicts.append(verdict)
+            data._transition[m, n] = T
+        assert False in verdicts
 
 
 class TestStarkSystems:
