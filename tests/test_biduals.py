@@ -45,9 +45,9 @@ from ekslab.rings import ChainRing, Matrix, det_ring, make_ring, \
 from oracles import (
     all_functionals,
     alternating_form_solutions,
+    contract_pullback_reference,
     contraction_map,
     free_system,
-    contract_pullback_reference,
     same_submodule,
     wedge_coeffs,
     wedge_mult_matrix,
@@ -458,9 +458,9 @@ class TestContractPullback:
     def _scaled_span(ring, rng, ambient, vectors):
         """The span of the vectors, each scaled by a random power of p, so
         the presentation carries relations."""
+        p, m = ring.base.p, ring.base.m
         scaled = []
         for v in vectors:
-            p, m = ring.base.p, ring.base.m
             c = ring.from_int(p ** rng.randrange(m))
             scaled.append([ring.mul(c, x) for x in v])
         return present_submodule(ambient, scaled)
