@@ -25,7 +25,11 @@ self-injective rings used here it is injective, and its image is the set of
 elements that contraction by every functional vanishing on Y kills
 (Burns-Sakamoto-Sano, part I).  So an element of the bidual of X lies in
 that of Y exactly when it has a preimage under this map, and a preimage
-solve is how the package decides it.
+solve is how the package decides it.  The engines take X to be the free
+ambient: each bidual carries its one embedding there
+(``ExteriorBidual.embedding``), and every contraction map between their
+biduals is a contraction of ambient tables read back through those
+embeddings (``contract_pullback``).
 """
 
 from __future__ import annotations
