@@ -18,16 +18,21 @@ from ekslab.biduals import (
     ExteriorPower,
     bidual_contraction,
     bidual_functor_map,
+    contract_pullback,
     interior_product,
     merge_sign,
     r_subsets,
     subset_position,
 )
-from ekslab.modules import FPModule, ModuleMap, factor_through, solve_map
+from ekslab.modules import FPModule, ModuleMap, factor_through, kernel, \
+    solve_map
 from ekslab.rings import (
     Matrix,
     det_ring,
+    howell_int,
+    kernel_int,
     kernel_matrix,
+    row_module_size,
     span_rows_base,
     submodule_howell,
     vec_from_base,
@@ -286,8 +291,6 @@ def alternating_form_solutions(ring, functionals, r: int, limit: int = 200):
     This is the fully independent ground truth for the exterior-bidual
     construction: it never touches a wedge presentation.
     """
-    from ekslab.rings import howell_int, kernel_int
-
     L = [tuple(f) for f in functionals]
     if len(L) > limit:
         raise RuntimeError(f"{len(L)} functionals exceed oracle limit {limit}")
@@ -504,3 +507,122 @@ def cocycle_on_every_chain(data) -> bool:
                 if not direct.equals(two_step):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The Kolyvagin relation in the bidual of the strict module: the route the
+# package took before it compared ambient tables.
+# ---------------------------------------------------------------------------
+
+STRICT_ERRORS = (
+    "functional is not in the dual of the module",
+    "submodule does not sit inside the larger one",
+    "contracted element does not lie in the strict bidual",
+)
+
+
+def strict_module(instance, divisor, q: int):
+    """The module strict at q (the finite row, then the transverse row),
+    transverse at the rest of the divisor and finite outside, as the
+    ``kernel`` of the stacked rows: ``(module, inclusion)``."""
+    rows = []
+    for qq in range(instance.n_primes):
+        if qq == q:
+            rows.append(list(instance.finite.rows[qq]))
+            rows.append(list(instance.transverse.rows[qq]))
+        elif qq in divisor:
+            rows.append(list(instance.transverse.rows[qq]))
+        else:
+            rows.append(list(instance.finite.rows[qq]))
+    V = Matrix(instance.ring, rows, ncols=instance.ambient_rank)
+    return kernel(ModuleMap(FPModule.free(instance.ring, instance.ambient_rank),
+                            FPModule.free(instance.ring, V.nrows), V))
+
+
+def strict_bidual(kdata, divisor, q: int):
+    """The degree-(r-1) bidual of the module strict at q, embedded in the
+    free ambient through ``FamilyData.ambient_bidual``."""
+    return kdata.ambient_bidual(strict_module(kdata.instance, divisor, q),
+                                kdata.rank - 1)
+
+
+def drop_map(kdata, divisor, q: int, strict=None):
+    """The singular-value map at q (q inside the divisor) or the
+    finite-singular map at q (q outside it, scaled by the comparison unit),
+    into the strict bidual at (divisor + q, q), by
+    ``biduals.contract_pullback``; ``strict`` is that bidual when the
+    caller holds it."""
+    inst = kdata.instance
+    if strict is None:
+        strict = strict_bidual(kdata, tuple(sorted(set(divisor) | {q})), q)
+    if q in divisor:
+        row, scale = inst.singular_functional(q), kdata.ring.one
+    else:
+        row, scale = inst.finite_functional(q), kdata.effective_unit(q)
+    return contract_pullback(kdata.bidual(divisor), {q: row}, strict, scale,
+                             STRICT_ERRORS)
+
+
+def verify_fs_reference(system):
+    """``kolyvagin.verify_fs`` in the strict biduals: at each (divisor,
+    prime) pair the two maps land in the strict bidual and the images are
+    compared there."""
+    data = system.data
+    failures = []
+    for n in data.instance.divisors():
+        for q in n:
+            lower = tuple(x for x in n if x != q)
+            strict = strict_bidual(data, n, q)
+            lhs = drop_map(data, n, q, strict).apply(system.component(n))
+            rhs = drop_map(data, lower, q, strict).apply(
+                system.component(lower))
+            if not strict.module.elements_equal(lhs, rhs):
+                failures.append((n, q))
+    return not failures, failures
+
+
+def enumerate_systems_reference(kdata):
+    """``kolyvagin.enumerate_systems`` with each relation written through
+    the cochecks of its strict bidual."""
+    inst = kdata.instance
+    base = kdata.ring.base
+    d = kdata.ring.rank
+    divisors = inst.divisors()
+    layout = {}
+    offset = 0
+    for n in divisors:
+        g = kdata.bidual(n).module.ngens
+        layout[n] = (offset, g)
+        offset += g * d
+    width = offset
+    cond_rows = []
+    for n in divisors:
+        for q in n:
+            lower = tuple(x for x in n if x != q)
+            strict = strict_bidual(kdata, n, q)
+            vb = drop_map(kdata, n, q, strict).matrix.to_base()
+            fb = drop_map(kdata, lower, q, strict).matrix.to_base()
+            off_n, g_n = layout[n]
+            off_l, g_l = layout[lower]
+            for crow in strict.module.cochecks:
+                row = [0] * width
+                for u in range(len(vb)):
+                    for w in range(g_n * d):
+                        row[off_n + w] = (row[off_n + w]
+                                          + crow[u] * vb[u][w]) % base.n
+                for u in range(len(fb)):
+                    for w in range(g_l * d):
+                        row[off_l + w] = (row[off_l + w]
+                                          - crow[u] * fb[u][w]) % base.n
+                cond_rows.append(row)
+    if cond_rows:
+        sol_rows = kernel_int(cond_rows, base.p, base.m)
+    else:
+        sol_rows = [[int(i == j) for j in range(width)] for i in range(width)]
+    howell = howell_int(sol_rows, width, base.p, base.m)
+    raw = row_module_size(howell, base.p, base.m)
+    translates = 1
+    for n in divisors:
+        translates *= row_module_size(kdata.bidual(n).module.rel_howell,
+                                      base.p, base.m)
+    return howell, layout, raw // translates

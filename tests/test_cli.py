@@ -661,6 +661,46 @@ class TestNonEulerFamily:
         assert not out.exists()
 
 
+@pytest.fixture
+def moved_unit_bundle(tmp_path, consistent_z9_r1_s3):
+    """The consistent Z/9 r1 s3 bundle with the last diagonal Frobenius
+    entry of its prime 1 moved from 5 to 2: the comparison unit at that
+    prime changes, and the quotient by Frobenius - 1 stays free of rank
+    one."""
+    doc = json.loads(json.dumps(consistent_z9_r1_s3))
+    frobenius = doc["instance"]["primes"][1]["frobenius"]
+    assert frobenius[-1][-1] == 5
+    frobenius[-1][-1] = 2
+    path = tmp_path / "moved-unit.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestRelationFailure:
+    """A negative control for the comparison relation through ``derive``."""
+
+    def test_derive_fails_the_relation_with_witnesses(self, tmp_path, capsys,
+                                                      moved_unit_bundle):
+        out = tmp_path / "derive.json"
+        assert cli.main(["derive", str(moved_unit_bundle),
+                         "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        # The derived classes still lie in every Selmer bidual.
+        assert doc["checks"]["membership"] is True
+        assert doc["checks"]["comparison-relation"] is False
+        assert doc["witnesses"] == {
+            "comparison-relation": ["1@1", "0.1@1", "1.2@1"]}
+
+    def test_verify_passes(self, tmp_path, moved_unit_bundle):
+        # verify checks the relation on the regulator image of the canonical
+        # basis, which satisfies it on every instance, and the tower's own
+        # identities, which the instance does not enter.
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", str(moved_unit_bundle),
+                         "--out", str(out)]) == 0
+
+
 class TestDeriveNeedsChainRing:
     def test_group_ring_instance_exits_2(self, tmp_path, capsys):
         tower = _gen(tmp_path, "tower.json", "3,2", 1, 3, profile="tower")

@@ -28,7 +28,6 @@ from ekslab.euler import (
     fs_witness,
     full_fs_holds,
     invariance_holds,
-    kolyvagin_system_from,
     pairing_determinant,
     pairing_matrix,
     perturb,
@@ -594,7 +593,8 @@ class TestLocalComparison:
 
     def test_consistent_instance_feeds_contraction_system(self):
         tower, system, kdata = consistent_instance(5, 2, 2, 2, seed=11)
-        ksys, malformed = kolyvagin_system_from(system, kdata)
+        ksys, malformed = system_from_ambient_tables(kdata,
+                                                     derived_tables(system))
         assert malformed == []
         holds, failures = verify_fs(ksys)
         assert holds and not failures

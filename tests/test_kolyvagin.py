@@ -5,11 +5,12 @@ enumeration of the solution module on small instances."""
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from ekslab.biduals import ExteriorBidual, bidual_functor_map
-from ekslab.modules import FPModule, Ideal, annihilator, fitting_ideal, \
+from ekslab.biduals import interior_product
+from ekslab.modules import Ideal, annihilator, fitting_ideal, \
     is_injective
 from ekslab.rings import Matrix, element_to_json, make_ring, matrix_to_json
 from ekslab.selmer import (
@@ -46,12 +47,19 @@ from ekslab.kolyvagin import (
     verify_fs,
     verify_main_theorem,
 )
+from oracles import (
+    drop_map,
+    enumerate_systems_reference,
+    strict_bidual,
+    verify_fs_reference,
+)
 
 Z4 = make_ring(2, 2)
 Z8 = make_ring(2, 3)
 Z9 = make_ring(3, 2)
 Z25 = make_ring(5, 2)
 Z9C3 = make_ring(3, 2, (3,))
+Z8C4 = make_ring(2, 3, (4,))
 
 RINGS = [Z8, Z25, Z9C3]
 
@@ -192,6 +200,40 @@ class TestFsRelation:
         scaled = stark_from_top(sdata, [Z8.mul(2, c)
                                         for c in basis.top_component()])
         assert verify_fs(regulator(scaled, kdata))[0]
+
+
+class TestRelationAgainstStrictReference:
+    """The relation and the enumeration against the route through the
+    bidual of the module strict at q (``oracles.verify_fs_reference``,
+    ``oracles.enumerate_systems_reference``), on regulator images and on
+    families with one component moved."""
+
+    @pytest.mark.parametrize("ring, r, s", [
+        (Z9, 1, 3), (Z9, 2, 2), (Z8, 1, 3), (Z9C3, 1, 2), (Z8C4, 1, 2),
+    ], ids=["z9-r1-s3", "z9-r2-s2", "z8-r1-s3", "z9c3-r1-s2", "z8c4-r1-s2"])
+    def test_the_ambient_relation_equals_the_strict_route(self, ring, r, s):
+        rng = random.Random(f"relation-{ring}-{r}-{s}")
+        held = failed = 0
+        for trial, profile in enumerate(["generic", "class-trivial",
+                                         "generic", "pir-basis"]):
+            inst = generate_instance(ring, r, s, profile=profile,
+                                     seed=f"rel-{trial}")
+            sdata, kdata = _views(inst)
+            reg = regulator(canonical_basis_system(sdata), kdata)
+            assert verify_fs(reg) == verify_fs_reference(reg) == (True, [])
+            moved = dict(reg.components)
+            key = rng.choice(sorted(moved))
+            moved[key] = [ring.add(a, ring.random_element(rng))
+                          for a in moved[key]]
+            family = Family(kdata, moved)
+            holds, failures = verify_fs(family)
+            assert (holds, failures) == verify_fs_reference(family)
+            failed += len(failures)
+            held += sum(len(d) for d in inst.divisors()) - len(failures)
+            assert enumerate_systems(kdata) == \
+                enumerate_systems_reference(kdata)
+        # the moved families hold at some pairs and fail at others
+        assert held and failed
 
 
 class TestAmbientTables:
@@ -582,9 +624,11 @@ class TestSolutionEnumeration:
 # Pinned values.  A passing report holds only check names and verdicts, so
 # these digests pin what the engines compute: every transition from the top
 # divisor and the canonical basis system's components, the regulator image
-# in its JSON form, and every singular-value and finite-singular matrix.
-# Recorded before the three contract-and-pull-back constructions were merged
-# into ``biduals.contract_pullback``.
+# in its JSON form, and every singular-value and finite-singular matrix into
+# the bidual of the module strict at the prime (``oracles.drop_map``, the
+# route the package took before it compared ambient tables).  Recorded
+# before the three contract-and-pull-back constructions were merged into
+# ``biduals.contract_pullback``.
 # ---------------------------------------------------------------------------
 
 
@@ -611,9 +655,11 @@ def _pinned_values(inst):
     for d in inst.divisors():
         for q in range(inst.n_primes):
             if q in d:
-                maps[f"v {key(d)}@{q}"] = matrix_to_json(kdata.v_map(d, q).matrix)
+                maps[f"v {key(d)}@{q}"] = matrix_to_json(
+                    drop_map(kdata, d, q).matrix)
             else:
-                maps[f"fs {key(d)}@{q}"] = matrix_to_json(kdata.fs_map(d, q).matrix)
+                maps[f"fs {key(d)}@{q}"] = matrix_to_json(
+                    drop_map(kdata, d, q).matrix)
     return (_value_digest(stark),
             _value_digest(kolyvagin_to_json(regulator(basis, kdata))),
             _value_digest(maps))
@@ -684,7 +730,10 @@ class TestAllPairsPins:
 # even when no value changed.  These pin the same instances by value tables
 # on the free ambient (``FamilyData.ambient_table``: the push into the
 # bidual of the free module is injective, so a table determines its
-# element), and the content ideals by their canonical Howell rows.
+# element), and the content ideals by their canonical Howell rows.  The
+# ``relations`` digest, recorded from the two maps' images in the strict
+# biduals pushed to the free ambient, is read off the contractions of the
+# ambient tables: the push commutes with contraction.
 # ---------------------------------------------------------------------------
 
 
@@ -702,18 +751,6 @@ def _ambient_pins(inst):
         return {k: [element_to_json(ring, x) for x in data.ambient_table(d, v)]
                 for k, d, v in comps}
 
-    free = {}
-
-    def strict_table(divisor, q, coords):
-        bid = kdata.strict_bidual(divisor, q)
-        if bid.r not in free:
-            free[bid.r] = ExteriorBidual(
-                FPModule.free(ring, inst.ambient_rank), bid.r)
-        push = bidual_functor_map(
-            inst.strict_module(divisor, q)[1], bid.r, bid, free[bid.r])
-        return [element_to_json(ring, x)
-                for x in free[bid.r].table(push.apply(list(coords)))]
-
     components = {
         "basis": tables(sdata, [(key(d), d, basis.component(d))
                                 for d in divisors]),
@@ -724,15 +761,21 @@ def _ambient_pins(inst):
         (f"{key(m)}>{key(n)}", n, sdata.transition(m, n).apply(basis.component(m)))
         for m in divisors for n in divisors if set(n) < set(m)])
     relations = {}
+    n, r = inst.ambient_rank, kdata.rank
     for d in divisors:
+        table = kdata.ambient_table(d, reg.component(d))
         for q in range(inst.n_primes):
-            with_q = tuple(sorted(set(d) | {q}))
             if q in d:
-                img = kdata.v_map(d, q).apply(reg.component(d))
-                relations[f"v {key(d)}@{q}"] = strict_table(d, q, img)
+                img = interior_product(ring, n, r, inst.singular_functional(q),
+                                       table)
+                relations[f"v {key(d)}@{q}"] = img
             else:
-                img = kdata.fs_map(d, q).apply(reg.component(d))
-                relations[f"fs {key(d)}@{q}"] = strict_table(with_q, q, img)
+                img = interior_product(ring, n, r, inst.finite_functional(q),
+                                       table)
+                relations[f"fs {key(d)}@{q}"] = [
+                    ring.mul(kdata.effective_unit(q), x) for x in img]
+    relations = {k: [element_to_json(ring, x) for x in img]
+                 for k, img in relations.items()}
     ideals = {}
     for name, system in (("basis", basis), ("regulator", reg)):
         contents, levels = content_ideals(system)
@@ -775,7 +818,7 @@ class TestAmbientPins:
         sdata, kdata = _views(inst)
         biduals = [data.bidual(d) for data in (sdata, kdata)
                    for d in inst.divisors()]
-        biduals += [kdata.strict_bidual(d, q) for d in inst.divisors()
+        biduals += [strict_bidual(kdata, d, q) for d in inst.divisors()
                     for q in d]
         for bid in biduals:
             assert is_injective(bid.embedding)
