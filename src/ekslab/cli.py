@@ -678,7 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="-")
 
-    verify = sub.add_parser("verify", help="run verification suites")
+    verify = sub.add_parser(
+        "verify", help="run verification suites; the report's 'timings' "
+                       "holds per-suite check counts, not seconds")
     verify.add_argument("artifact")
     verify.add_argument("--suite", default="all",
                         help="comma-separated: bidual,selmer,stark,"

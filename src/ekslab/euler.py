@@ -626,25 +626,6 @@ def derived_tables(system: EulerSystem) -> dict:
     return {d: derived_vector(system, d) for d in system.tower.divisors()}
 
 
-def full_fs_holds(kdata, tables, divisor, q: int) -> bool:
-    """The full-degree local comparison at (divisor, q): the singular
-    contraction of the divisor's table equals the comparison unit times the
-    finite-part contraction of the table one prime down."""
-    inst = kdata.instance
-    ring = kdata.ring
-    n = inst.ambient_rank
-    r = kdata.rank
-    nn = tuple(sorted(divisor))
-    if q not in nn:
-        raise ValueError("the comparison needs q inside the divisor")
-    lower = tuple(x for x in nn if x != q)
-    u = kdata.effective_unit(q)
-    lhs = interior_product(ring, n, r, inst.singular_functional(q), tables[nn])
-    rhs = [ring.mul(u, c) for c in interior_product(
-        ring, n, r, inst.finite_functional(q), tables[lower])]
-    return lhs == rhs
-
-
 def scalar_fs_holds(kdata, tables, divisor, q: int, phi) -> bool:
     """The rank-one comparison at (divisor, q) after contracting by phi:
     both sides collapsed to scalars through the degree-one tables."""
@@ -689,10 +670,13 @@ def rank_reduction_report(system: EulerSystem, kdata) -> dict:
     Checks, for every generating functional: the derived vectors of the
     contracted family expand as the contractions of the full derived
     vectors; the contraction commutes with taking derived classes; and at
-    every (divisor, prime) pair the full-degree local comparison holds
-    exactly when all the scalar comparisons do, with the witness scan
-    reporting the first scalar failure (None when consistent).
+    every (divisor, prime) pair the full-degree local comparison
+    (``kolyvagin.fs_holds``) holds exactly when all the scalar comparisons
+    do, with the witness scan reporting the first scalar failure (None when
+    consistent).
     """
+    from .kolyvagin import fs_holds
+
     tower = system.tower
     M = tower.p ** tower.m
     n = tower.n
@@ -717,7 +701,7 @@ def rank_reduction_report(system: EulerSystem, kdata) -> dict:
     for nn in kdata.instance.divisors():
         for q in nn:
             key = f"{divisor_key(nn)}@{q}"
-            full[key] = full_fs_holds(kdata, tables, nn, q)
+            full[key] = fs_holds(kdata, tables, nn, q)
             ok = True
             for a in range(len(monomials)):
                 phi = [0] * len(monomials)
@@ -737,14 +721,6 @@ def rank_reduction_report(system: EulerSystem, kdata) -> dict:
         "fs_holds": all(full.values()),
         "witness": fs_witness(kdata, tables),
     }
-
-
-def kolyvagin_system_from(system: EulerSystem, kdata):
-    """Assemble the derived vectors into a contraction-side system over an
-    instance: ``(system, malformed)`` as in the ambient-table constructor."""
-    from .kolyvagin import system_from_ambient_tables
-
-    return system_from_ambient_tables(kdata, derived_tables(system))
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +787,7 @@ def consistent_instance(p: int, m: int, rank: int, n_primes: int, seed: int,
     the per-level targets solved linearly, resampling whenever a draw makes
     some level unsolvable.  Returns ``(tower, system, kdata)``.
     """
-    from .kolyvagin import KolyvaginData, verify_fs
+    from .kolyvagin import KolyvaginData, fs_holds, system_from_ambient_tables
 
     M = p ** m
     m_big = 2 * m
@@ -926,11 +902,11 @@ def consistent_instance(p: int, m: int, rank: int, n_primes: int, seed: int,
         if any(tables[tuple(sorted(d))] != targets[tuple(sorted(d))]
                for d in instance.divisors()):
             continue
-        ksys, malformed = kolyvagin_system_from(system, kdata)
+        _ksys, malformed = system_from_ambient_tables(kdata, tables)
         if malformed:
             continue
-        holds, _failures = verify_fs(ksys)
-        if not holds:
+        if not all(fs_holds(kdata, tables, d, q)
+                   for d in instance.divisors() for q in d):
             continue
         return tower, system, kdata
     raise RuntimeError("no consistent draw found within the retry budget")

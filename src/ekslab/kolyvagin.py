@@ -4,21 +4,26 @@ A component at a divisor lives in the degree-r bidual of the modified
 Selmer module (transverse conditions inside the divisor, finite outside).
 The defining relation compares, for each prime q dividing the divisor, the
 singular value of the component with the finite-singular image of the
-component one prime down; both sides land in the degree-(r-1) bidual of the
-module that is strict at q.  The finite-singular map on the identified
+component one prime down.  The finite-singular map on the identified
 rank-one local lines is multiplication by the comparison unit carried by
 the prime's Frobenius data, optionally twisted by the chosen generator of
 the prime's symbol group.
 
 Every bidual here sits in the bidual of the free ambient through its one
-embedding, and every map here is a contraction there.  The regulator sends
-a divisor-indexed contraction system to such a family: it contracts the
-ambient table of each relaxed component by the wedge of the finite-part
-functionals of the primes in the divisor, reads the result in the bidual
-of the modified Selmer module by its preimage under that module's
-embedding, and scales by the comparison units and a divisor sign.  The
-singular-value and finite-singular maps contract by one functional the
-same way.  The wedge order and the sign, which make the relation above
+embedding, and every map here is a contraction there.  Both sides of the
+relation lie in the degree-(r-1) bidual of the module strict at q, which
+embeds injectively in that of the free ambient, so the relation is an
+equality of contracted ambient tables (``fs_holds``):
+
+    singular_q _| T_n = u_q . (finite_q _| T_(n/q)),
+
+with T_d the ambient table of the component at d and u_q the comparison
+unit.  The regulator sends a divisor-indexed contraction system to such a
+family: it contracts the ambient table of each relaxed component by the
+wedge of the finite-part functionals of the primes in the divisor, reads
+the result in the bidual of the modified Selmer module by its preimage
+under that module's embedding, and scales by the comparison units and a
+divisor sign.  The wedge order and the sign, which make the relation above
 hold without any further factors, are stated once in
 ``biduals.contract_pullback``.
 
@@ -29,7 +34,9 @@ Selmer module, with equality for bases over chain rings.
 
 from __future__ import annotations
 
-from .biduals import ExteriorBidual, contract_pullback
+from math import comb
+
+from .biduals import contract_pullback, interior_product
 from .modules import (
     Ideal,
     ModuleMap,
@@ -38,6 +45,7 @@ from .modules import (
     solve_map,
 )
 from .rings import (
+    Matrix,
     element_to_json,
     howell_int,
     kernel_int,
@@ -63,31 +71,29 @@ def divisor_sign(ring, divisor):
     return ring.one if total % 2 == 0 else ring.neg(ring.one)
 
 
-_DROP_ERRORS = (
+_REGULATOR_ERRORS = (
     "functional is not in the dual of the module",
     "submodule does not sit inside the larger one",
-    "contracted element does not lie in the strict bidual",
+    "regulator component does not lie in the modified bidual",
 )
-_REGULATOR_ERRORS = _DROP_ERRORS[:2] + (
-    "regulator component does not lie in the modified bidual",)
 
 
 class KolyvaginData(FamilyData):
-    """Biduals of the modified Selmer modules of an instance, and the two
-    maps of the defining relation.
+    """Biduals of the modified Selmer modules of an instance, the regulator
+    maps into them, and the comparison units of the defining relation.
 
-    The Selmer and strict modules are the instance's own (``selmer_module``
-    and ``strict_module`` memoize them); every divisor's degree is the core
-    rank r.  The biduals and the regulator maps are cached here.  The
-    singular-value and finite-singular maps are built on demand:
-    ``verify_fs`` reads each (divisor, prime) pair once.
+    The Selmer modules are the instance's own (``selmer_module`` memoizes
+    them); every divisor's degree is the core rank r.  The biduals and the
+    regulator maps are cached here.  The relation is compared on the
+    components' ambient tables (``fs_holds``), so it needs no bidual of its
+    own.
 
     ``sigma_exponents`` records the chosen generator of each prime's symbol
     group as a unit exponent relative to the default choice; it twists the
     effective comparison units but nothing else.
     """
 
-    __slots__ = ("rank", "sigma_exponents", "_strict_bidual", "_reg_map")
+    __slots__ = ("rank", "sigma_exponents", "_reg_map")
 
     schema = "kolyvagin-system/1"
 
@@ -99,7 +105,6 @@ class KolyvaginData(FamilyData):
             if a % instance.ring.p == 0:
                 raise ValueError("generator exponent must be a unit")
         self.sigma_exponents = exps
-        self._strict_bidual = {}
         self._reg_map = {}
 
     def module(self, divisor):
@@ -121,38 +126,31 @@ class KolyvaginData(FamilyData):
         n = self.ring.base.n
         return self.ring.mul(u, self.ring.from_int(pow(a % n, -1, n)))
 
-    def strict_bidual(self, divisor, q: int) -> ExteriorBidual:
-        key = (tuple(sorted(divisor)), q)
-        if key not in self._strict_bidual:
-            self._strict_bidual[key] = self.ambient_bidual(
-                self.instance.strict_module(*key), self.rank - 1)
-        return self._strict_bidual[key]
 
-    def _drop_map(self, divisor, q, row, scale) -> ModuleMap:
-        """Contract the divisor's bidual by an ambient functional and land in
-        the strict bidual at (divisor + q); ``divisor`` may or may not
-        contain q, ``row`` is the ambient functional, ``scale`` a unit."""
-        with_q = tuple(sorted(set(divisor) | {q}))
-        return contract_pullback(self.bidual(divisor), {q: row},
-                                 self.strict_bidual(with_q, q), scale,
-                                 _DROP_ERRORS)
+def _contract(data: KolyvaginData, row, table) -> list:
+    """A degree-r table on the free ambient contracted by one functional."""
+    return interior_product(data.ring, data.instance.ambient_rank, data.rank,
+                            row, table)
 
-    def v_map(self, divisor, q: int) -> ModuleMap:
-        """The singular-value map at q |  divisor: contraction by the
-        singular functional, into the strict bidual."""
-        if q not in divisor:
-            raise ValueError("the singular-value map needs q inside the divisor")
-        return self._drop_map(
-            divisor, q, self.instance.singular_functional(q), self.ring.one)
 
-    def fs_map(self, divisor, q: int) -> ModuleMap:
-        """The finite-singular map at q for a divisor not containing q:
-        contraction by the finite-part functional times the comparison
-        unit, into the strict bidual at divisor + q."""
-        if q in divisor:
-            raise ValueError("the finite-singular map needs q outside the divisor")
-        return self._drop_map(divisor, q, self.instance.finite_functional(q),
-                              self.effective_unit(q))
+def fs_holds(data: KolyvaginData, tables: dict, divisor, q: int) -> bool:
+    """The defining relation at (divisor, q), q inside the divisor, on the
+    ambient value tables of the components (keyed by sorted divisor): the
+    singular contraction of the divisor's table equals the comparison unit
+    times the finite-part contraction of the table one prime down.
+
+    This is the comparison in the bidual of the module strict at q: both
+    sides lie there, and its embedding in the bidual of the free ambient is
+    injective and commutes with contraction.
+    """
+    inst = data.instance
+    ring = data.ring
+    key = tuple(sorted(divisor))
+    lower = tuple(x for x in key if x != q)
+    u = data.effective_unit(q)
+    lhs = _contract(data, inst.singular_functional(q), tables[key])
+    rhs = _contract(data, inst.finite_functional(q), tables[lower])
+    return lhs == [ring.mul(u, c) for c in rhs]
 
 
 def verify_fs(system: Family):
@@ -160,17 +158,14 @@ def verify_fs(system: Family):
 
     Returns ``(holds, failures)`` where failures lists the pairs at which
     the singular value of the component does not match the finite-singular
-    image of the component one prime down.
+    image of the component one prime down (``fs_holds`` on the components'
+    ambient tables).
     """
     data = system.data
-    failures = []
-    for n in data.instance.divisors():
-        for q in n:
-            lower = tuple(x for x in n if x != q)
-            lhs = data.v_map(n, q).apply(system.component(n))
-            rhs = data.fs_map(lower, q).apply(system.component(lower))
-            if not data.strict_bidual(n, q).module.elements_equal(lhs, rhs):
-                failures.append((n, q))
+    divisors = data.instance.divisors()
+    tables = {n: data.ambient_table(n, system.component(n)) for n in divisors}
+    failures = [(n, q) for n in divisors for q in n
+                if not fs_holds(data, tables, n, q)]
     return not failures, failures
 
 
@@ -385,6 +380,11 @@ def fitt_ind_corollary(instance: SelmerInstance, i: int) -> dict:
 def enumerate_systems(kdata: KolyvaginData):
     """Solve the defining relations exactly as one base-level linear system.
 
+    Each relation is the equality of ``fs_holds`` written on coordinates:
+    the contractions of the columns of each bidual's ``embedding`` (the
+    ambient tables of its generators) give base-level rows over the free
+    target, where an element is zero exactly when its coordinates are.
+
     Returns ``(howell_rows, layout, size)``: the Howell rows of the raw
     coordinate solution space, the per-divisor slice layout, and the number
     of distinct systems (raw solutions divided by the relation translates
@@ -399,31 +399,33 @@ def enumerate_systems(kdata: KolyvaginData):
     offset = 0
     for n in divisors:
         g = kdata.bidual(n).module.ngens
-        layout[tuple(sorted(n))] = (offset, g)
+        layout[n] = (offset, g)
         offset += g * d
     width = offset
+    t = comb(inst.ambient_rank, kdata.rank - 1)
+
+    def contracted(divisor, row, scale) -> list:
+        """The base matrix of x -> scale . (row _| P x), P the divisor's
+        embedding."""
+        embedding = kdata.bidual(divisor).embedding.matrix
+        cols = [[ring.mul(scale, c) for c in _contract(kdata, row, col)]
+                for col in embedding.transpose().rows]
+        return Matrix(ring, [[col[a] for col in cols] for a in range(t)],
+                      ncols=len(cols)).to_base()
 
     cond_rows = []
     for n in divisors:
         for q in n:
             lower = tuple(x for x in n if x != q)
-            v = kdata.v_map(n, q)
-            fs = kdata.fs_map(lower, q)
-            target = kdata.strict_bidual(n, q).module
-            vb = v.matrix.to_base()
-            fb = fs.matrix.to_base()
-            off_n, g_n = layout[tuple(sorted(n))]
+            vb = contracted(n, inst.singular_functional(q), ring.one)
+            fb = contracted(lower, inst.finite_functional(q),
+                            kdata.effective_unit(q))
+            off_n, g_n = layout[n]
             off_l, g_l = layout[lower]
-            for crow in target.cochecks:
+            for v_row, f_row in zip(vb, fb):
                 row = [0] * width
-                for u in range(len(vb)):
-                    for w in range(g_n * d):
-                        row[off_n + w] = (row[off_n + w]
-                                          + crow[u] * vb[u][w]) % base.n
-                for u in range(len(fb)):
-                    for w in range(g_l * d):
-                        row[off_l + w] = (row[off_l + w]
-                                          - crow[u] * fb[u][w]) % base.n
+                row[off_n:off_n + g_n * d] = v_row
+                row[off_l:off_l + g_l * d] = [-x % base.n for x in f_row]
                 cond_rows.append(row)
 
     if cond_rows:

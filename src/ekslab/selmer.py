@@ -157,7 +157,6 @@ class PrimeData:
 _FINITE = ("finite",)
 _TRANSVERSE = ("transverse",)
 _RELAXED = ()
-_STRICT = ("finite", "transverse")
 
 
 def all_divisors(n_primes: int) -> list:
@@ -219,12 +218,13 @@ class SelmerInstance:
         structure used by the comparison sequence).
 
         Every module cut out of the ambient by local conditions is built
-        from one such matrix, with one of four states at each prime: finite
-        (the finite row), transverse (the transverse row), relaxed (no row)
-        or strict (the finite row, then the transverse row).  The Selmer
-        modules are transverse inside the divisor and finite outside,
-        ``relaxed_module`` is relaxed inside, and ``strict_module`` is strict
-        at one prime of the divisor.
+        from one such matrix, with one of three states at each prime:
+        finite (the finite row), transverse (the transverse row) or relaxed
+        (no row).  The Selmer modules are transverse inside the divisor and
+        finite outside, and ``relaxed_module`` is relaxed inside.  The
+        Kolyvagin relation also concerns the module strict at a prime (both
+        rows there); it is compared in the free ambient, so that module is
+        never built.
         """
         return self._conditions(self._states(divisor, drop))
 
@@ -264,13 +264,6 @@ class SelmerInstance:
         divisor of all primes it is the free ambient itself."""
         return self._memo("kernel", kernel,
                           self._states(divisor, inside=_RELAXED))
-
-    def strict_module(self, divisor, q: int):
-        """The module strict at q, transverse at the rest of the divisor and
-        finite outside: ``(module, inclusion)`` into the free ambient."""
-        states = list(self._states(divisor))
-        states[q] = _STRICT
-        return self._memo("kernel", kernel, tuple(states))
 
     def dual_selmer(self, divisor, drop=None) -> FPModule:
         """The dual Selmer module: cokernel of the same condition matrix,
@@ -351,19 +344,20 @@ def five_term_exact(instance: SelmerInstance, divisor, q: int) -> bool:
     The modules are finite.  Where each composite of consecutive maps
     vanishes, im f_i sits inside ker f_(i+1), whose order is |B|/|im f_(i+1)|
     for the middle node B; so the two agree exactly when
-    |im f_i| * |im f_(i+1)| = |B|.  At the ends, the first map is injective
-    exactly when its image is as large as its source, and the last map
-    surjective exactly when its image is its whole target.
+    |im f_i| * |im f_(i+1)| = |B|.  At the start, the first map is injective
+    exactly when its image is as large as its source.  The last map is onto
+    by construction: it sends each generator of the dual Selmer module at a
+    kept prime to the same generator of the relaxed one, so its image order
+    is the order of its target, and surjectivity at the end needs no check.
     """
     maps = five_term_data(instance, divisor, q)
     if not all(g.compose(f).is_zero_map() for f, g in zip(maps, maps[1:])):
         return False
-    orders = [image_order(f) for f in maps]
+    orders = [image_order(f) for f in maps[:-1]] + [maps[-1].target.size]
     return (
         orders[0] == maps[0].source.size
         and all(a * b == f.target.size
                 for a, b, f in zip(orders, orders[1:], maps))
-        and orders[-1] == maps[-1].target.size
     )
 
 

@@ -26,7 +26,6 @@ from ekslab.euler import (
     derived_vector,
     derived_vector_by_permutations,
     fs_witness,
-    full_fs_holds,
     invariance_holds,
     pairing_determinant,
     pairing_matrix,
@@ -45,7 +44,7 @@ from ekslab.euler import (
     tower_from_json,
     tower_to_json,
 )
-from ekslab.kolyvagin import system_from_ambient_tables, verify_fs
+from ekslab.kolyvagin import fs_holds, system_from_ambient_tables, verify_fs
 from ekslab.rings import make_ring
 
 
@@ -617,14 +616,14 @@ class TestLocalComparison:
         bad = {d: list(v) for d, v in tables.items()}
         bad[(0, 1)][1] = (bad[(0, 1)][1] + 1) % 25
         assert fs_witness(kdata, bad) == ((0, 1), 0, (0,))
-        assert not full_fs_holds(kdata, bad, (0, 1), 0)
+        assert not fs_holds(kdata, bad, (0, 1), 0)
         # full-degree and all-scalar forms still agree on the bad tables
         monomials = [(0,), (1,), (2,), (3,)]
         scalars_ok = all(
             scalar_fs_holds(kdata, bad, (0, 1), 0,
                             [int(i == a) for i in range(4)])
             for a in range(4))
-        assert scalars_ok == full_fs_holds(kdata, bad, (0, 1), 0)
+        assert scalars_ok == fs_holds(kdata, bad, (0, 1), 0)
 
     def test_head_tamper_breaks_membership_only(self):
         tower, system, kdata = consistent_instance(5, 2, 2, 2, seed=11)
