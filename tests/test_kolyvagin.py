@@ -766,16 +766,13 @@ def _ambient_pins(inst):
         table = kdata.ambient_table(d, reg.component(d))
         for q in range(inst.n_primes):
             if q in d:
-                img = interior_product(ring, n, r, inst.singular_functional(q),
-                                       table)
-                relations[f"v {key(d)}@{q}"] = img
+                side, row, u = "v", inst.singular_functional(q), ring.one
             else:
-                img = interior_product(ring, n, r, inst.finite_functional(q),
-                                       table)
-                relations[f"fs {key(d)}@{q}"] = [
-                    ring.mul(kdata.effective_unit(q), x) for x in img]
-    relations = {k: [element_to_json(ring, x) for x in img]
-                 for k, img in relations.items()}
+                side, row, u = ("fs", inst.finite_functional(q),
+                                kdata.effective_unit(q))
+            relations[f"{side} {key(d)}@{q}"] = [
+                element_to_json(ring, ring.mul(u, x))
+                for x in interior_product(ring, n, r, row, table)]
     ideals = {}
     for name, system in (("basis", basis), ("regulator", reg)):
         contents, levels = content_ideals(system)
