@@ -13,6 +13,7 @@ forms, coset representatives, and a matrix as a map of free modules.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from ekslab.biduals import (
     ExteriorPower,
@@ -24,8 +25,8 @@ from ekslab.biduals import (
     r_subsets,
     subset_position,
 )
-from ekslab.modules import FPModule, ModuleMap, factor_through, kernel, \
-    solve_map
+from ekslab.modules import FPModule, Ideal, ModuleMap, factor_through, \
+    kernel, residue_pivots, solve_map
 from ekslab.rings import (
     Matrix,
     det_ring,
@@ -604,7 +605,7 @@ def enumerate_systems_reference(kdata):
             fb = drop_map(kdata, lower, q, strict).matrix.to_base()
             off_n, g_n = layout[n]
             off_l, g_l = layout[lower]
-            for crow in strict.module.cochecks:
+            for crow in cochecks_reference(strict.module):
                 row = [0] * width
                 for u in range(len(vb)):
                     for w in range(g_n * d):
@@ -626,3 +627,115 @@ def enumerate_systems_reference(kdata):
         translates *= row_module_size(kdata.bidual(n).module.rel_howell,
                                       base.p, base.m)
     return howell, layout, raw // translates
+
+
+# ---------------------------------------------------------------------------
+# The cocheck route: kernels, syzygies and annihilators linearized through
+# the double annihilator of the target's relations.
+# ---------------------------------------------------------------------------
+
+
+def cochecks_reference(module) -> list:
+    """Int rows C with {x_base : C.x = 0} the relation submodule.
+
+    Over the self-injective ring Z/p^m the double annihilator recovers a
+    submodule of a free module, so the kernel rows of the relations' Howell
+    form are linear membership checks; with no relations they are the
+    identity."""
+    base = module.ring.base
+    gens = module.rel_howell
+    ncols = module.ngens * module.ring.rank
+    if not gens:
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    return kernel_int(gens, base.p, base.m)
+
+
+def _cocheck_conditions(C, Mb, width: int, n: int) -> list:
+    """The int rows C.Mb mod n: the cochecks C of a target applied to the
+    base matrix Mb of ``width`` columns.  With no rows, Mb still has
+    ``width`` (empty) columns."""
+    cols = list(zip(*Mb)) if Mb else [()] * width
+    return [[sum(map(mul, crow, col)) % n for col in cols] for crow in C]
+
+
+def syzygies_reference(ambient: FPModule, vectors) -> list:
+    """Generators of {c in R^t : sum c_i . v_i = 0 in ambient}, through the
+    ambient's cochecks."""
+    ring = ambient.ring
+    base = ring.base
+    t = len(vectors)
+    if t == 0:
+        return []
+    V = Matrix(ring, [[vec[j] for vec in vectors] for j in range(ambient.ngens)],
+               ncols=t)
+    cond = _cocheck_conditions(cochecks_reference(ambient), V.to_base(),
+                               t * ring.rank, base.n)
+    ker = kernel_int(cond, base.p, base.m) if cond else kernel_int(
+        [[0] * (t * ring.rank)], base.p, base.m
+    )
+    out = []
+    for row in ker:
+        vec = vec_from_base(ring, row)
+        if any(x != ring.zero for x in vec):
+            out.append(vec)
+    return out
+
+
+def present_submodule_reference(ambient: FPModule, vectors):
+    """``modules.present_submodule`` with its syzygies taken through the
+    cochecks."""
+    ring = ambient.ring
+    syz = syzygies_reference(ambient, vectors)
+    drop = set(residue_pivots(ring, syz, len(vectors)))
+    if drop:
+        vectors = [v for i, v in enumerate(vectors) if i not in drop]
+        syz = syzygies_reference(ambient, vectors)
+    t = len(vectors)
+    sub = FPModule(ring, t, Matrix(ring, syz, ncols=t))
+    incl = ModuleMap(
+        sub,
+        ambient,
+        Matrix(ring, [[vec[j] for vec in vectors] for j in range(ambient.ngens)],
+               ncols=t),
+    )
+    return sub, incl
+
+
+def kernel_reference(f: ModuleMap):
+    """``(ker, incl)`` of a module map, through the target's cochecks."""
+    ring = f.source.ring
+    base = ring.base
+    g = f.source.ngens
+    cond = _cocheck_conditions(cochecks_reference(f.target), f.matrix.to_base(),
+                               g * ring.rank, base.n) if g else []
+    if not cond:
+        # A map into the zero module (or from no generators): the kernel is
+        # the whole source.
+        return present_submodule_reference(
+            f.source, [f.source.generator(i) for i in range(g)])
+    ker_base = kernel_int(cond, base.p, base.m)
+    gens = []
+    for row in ker_base:
+        vec = vec_from_base(ring, row)
+        if not f.source.element_is_zero(vec):
+            gens.append(vec)
+    return present_submodule_reference(f.source, gens)
+
+
+def annihilator_reference(module: FPModule) -> Ideal:
+    """Ann_R(X), from the cochecks of X read on each generator's block."""
+    ring = module.ring
+    base = ring.base
+    d = ring.rank
+    if module.ngens == 0:
+        return Ideal.unit(ring)
+    C = cochecks_reference(module)
+    stacked = []
+    for i in range(module.ngens):
+        for crow in C:
+            stacked.append([crow[i * d + b] for b in range(d)])
+    if not stacked:
+        return Ideal.unit(ring)
+    ker = kernel_int(stacked, base.p, base.m)
+    gens = [ring.from_vec(tuple(row)) for row in ker]
+    return Ideal(ring, [g for g in gens if g != ring.zero])

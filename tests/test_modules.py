@@ -40,6 +40,7 @@ from ekslab.rings import (
     kernel_matrix,
     make_ring,
     solve_int,
+    submodule_howell,
     vec_from_base,
     vec_to_base,
 )
@@ -47,16 +48,19 @@ from oracles import (
     all_functionals,
     all_homomorphisms,
     annihilator_elements,
+    annihilator_reference,
     canonical_reps,
     cyclic,
     det_permutation_expansion,
     direct_sum,
     from_base,
     ideal_elements,
+    kernel_reference,
     module_elements,
     ring_elements,
     same_submodule,
     span_set,
+    syzygies_reference,
 )
 from propchecks import quotient_by, random_element
 
@@ -454,6 +458,124 @@ class TestNakayamaMinimal:
             assert bid.dual.ngens == 0
             assert bid.module.size == (ring.size if r == 0 else 1)
             _assert_minimal(bid.module)
+
+
+# ---------------------------------------------------------------------------
+# The cocheck route (tests/oracles.py) as reference: on a free target the
+# two linearizations must give the same generators, byte for byte; on
+# other targets the same submodule; annihilators the same ideal.
+# ---------------------------------------------------------------------------
+
+REFERENCE_RINGS = [
+    make_ring(3, 2),            # Z/9
+    make_ring(2, 3),            # Z/8
+    make_ring(3, 2, (3,)),      # (Z/9)[C3]
+    make_ring(2, 3, (4,)),      # (Z/8)[C4]
+]
+
+
+def _scaled_element(ring, rng):
+    """A random element times a random power of p, so that kernels and
+    annihilators are neither always 0 nor always everything."""
+    e = rng.randrange(ring.m + 1)
+    return ring.mul(ring.from_int(ring.p ** e), ring.random_element(rng))
+
+
+def _reference_cases(ring, rng):
+    """Module maps of every kind the kernel route meets: free and
+    presented targets, the zero module, no source generators, sources
+    whose every kernel lift dies."""
+    def mat(h, g):
+        return Matrix(ring, [[_scaled_element(ring, rng) for _ in range(g)]
+                             for _ in range(h)], ncols=g)
+
+    pk = ring.from_int(ring.p)
+    cases = []
+    for _ in range(3):
+        g, h = rng.randrange(1, 4), rng.randrange(1, 4)
+        # Free source and target.
+        cases.append(ModuleMap(FPModule.free(ring, g), FPModule.free(ring, h),
+                               mat(h, g)))
+        # A source killed by p into a free target: columns in p^(m-1).R.
+        X = FPModule(ring, g, Matrix(ring, [[pk if i == j else ring.zero
+                                             for j in range(g)]
+                                            for i in range(g)], ncols=g))
+        top = ring.from_int(ring.p ** (ring.m - 1))
+        A = mat(h, g)
+        cases.append(ModuleMap(X, FPModule.free(ring, h), Matrix(
+            ring, [[ring.mul(top, x) for x in row] for row in A.rows],
+            ncols=g)))
+        # Free source into a presented target, a scalar endomorphism of a
+        # presented module, and a projection onto a quotient.
+        Y = random_presentation(ring, rng, max_gens=3, max_rels=3)
+        cases.append(ModuleMap(FPModule.free(ring, g), Y, mat(Y.ngens, g)))
+        c = _scaled_element(ring, rng)
+        cases.append(ModuleMap(Y, Y, Matrix(
+            ring, [[c if i == j else ring.zero for j in range(Y.ngens)]
+                   for i in range(Y.ngens)], ncols=Y.ngens)))
+        B = [[_scaled_element(ring, rng) for _ in range(Y.ngens)]
+             for _ in range(rng.randrange(1, 3))]
+        cases.append(quotient_by(Y, B)[1])
+        # Zero targets: no generators, or every generator a relation.
+        cases.append(ModuleMap(FPModule.free(ring, g), FPModule.free(ring, 0),
+                               Matrix(ring, [], ncols=g)))
+        Z = FPModule(ring, h, Matrix.identity(ring, h))
+        cases.append(ModuleMap(Y, Z, mat(h, Y.ngens)))
+        # No source generators.
+        cases.append(ModuleMap(FPModule.free(ring, 0), Y,
+                               Matrix.zeros(ring, Y.ngens, 0)))
+        # A zero source: every kernel lift dies in it.
+        W = FPModule(ring, g, Matrix.identity(ring, g))
+        cases.append(ModuleMap(W, FPModule.free(ring, h),
+                               Matrix.zeros(ring, h, g)))
+    return cases
+
+
+class TestCocheckReference:
+    @pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=repr)
+    def test_kernels_match_the_cocheck_route(self, ring):
+        rng = random.Random(97)
+        free_cases = 0
+        for f in _reference_cases(ring, rng):
+            ker, incl = kernel(f)
+            ref_ker, ref_incl = kernel_reference(f)
+            if not f.target.relations.rows:
+                free_cases += 1
+                assert incl.matrix.rows == ref_incl.matrix.rows
+                # The relations are syzygies in the source: the same rows
+                # when it is free too, the same relation module otherwise.
+                if not f.source.relations.rows:
+                    assert ker.relations.rows == ref_ker.relations.rows
+                assert ker.rel_howell == ref_ker.rel_howell
+            else:
+                assert same_submodule(f.source, _columns(incl),
+                                      _columns(ref_incl))
+            assert f.compose(incl).is_zero_map()
+        assert free_cases
+
+    @pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=repr)
+    def test_syzygies_match_the_cocheck_route(self, ring):
+        rng = random.Random(98)
+        for f in _reference_cases(ring, rng):
+            vectors = _columns(f)
+            # Vectors that all die in the target: its own relation rows.
+            dead = [list(r) for r in f.target.relations.rows]
+            for vecs in (vectors, dead, vectors + dead):
+                got = syzygies(f.target, vecs)
+                want = syzygies_reference(f.target, vecs)
+                if not f.target.relations.rows:
+                    assert got == want
+                else:
+                    t = len(vecs)
+                    assert (submodule_howell(ring, got, t)
+                            == submodule_howell(ring, want, t))
+
+    @pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=repr)
+    def test_annihilators_match_the_cocheck_route(self, ring):
+        rng = random.Random(99)
+        for f in _reference_cases(ring, rng):
+            for X in (f.source, f.target):
+                assert annihilator(X) == annihilator_reference(X)
 
 
 class TestDuality:
