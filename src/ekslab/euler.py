@@ -27,6 +27,7 @@ from .rings import (
     int_from_json,
     kernel_int,
     make_ring,
+    power_exponent,
     solve_int,
 )
 from .selmer import (
@@ -38,17 +39,6 @@ from .selmer import (
     divisor_key,
     frobenius_data,
 )
-
-
-def _power_exponent(value: int, p: int):
-    """The e with value = p^e, or None when value is not a power of p."""
-    e = 0
-    while value > 1:
-        if value % p:
-            return None
-        value //= p
-        e += 1
-    return e
 
 
 def _times(ring, factors, vec) -> list:
@@ -92,7 +82,7 @@ class EulerTower:
 
     __slots__ = ("p", "m", "m_big", "rank", "orders", "frobenius", "images",
                  "local_polys", "ring", "target", "n", "width",
-                 "_levels", "_target_levels", "_factors", "_fibers")
+                 "_levels", "_target_levels", "_factors", "_level_maps")
 
     def __init__(self, p, m, m_big, rank, orders, frobenius, images,
                  local_polys=None):
@@ -104,7 +94,7 @@ class EulerTower:
         s = len(orders)
         exps = []
         for d in orders:
-            e = _power_exponent(d, p)
+            e = power_exponent(d, p)
             if e is None or e < m:
                 raise ValueError(
                     f"symbol group order {d} is not a multiple of {p**m} "
@@ -150,7 +140,7 @@ class EulerTower:
         self._levels = {}
         self._target_levels = {}
         self._factors = {}
-        self._fibers = {}
+        self._level_maps = {}
 
     @property
     def n_primes(self) -> int:
@@ -234,31 +224,31 @@ class EulerTower:
         if Ss.rank == 1:
             return sum(x) % Ss.n
         out = [0] * Ss.rank
-        for j, c in zip(self._fiber_index(big, small), x):
+        for j, c in zip(self._level_map(big, small), x):
             if c:
                 out[j] += c
         return tuple(c % Ss.base.n for c in out)
 
-    def _fiber_index(self, big, small) -> list:
-        """Per index of the level ring at ``big``, the index at ``small`` of
-        its exponents on the kept symbol groups: the group map that
-        corestriction reads, built once per pair of levels
-        (both sorted, ``small`` inside ``big``, neither ring a chain ring)."""
-        key = (big, small)
-        if key not in self._fibers:
-            Ss = self.level_ring(small)
-            # The map is additive over the cyclic factors: a dropped factor
-            # weighs 0, a kept one its stride at ``small``.  Indices run
-            # with the first factor most significant.
-            weight = [0] * len(big)
-            for u, q in enumerate(small):
-                weight[big.index(q)] = Ss.exp_to_index(
-                    tuple(int(v == u) for v in range(len(small))))
+    def _level_map(self, src, dst) -> list:
+        """Per index of the level ring at ``src``, the index at ``dst`` of
+        its exponents on the symbol groups ``dst`` keeps: the group map that
+        corestriction (``dst`` inside ``src``) and inflation (``src`` inside
+        ``dst``) read, built once per pair of levels (both sorted, neither
+        ring a chain ring)."""
+        key = (src, dst)
+        if key not in self._level_maps:
+            Sd = self.level_ring(dst)
+            # The map is additive over the cyclic factors: a factor that
+            # ``dst`` lacks weighs 0, a kept one its stride at ``dst``.
+            # Indices run with the first factor most significant.
+            weight = [Sd.exp_to_index(tuple(int(u == dst.index(q))
+                                            for u in range(len(dst))))
+                      if q in dst else 0 for q in src]
             index = [0]
-            for d, w in zip(self.level_ring(big).orders, weight):
+            for d, w in zip(self.level_ring(src).orders, weight):
                 index = [a + e * w for a in index for e in range(d)]
-            self._fibers[key] = index
-        return self._fibers[key]
+            self._level_maps[key] = index
+        return self._level_maps[key]
 
     def inflate(self, small, big, x):
         """The section of corestriction that keeps exponents in place."""
@@ -272,17 +262,11 @@ class EulerTower:
             return x % Sb.n
         if Ss.rank == 1:
             return Sb.from_int(x)
-        keep = [big.index(q) for q in small]
         out = [0] * Sb.rank
-        for i, c in enumerate(x):
-            if c == 0:
-                continue
-            exps = Ss.index_to_exp(i)
-            full = [0] * len(big)
-            for t, e in zip(keep, exps):
-                full[t] = e
-            out[Sb.exp_to_index(tuple(full))] = c % Sb.base.n
-        return tuple(out)
+        # The level map is injective this way up: no two entries meet.
+        for j, c in zip(self._level_map(small, big), x):
+            out[j] = c
+        return tuple(c % Sb.base.n for c in out)
 
     def corestrict_class(self, big, small, cls) -> list:
         return [self.corestrict(big, small, c) for c in cls]
@@ -932,7 +916,7 @@ def tower_to_json(tower: EulerTower) -> dict:
 
 
 def tower_from_json(data: dict) -> EulerTower:
-    if data.get("schema") != "euler-tower/1":
+    if not isinstance(data, dict) or data.get("schema") != "euler-tower/1":
         raise ValueError("not a euler-tower/1 document")
 
     def ints(key, values):
@@ -970,7 +954,7 @@ def system_from_json(data: dict) -> EulerSystem:
     """An Euler system document, checked against its tower: the degree lies
     between 1 and the tower's rank, the classes are keyed by the tower's
     divisors, each once, and each class has C(n, degree) coordinates."""
-    if data.get("schema") != "euler-system/1":
+    if not isinstance(data, dict) or data.get("schema") != "euler-system/1":
         raise ValueError("not a euler-system/1 document")
     tower = tower_from_json(data["tower"])
     degree = int_from_json(data["degree"], "degree")

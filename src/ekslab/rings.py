@@ -38,12 +38,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _is_power_of(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
+def power_exponent(value: int, p: int):
+    """The e with value = p^e, or None when value is not a power of p
+    (no value below 1 is)."""
+    if value < 1:
+        return None
+    e = 0
+    while value % p == 0:
+        value //= p
+        e += 1
+    return e if value == 1 else None
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,7 @@ class GroupRing:
 
     def __post_init__(self):
         for d in self.orders:
-            if not _is_power_of(d, self.base.p) or d < 2:
+            if not power_exponent(d, self.base.p):
                 raise ValueError(
                     f"group factor order {d} is not a positive power of p={self.base.p}"
                 )
@@ -249,12 +253,6 @@ class GroupRing:
         for e, d, s in zip(exps, self.orders, self._radix):
             idx += (e % d) * s
         return idx
-
-    def index_to_exp(self, idx: int) -> tuple:
-        out = []
-        for d, s in zip(self.orders, self._radix):
-            out.append((idx // s) % d)
-        return tuple(out)
 
     @cached_property
     def _mul_index(self) -> _GroupRows:
@@ -690,19 +688,6 @@ def _det_small(A, n: int) -> int:
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % n
 
 
-def cochecks_int(gens, ncols: int, p: int, m: int) -> list:
-    """Rows C with {x : C.x = 0} equal to the row span of ``gens``.
-
-    Uses the perfect duality S -> S_perp on submodules of a free module over
-    the self-injective ring Z/p^m: the double annihilator recovers S, so the
-    kernel generators of the generator matrix serve as linear membership
-    checks.  Essential wherever membership must enter a linear system.
-    """
-    if not gens:
-        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    return kernel_int(gens, p, m)
-
-
 # ---------------------------------------------------------------------------
 # Matrices over a chain ring or group ring.
 # ---------------------------------------------------------------------------
@@ -862,16 +847,35 @@ def submodule_howell(ring, vectors, ncols: int) -> list:
     return howell_int(rows, ncols * ring.rank, base.p, base.m)
 
 
-def kernel_matrix(A: Matrix) -> Matrix:
-    """A Matrix over the ring of A whose rows generate {x : A.x = 0}."""
-    ring = A.ring
+def kernel_vectors(ring, system, ncols: int) -> list:
+    """Generators of the kernel of a base system, cut to its first ``ncols``
+    ring coordinates, as nonzero ring vectors.
+
+    The package's one reader of a base kernel.  A module map's system
+    (``ModuleMap.base_system``) is its matrix restricted to Z/p^m with the
+    Howell rows of the target's relations appended as columns: the system
+    ``solve_map`` factors, whose kernel cut to the source coordinates is
+    the set of x with f(x) = 0 in the target.  The base kernel of an empty
+    system (a map into no generators) is the base identity.
+    """
     base = ring.base
+    width = ncols * ring.rank
+    out = []
+    for row in kernel_int(system or [[0] * width], base.p, base.m):
+        vec = vec_from_base(ring, row[:width])
+        if any(x != ring.zero for x in vec):
+            out.append(vec)
+    return out
+
+
+def kernel_matrix(A: Matrix) -> Matrix:
+    """A Matrix over the ring of A whose rows generate {x : A.x = 0}; with
+    no rows, the identity over the ring."""
+    ring = A.ring
     if A.nrows == 0:
         return Matrix.identity(ring, A.ncols)
-    ker_base = kernel_int(A.to_base(), base.p, base.m)
-    ker_vecs = [vec_from_base(ring, row) for row in ker_base]
-    ker_vecs = [v for v in ker_vecs if any(x != ring.zero for x in v)]
-    return Matrix(ring, ker_vecs) if ker_vecs else Matrix.zeros(ring, 0, A.ncols)
+    return Matrix(ring, kernel_vectors(ring, A.to_base(), A.ncols),
+                  ncols=A.ncols, reduced=True)
 
 
 def howell_form(A: Matrix):

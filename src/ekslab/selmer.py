@@ -33,10 +33,10 @@ from .modules import (
 )
 from .rings import (
     Matrix,
-    _is_power_of,
     int_from_json,
     matrix_from_json,
     matrix_to_json,
+    power_exponent,
     ring_from_json,
     ring_to_json,
 )
@@ -485,7 +485,7 @@ def instance_to_json(instance: SelmerInstance) -> dict:
 def _group_order(ring, value) -> int:
     """A symbol-group order as serialized: an int p^k with k >= 1, the rule
     ``generate_instance`` draws from."""
-    if type(value) is not int or value < ring.p or not _is_power_of(value, ring.p):
+    if type(value) is not int or not power_exponent(value, ring.p):
         raise ValueError(
             f"group_order {value!r} is not a positive power of p = {ring.p}")
     return value
@@ -505,7 +505,7 @@ def _check_labels(primes) -> None:
 
 
 def instance_from_json(data: dict) -> SelmerInstance:
-    if data.get("schema") != "selmer-instance/1":
+    if not isinstance(data, dict) or data.get("schema") != "selmer-instance/1":
         raise ValueError("not a serialized Selmer instance")
     ring = ring_from_json(data["ring"])
     core_rank = int_from_json(data["core_rank"], "core_rank")

@@ -48,6 +48,16 @@ def ring_elements(ring):
     return itertools.product(range(ring.base.n), repeat=ring.rank)
 
 
+def index_to_exp(ring, idx: int) -> tuple:
+    """The exponent tuple of the group element at index ``idx`` of a group
+    ring: mixed radix, the first cyclic factor most significant."""
+    out = []
+    for d in reversed(ring.orders):
+        idx, e = divmod(idx, d)
+        out.append(e)
+    return tuple(reversed(out))
+
+
 def reduce_element(R, S, x):
     """Push a ring element along the surjection R -> S onto a lower
     coefficient modulus: a group ring keeps its group, or onto a chain ring

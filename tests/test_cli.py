@@ -565,6 +565,23 @@ class TestMalformedArtifacts:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mutate", [
+        _set("instance", 5), _set("euler", []), _set("euler", "tower", []),
+    ], ids=["instance-int", "euler-list", "tower-list"])
+    @pytest.mark.parametrize("command", ["verify", "derive"])
+    def test_bundle_part_that_is_not_an_object(self, tmp_path, capsys,
+                                               artifacts, command, mutate):
+        doc = json.loads(json.dumps(artifacts["bundle"]))
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed artifact" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bundle_without_euler_part(self, tmp_path, capsys, artifacts):
         doc = json.loads(json.dumps(artifacts["bundle"]))
         del doc["euler"]

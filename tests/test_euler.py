@@ -46,6 +46,7 @@ from ekslab.euler import (
 )
 from ekslab.kolyvagin import fs_holds, system_from_ambient_tables, verify_fs
 from ekslab.rings import make_ring
+from oracles import index_to_exp
 
 
 def _eye(n):
@@ -230,8 +231,8 @@ def _restrict(tower, small, big, y):
     """Norm spreading from a sub-level: each coordinate of the level ring at
     ``big`` is y's coordinate at its exponents on the symbol groups kept."""
     Sb, Ss = tower.level_ring(big), tower.level_ring(small)
-    return tuple(y[Ss.exp_to_index(tuple(Sb.index_to_exp(i)[big.index(q)]
-                                         for q in small))]
+    return tuple(y[Ss.exp_to_index(tuple(index_to_exp(Sb, i)[big.index(q)]
+                                          for q in small))]
                  for i in range(Sb.rank))
 
 
@@ -294,7 +295,8 @@ class TestLevelMaps:
 
     def test_level_maps_match_per_coordinate_reference(self):
         # Mixed orders, so the strides of the kept factors differ between
-        # the two levels; the reference reads each coordinate's exponents.
+        # the two levels; the reference reads each coordinate's exponents,
+        # down for corestriction and up for inflation.
         tower = EulerTower(3, 1, 3, 1, (3, 9, 3), [_eye(4)] * 3,
                            [[1, 0, 2], [0, 1, 1], [2, 1, 1]])
         rng = random.Random(4)
@@ -309,12 +311,21 @@ class TestLevelMaps:
                 x = Sb.random_element(rng)
                 down = [0] * Ss.rank
                 for i, c in enumerate(x):
-                    exps = Sb.index_to_exp(i)
+                    exps = index_to_exp(Sb, i)
                     j = Ss.exp_to_index(tuple(exps[big.index(q)]
                                               for q in small))
                     down[j] += c
                 assert tower.corestrict(big, small, x) == tuple(
                     c % Ss.base.n for c in down)
+                y = Ss.random_element(rng)
+                up = [0] * Sb.rank
+                for j, c in enumerate(y):
+                    exps = index_to_exp(Ss, j)
+                    i = Sb.exp_to_index(tuple(
+                        exps[small.index(q)] if q in small else 0
+                        for q in big))
+                    up[i] = c
+                assert tower.inflate(small, big, y) == tuple(up)
 
     def test_nesting_required(self):
         tower = _two_prime_tower()

@@ -17,7 +17,6 @@ from ekslab.rings import (
     GroupRing,
     Matrix,
     _group_table,
-    cochecks_int,
     det_int,
     det_ring,
     howell_form,
@@ -28,6 +27,7 @@ from ekslab.rings import (
     matrix_from_json,
     matrix_to_json,
     membership_int,
+    power_exponent,
     ring_from_json,
     ring_to_json,
     row_module_size,
@@ -42,7 +42,6 @@ from ekslab.rings import (
 from ekslab.modules import (
     FPModule,
     ModuleMap,
-    _cocheck_conditions,
     kernel,
     solve_map,
     syzygies,
@@ -54,6 +53,7 @@ from oracles import (
     enumerate_solutions,
     free_system,
     ideal_elements,
+    index_to_exp,
     quotient_reps_int,
     ring_elements,
     span_set,
@@ -93,6 +93,17 @@ class TestMakeRing:
             make_ring(3, 1, (2,))
         with pytest.raises(ValueError, match="power of p"):
             make_ring(3, 1, (6,))
+
+    def test_rejects_trivial_and_non_positive_orders(self):
+        for order in (1, 0, -3):
+            with pytest.raises(ValueError, match="power of p"):
+                make_ring(3, 1, (order,))
+
+    def test_power_exponent(self):
+        assert [power_exponent(v, 3) for v in (1, 3, 9, 27)] == [0, 1, 2, 3]
+        # 0 = 0 * 3^e is no power of 3, nor is a negative or a multiple.
+        for value in (0, -3, -9, 6, 18, 2):
+            assert power_exponent(value, 3) is None
 
     def test_group_ring_identity_and_generator(self):
         G = make_ring(3, 1, (3,))
@@ -487,14 +498,17 @@ class TestSelfInjectivity:
         for _ in range(200):
             gens = [R.random_element(rng) for _ in range(rng.randint(1, 2))]
             I_rows = submodule_howell(R, [[g] for g in gens], 1)
-            ann_rows = cochecks_int(I_rows, R.rank, base.p, base.m) if I_rows else None
+            ann_rows = kernel_int(I_rows, base.p, base.m) if I_rows else None
             if I_rows:
                 ann_gens = [R.from_vec(tuple(r)) for r in ann_rows]
             else:
                 ann_gens = [R.one]
             # Ann as an ideal must be closed: canonicalize, then annihilate again.
             ann_canon = submodule_howell(R, [[g] for g in ann_gens], 1)
-            back_rows = cochecks_int(ann_canon, R.rank, base.p, base.m)
+            # The annihilator of the zero ideal is the whole ring.
+            back_rows = kernel_int(ann_canon, base.p, base.m) if ann_canon \
+                else [[int(i == j) for j in range(R.rank)]
+                      for i in range(R.rank)]
             back = submodule_howell(
                 R, [[R.from_vec(tuple(r))] for r in back_rows], 1
             )
@@ -506,7 +520,7 @@ class TestSelfInjectivity:
         for _ in range(30):
             gens = [R.random_element(rng) for _ in range(rng.randint(1, 2))]
             I_rows = submodule_howell(R, [[g] for g in gens], 1)
-            ann_rows = cochecks_int(I_rows, 1, R.p, R.m)
+            ann_rows = kernel_int(I_rows, R.p, R.m) if I_rows else [[1]]
             got = additive_closure(ann_rows, R.n) if ann_rows else frozenset({(0,)})
             assert got == annihilator_elements(R, gens)
 
@@ -582,7 +596,7 @@ def _oracle_mul(ring, a, b):
     out = [0] * ring.rank
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            e = [u + v for u, v in zip(ring.index_to_exp(i), ring.index_to_exp(j))]
+            e = [u + v for u, v in zip(index_to_exp(ring, i), index_to_exp(ring, j))]
             out[ring.exp_to_index(e)] += x * y
     return tuple(c % ring.base.n for c in out)
 
@@ -656,11 +670,6 @@ class TestRingDot:
                     int(i == t) for i in range(R.rank))
                 expected.append(vec_to_base(R, [_oracle_mul(R, g, x) for x in vec]))
             assert translates_base(R, vec) == expected
-
-    def test_conditions_keep_width_without_rows(self):
-        # zip(*[]) has no columns: the width must come from the caller.
-        assert _cocheck_conditions([], [], 4, 9) == []
-        assert _cocheck_conditions([[]], [], 4, 9) == [[0, 0, 0, 0]]
 
     @pytest.mark.parametrize("R", DOT_RINGS, ids=str)
     def test_syzygies_in_zero_ambient(self, R):
