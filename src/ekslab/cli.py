@@ -19,12 +19,19 @@ so the bytes do not depend on the order either.  The recorded timings are
 deterministic work counts (checks run per suite), never wall-clock
 readings, keeping reports byte-stable.
 
+The euler suite of a bundle runs ``derive``'s checks of the derivative
+over the bundle's instance (``derivative_checks``), so ``verify`` and
+``derive`` of one bundle agree on them.  Both read a bundle through
+``_load_pair``, which rejects parts that do not fit each other.
+
 Exit codes: 0 when every selected check passes, 1 when at least one
 check fails (the report is still written), 2 for invalid parameters (an
-empty suite list among them), unreadable artifacts or an output path that
-cannot be written.  ``derive`` also exits 2, writing nothing, when the
-family is not an Euler system (a level's derivative element is not
-invariant), where ``verify`` reports that as failed checks.  ``report``
+empty suite list among them), unreadable artifacts, a bundle whose parts
+do not fit (a group-ring instance, or another modulus, ambient rank or
+degree than the family's) or an output path that cannot be written.
+``derive`` also exits 2, writing nothing, when the family is not an Euler
+system (a level's derivative element is not invariant), where ``verify``
+reports that as failed checks and skips derive's checks.  ``report``
 takes its exit code from the report's checks, and exits 2 when the
 report's ``passed`` flag disagrees with them.
 """
@@ -272,22 +279,54 @@ def suite_kolyvagin(sdata: StarkData):
     return _suite_result(checks, witnesses, data)
 
 
-def suite_euler(system):
-    """Every identity of the tower layer, flattened from the derivative
-    report: corestriction relations, telescoping, invariance, and the
-    permutation cross-check of the assembled vectors."""
+def derivative_checks(system, instance):
+    """``derive``'s checks of the derivative D(c) of an Euler system over an
+    instance whose ring, modulus, ambient rank and core rank it fits (see
+    ``_load_pair``), every level's derivative element invariant.
+
+    ``membership``: every derived table lies in the degree-r bidual of the
+    Selmer module at its divisor; ``comparison-relation``: the tables satisfy the
+    Kolyvagin relation at every (divisor, prime); ``containment/i*``: each
+    level ideal of the Kolyvagin system lies in the Fitting ideal of the
+    same index.  Returns the checks and witnesses with the ambient
+    ``tables``, the Kolyvagin system ``ksystem`` and its ``level_table``
+    (both None when a table is not in its bidual)."""
+    kdata = KolyvaginData(instance)
+    tables = derived_tables(system)
+    ksystem, malformed = system_from_ambient_tables(kdata, tables)
+    checks, witnesses, table = {"membership": not malformed}, {}, None
+    if malformed:
+        witnesses["membership"] = [_level_name(d) for d in malformed]
+        checks["comparison-relation"] = False
+    else:
+        checks["comparison-relation"], failures = verify_fs(ksystem)
+        if failures:
+            witnesses["comparison-relation"] = [
+                f"{_level_name(d)}@{q}" for d, q in failures]
+        table = level_table(ksystem)
+        checks.update({f"containment/i{i}": ok
+                       for i, ok in enumerate(table["contained"])})
+    return {"checks": checks, "witnesses": witnesses, "tables": tables,
+            "ksystem": ksystem, "level_table": table}
+
+
+def suite_euler(system, instance=None):
+    """The tower layer's identities, flattened from the derivative report:
+    corestriction relations and invariance of every level's derivative
+    element.  With the instance of a bundle, and every derivative element
+    invariant, also ``derive``'s checks of D(c) over that instance."""
     report = derivative_report(system)
     checks, witnesses = {}, {}
     checks["relations"] = all(report["relations"].values())
     bad = sorted(k for k, ok in report["relations"].items() if not ok)
     if bad:
         witnesses["relations"] = bad
-    for order, ok in sorted(report["telescoping"].items()):
-        checks[f"telescoping/{order}"] = ok
     for key in sorted(report["invariance"]):
         checks[f"invariance/{key or '()'}"] = report["invariance"][key]
-    checks["permutation-cross-check"] = all(
-        report["permutation_cross_check"].values())
+    if instance is not None and all(report["invariance"].values()):
+        derived = derivative_checks(system, instance)
+        checks.update(derived["checks"])
+        witnesses.update(derived["witnesses"])
     data = {
         "derived-vectors": report["derived_vectors"],
         "pair-determinants": report["pair_determinants"],
@@ -427,9 +466,7 @@ def cmd_verify(args) -> int:
     elif schema == "euler-system/1":
         euler_system = _parse_artifact(euler_system_from_json, artifact)
     elif schema == "eks-bundle/1":
-        instance = _parse_artifact(instance_from_json, artifact, "instance")
-        euler_system = _parse_artifact(euler_system_from_json, artifact,
-                                       "euler")
+        euler_system, instance = _load_pair([artifact])
 
     sdata = None
     if {"stark", "kolyvagin"} & set(suites):
@@ -439,7 +476,7 @@ def cmd_verify(args) -> int:
         "selmer": lambda: suite_selmer(instance),
         "kolyvagin": lambda: suite_kolyvagin(sdata),
         "stark": lambda: suite_stark(sdata),
-        "euler": lambda: suite_euler(euler_system),
+        "euler": lambda: suite_euler(euler_system, instance),
     }
     results = {name: runners[name]() for name in RUN_ORDER if name in suites}
 
@@ -471,31 +508,32 @@ def cmd_verify(args) -> int:
     return 0 if doc["passed"] else 1
 
 
-def _load_derive_inputs(paths):
-    docs = [_load_json(path) for path in paths]
+def _load_pair(docs):
+    """The Euler system and the instance of a bundle (one document) or of
+    an euler-system/1 plus a selmer-instance/1 artifact (two), checked to
+    fit each other: chain-ring coefficients, and the family's target
+    modulus, ambient rank and degree equal to the instance's modulus,
+    ambient rank and core rank."""
     if len(docs) == 1:
         if docs[0].get("schema") != "eks-bundle/1":
             raise CommandError(
                 "derive needs a bundle artifact or a tower-family artifact "
                 "plus an instance artifact")
-        return (_parse_artifact(euler_system_from_json, docs[0], "euler"),
-                _parse_artifact(instance_from_json, docs[0], "instance"))
-    if len(docs) != 2:
+        system = _parse_artifact(euler_system_from_json, docs[0], "euler")
+        instance = _parse_artifact(instance_from_json, docs[0], "instance")
+    elif len(docs) == 2:
+        by_schema = {doc.get("schema"): doc for doc in docs}
+        if ("euler-system/1" not in by_schema
+                or "selmer-instance/1" not in by_schema):
+            raise CommandError(
+                "derive needs one euler-system/1 and one selmer-instance/1 "
+                "artifact")
+        system = _parse_artifact(euler_system_from_json,
+                                 by_schema["euler-system/1"])
+        instance = _parse_artifact(instance_from_json,
+                                   by_schema["selmer-instance/1"])
+    else:
         raise CommandError("derive takes one bundle or exactly two artifacts")
-    by_schema = {doc.get("schema"): doc for doc in docs}
-    if ("euler-system/1" not in by_schema
-            or "selmer-instance/1" not in by_schema):
-        raise CommandError(
-            "derive needs one euler-system/1 and one selmer-instance/1 "
-            "artifact")
-    return (_parse_artifact(euler_system_from_json,
-                            by_schema["euler-system/1"]),
-            _parse_artifact(instance_from_json,
-                            by_schema["selmer-instance/1"]))
-
-
-def cmd_derive(args) -> int:
-    system, instance = _load_derive_inputs(args.artifacts)
     tower = system.tower
     ring = instance.ring
     if ring.rank != 1:
@@ -514,50 +552,41 @@ def cmd_derive(args) -> int:
         raise CommandError(
             f"mismatched degree: family has degree {system.degree}, "
             f"instance core rank is {instance.core_rank}")
+    return system, instance
 
+
+def cmd_derive(args) -> int:
+    system, instance = _load_pair([_load_json(p) for p in args.artifacts])
+    tower = system.tower
     for d in tower.divisors():
         if not invariance_holds(system, d):
             raise CommandError(
                 f"not an Euler system: the derivative element at level "
                 f"{_level_name(d)} is not invariant")
 
-    kdata = KolyvaginData(instance)
-    tables = derived_tables(system)
-    ksystem, malformed = system_from_ambient_tables(kdata, tables)
-    checks = {"membership": not malformed}
-    witnesses = {}
-    if malformed:
-        witnesses["membership"] = [_level_name(d) for d in malformed]
-        fs_ok = False
-    else:
-        fs_ok, failures = verify_fs(ksystem)
-        if failures:
-            witnesses["comparison-relation"] = [
-                f"{_level_name(d)}@{q}" for d, q in failures]
-    checks["comparison-relation"] = fs_ok
-
+    derived = derivative_checks(system, instance)
+    tables, ksystem, table = (derived[key] for key in
+                              ("tables", "ksystem", "level_table"))
     doc = {
         "schema": "eks-derive/1",
         "target_modulus": tower.p ** tower.m,
         "kappa": {_level_name(d): list(v)
                   for d, v in sorted(tables.items())},
-        "checks": checks,
-        "witnesses": witnesses,
+        "checks": derived["checks"],
+        "witnesses": derived["witnesses"],
         "ideals": {},
     }
-    if not malformed:
+    if ksystem is not None:
+        ring = instance.ring
         doc["kolyvagin_system"] = family_to_json(ksystem)
-        table = level_table(ksystem)
         doc["ideals"] = {key: [ideal_json(I) for I in table[key]]
                          for key in ("levels", "fitting")}
-        checks.update({f"containment/i{i}": ok
-                       for i, ok in enumerate(table["contained"])})
         doc["verdicts"] = {f"equality/i{i}": ok
                            for i, ok in enumerate(table["equal"])}
         base_content = Ideal(ring, [c for c in tables[()] if c % ring.n])
         doc["verdicts"]["i0-equals-base-content"] = (
             table["levels"][0] == base_content)
-    doc["passed"] = all(checks.values())
+    doc["passed"] = all(doc["checks"].values())
     _write_text(args.out, canonical_json(doc))
     return 0 if doc["passed"] else 1
 
@@ -680,7 +709,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify", help="run verification suites; the report's 'timings' "
-                       "holds per-suite check counts, not seconds")
+                       "holds per-suite check counts, not seconds; a "
+                       "bundle's euler suite runs derive's checks, and a "
+                       "bundle whose parts do not fit exits 2")
     verify.add_argument("artifact")
     verify.add_argument("--suite", default="all",
                         help="comma-separated: bidual,selmer,stark,"

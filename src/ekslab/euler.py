@@ -288,26 +288,6 @@ def _derivative_factors(ring) -> list:
     return out
 
 
-def derivative_scalar(ring):
-    """The derivative element of a group level ring: the product, over the
-    cyclic factors, of the exponent-weighted sums of generator powers.
-
-    On a chain ring (no symbol groups) it is 1.
-    """
-    return _times(ring, _derivative_factors(ring), [ring.from_int(1)])[0]
-
-
-def telescoping_holds(p: int, m: int, order: int) -> bool:
-    """(generator - 1) times the derivative element equals order minus the
-    norm element, exactly, in (Z/p^m)[C_order]."""
-    S = make_ring(p, m, (order,))
-    D = derivative_scalar(S)
-    lhs = S.mul(S.sub(S.generator(0), S.one), D)
-    norm = tuple(1 for _ in range(order))
-    rhs = S.sub(S.from_int(order), norm)
-    return lhs == rhs
-
-
 # ---------------------------------------------------------------------------
 # Class families.
 # ---------------------------------------------------------------------------
@@ -533,31 +513,6 @@ def derived_vector(system: EulerSystem, divisor) -> list:
                 continue
             kp = derived_class(system, dd)
             out = [(o + det * c) % M for o, c in zip(out, kp)]
-    return out
-
-
-def derived_vector_by_permutations(system: EulerSystem, divisor) -> list:
-    """The assembled derived vector computed the other way: a signed sum
-    over the permutations of the divisor's primes, each contributing the
-    derived class of its fixed-point set times the pair entries along its
-    moved points.  Must agree with :func:`derived_vector`."""
-    tower = system.tower
-    nn = tuple(sorted(divisor))
-    M = tower.p ** tower.m
-    out = [0] * system.width
-    for perm in itertools.permutations(range(len(nn))):
-        inv = sum(1 for i in range(len(nn)) for j in range(i + 1, len(nn))
-                  if perm[i] > perm[j])
-        sign = -1 if inv % 2 else 1
-        fixed = tuple(nn[i] for i in range(len(nn)) if perm[i] == i)
-        coeff = sign
-        for i in range(len(nn)):
-            if perm[i] != i:
-                coeff = (coeff * tower.pair_entry(nn[perm[i]], nn[i])) % M
-        if coeff == 0:
-            continue
-        kp = derived_class(system, fixed)
-        out = [(o + coeff * c) % M for o, c in zip(out, kp)]
     return out
 
 
@@ -977,31 +932,25 @@ def system_from_json(data: dict) -> EulerSystem:
 
 
 def derivative_report(system: EulerSystem) -> dict:
-    """Every identity the derivative machinery rests on, listed one by one:
-    the corestriction relations, the telescoping of each symbol-group
-    order, the invariance of each level's derivative element, the derived
-    classes and pair determinants, and the assembled vectors checked
-    against their permutation-sum form.
+    """What the derivative of a family rests on, listed one by one: the
+    corestriction relations, the invariance of each level's derivative
+    element, the derived classes, the pair determinants and the assembled
+    derived vectors.
 
     A level whose derivative element is not invariant has no derived class,
     and a divisor with such a level inside it has no derived vector; the
-    report leaves out the derived class, the vector and the cross-check at
-    every such divisor."""
+    report leaves out the derived class and the vector at every such
+    divisor."""
     tower = system.tower
     report = {
         "schema": "euler-derivative/1",
         "target_modulus": tower.p ** tower.m,
         "working_modulus": tower.p ** tower.m_big,
         "relations": relation_report(system),
-        "telescoping": {
-            str(order): telescoping_holds(tower.p, tower.m_big, order)
-            for order in sorted(set(tower.orders))
-        },
         "invariance": {},
         "derived_classes": {},
         "pair_determinants": {},
         "derived_vectors": {},
-        "permutation_cross_check": {},
     }
     broken = [set(d) for d in tower.divisors()
               if not invariance_holds(system, d)]
@@ -1012,8 +961,5 @@ def derivative_report(system: EulerSystem) -> dict:
         if any(b <= set(d) for b in broken):
             continue
         report["derived_classes"][key] = derived_class(system, d)
-        vec = derived_vector(system, d)
-        report["derived_vectors"][key] = vec
-        report["permutation_cross_check"][key] = (
-            vec == derived_vector_by_permutations(system, d))
+        report["derived_vectors"][key] = derived_vector(system, d)
     return report

@@ -537,26 +537,15 @@ class Ideal:
 # ---------------------------------------------------------------------------
 
 
-def _relation_generators(module: FPModule) -> list:
-    """A small R-generating set for the relation submodule (from Howell)."""
-    ring = module.ring
-    gens = []
-    for row in module.rel_howell:
-        vec = vec_from_base(ring, row)
-        if any(x != ring.zero for x in vec):
-            gens.append(vec)
-    return gens
-
-
 def fitting_ideal(module: FPModule, i: int = 0) -> Ideal:
-    """The i-th Fitting ideal, from (ngens - i)-minors of the relations.
+    """The i-th Fitting ideal, from the (ngens - i)-minors of the module's
+    own nonzero relation rows.
 
     Conventions: minors of non-positive size give the unit ideal; asking for
     minors larger than the relation row count gives the zero ideal.  The
-    result does not depend on which generators of the relations are taken.
-    The Howell rows are taken because over a chain ring they number at most
-    ngens, and so give fewer minors than the raw rows; over a group ring
-    they can number |G|·ngens.
+    result does not depend on which generators of the relations are taken
+    (Eisenbud, Commutative Algebra, §20.2), so no canonical form of the
+    relations is needed.
     """
     from .rings import det_ring
 
@@ -565,7 +554,8 @@ def fitting_ideal(module: FPModule, i: int = 0) -> Ideal:
     s = g - i
     if s <= 0:
         return Ideal.unit(ring)
-    rel = _relation_generators(module)
+    rel = [row for row in module.relations.rows
+           if any(x != ring.zero for x in row)]
     k = len(rel)
     if s > k:
         return Ideal.zero(ring)

@@ -25,6 +25,12 @@ from ekslab.biduals import (
     r_subsets,
     subset_position,
 )
+from ekslab.euler import (
+    EulerSystem,
+    _derivative_factors,
+    _times,
+    derived_class,
+)
 from ekslab.modules import FPModule, Ideal, ModuleMap, factor_through, \
     kernel, residue_pivots, solve_map
 from ekslab.rings import (
@@ -33,6 +39,7 @@ from ekslab.rings import (
     howell_int,
     kernel_int,
     kernel_matrix,
+    make_ring,
     row_module_size,
     span_rows_base,
     submodule_howell,
@@ -749,3 +756,54 @@ def annihilator_reference(module: FPModule) -> Ideal:
     ker = kernel_int(stacked, base.p, base.m)
     gens = [ring.from_vec(tuple(row)) for row in ker]
     return Ideal(ring, [g for g in gens if g != ring.zero])
+
+
+# ---------------------------------------------------------------------------
+# The derivative's own identities: the telescoping of one symbol group, and
+# the assembled derived vector as a sum over permutations.
+# ---------------------------------------------------------------------------
+
+
+def derivative_scalar(ring):
+    """The derivative element of a group level ring: the product, over the
+    cyclic factors, of the exponent-weighted sums of generator powers.
+
+    On a chain ring (no symbol groups) it is 1.
+    """
+    return _times(ring, _derivative_factors(ring), [ring.from_int(1)])[0]
+
+
+def telescoping_holds(p: int, m: int, order: int) -> bool:
+    """(generator - 1) times the derivative element equals order minus the
+    norm element, exactly, in (Z/p^m)[C_order]."""
+    S = make_ring(p, m, (order,))
+    D = derivative_scalar(S)
+    lhs = S.mul(S.sub(S.generator(0), S.one), D)
+    norm = tuple(1 for _ in range(order))
+    rhs = S.sub(S.from_int(order), norm)
+    return lhs == rhs
+
+
+def derived_vector_by_permutations(system: EulerSystem, divisor) -> list:
+    """The assembled derived vector computed the other way: a signed sum
+    over the permutations of the divisor's primes, each contributing the
+    derived class of its fixed-point set times the pair entries along its
+    moved points.  Must agree with :func:`derived_vector`."""
+    tower = system.tower
+    nn = tuple(sorted(divisor))
+    M = tower.p ** tower.m
+    out = [0] * system.width
+    for perm in itertools.permutations(range(len(nn))):
+        inv = sum(1 for i in range(len(nn)) for j in range(i + 1, len(nn))
+                  if perm[i] > perm[j])
+        sign = -1 if inv % 2 else 1
+        fixed = tuple(nn[i] for i in range(len(nn)) if perm[i] == i)
+        coeff = sign
+        for i in range(len(nn)):
+            if perm[i] != i:
+                coeff = (coeff * tower.pair_entry(nn[perm[i]], nn[i])) % M
+        if coeff == 0:
+            continue
+        kp = derived_class(system, fixed)
+        out = [(o + coeff * c) % M for o, c in zip(out, kp)]
+    return out

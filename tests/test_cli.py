@@ -65,12 +65,14 @@ GOLDEN = {
         "755d44aaaa6a1ef6abb438db2581db781aac1871f51384bb4696add7b233fa56",
     # The tower-derive pass: tower and consistent Z/9 r1 s3, the bundle's
     # five-suite report, and its derivation (level rings (Z/81)[C9^k]).
+    # The report was re-recorded when the euler suite of a bundle took on
+    # derive's checks and dropped the telescoping and permutation checks.
     "tower-z9-r1-s3.json":
         "0012ecd68f15974a3490be3bdb589f876481958439479af31df8bba89c864e8c",
     "bundle-z9-r1-s3.json":
         "da073baedcd13ba87e57d72509e03c5292dd7b1e529cb94b5deab8bbc2088645",
     "bundle-z9-r1-s3.report.json":
-        "fc51348dde0a9b50b967c4d4dd9caeb345d3a20dd9a78e0fc08508ad7d587ac8",
+        "86fd323f91fab238f74427e8679f13432f1dea359b81c4694f2dfa5e4b706db4",
     "bundle-z9-r1-s3.derive.json":
         "292847014a241e5aa603579c27c5128d33c810cd1081dcb350a74a94e3275a6c",
     # A tower whose top level ring is (Z/81)[C9^4], recorded while each
@@ -709,13 +711,106 @@ class TestRelationFailure:
         assert doc["witnesses"] == {
             "comparison-relation": ["1@1", "0.1@1", "1.2@1"]}
 
-    def test_verify_passes(self, tmp_path, moved_unit_bundle):
-        # verify checks the relation on the regulator image of the canonical
-        # basis, which satisfies it on every instance, and the tower's own
-        # identities, which the instance does not enter.
+    def test_verify_fails_the_relation_with_witnesses(self, tmp_path,
+                                                      moved_unit_bundle):
+        # The regulator image of the canonical basis satisfies the relation
+        # on every instance, so only the euler suite's derivative check sees
+        # the moved unit, with derive's witnesses.
         out = tmp_path / "report.json"
         assert cli.main(["verify", str(moved_unit_bundle),
-                         "--out", str(out)]) == 0
+                         "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        failed = sorted(k for k, ok in report["checks"].items() if not ok)
+        assert failed == ["euler/comparison-relation"]
+        assert report["witnesses"] == {
+            "euler/comparison-relation": ["1@1", "0.1@1", "1.2@1"]}
+
+
+def _bundle(root, name, euler, instance):
+    path = root / name
+    path.write_text(json.dumps({"schema": "eks-bundle/1", "euler": euler,
+                                "instance": instance}))
+    return path
+
+
+def _derivative_part(report):
+    """The euler suite's checks and witnesses other than the tower's own
+    relations and invariance, with the suite prefix dropped."""
+    def part(entries):
+        return {k[len("euler/"):]: v for k, v in entries.items()
+                if k.startswith("euler/") and k != "euler/relations"
+                and not k.startswith("euler/invariance/")}
+    return part(report["checks"]), part(report["witnesses"])
+
+
+@pytest.fixture(scope="module")
+def bundle_parts(tmp_path_factory):
+    """Parts to pair into bundles: the euler and instance parts of the
+    consistent Z/9 r1 s3 and r2 s2 bundles (both of ambient rank 4), a
+    Z/9 tower family of degree 1 that is not the consistent one, and Z/25
+    and (Z/9)[C3] instances."""
+    root = tmp_path_factory.mktemp("parts")
+    r1 = json.loads(_gen(root, "r1.json", "3,2", 1, 3,
+                         profile="consistent").read_text())
+    r2 = json.loads(_gen(root, "r2.json", "3,2", 2, 2,
+                         profile="consistent").read_text())
+    return {
+        "euler-r1": r1["euler"], "instance-r1": r1["instance"],
+        "euler-r2": r2["euler"],
+        "tower": json.loads(_gen(root, "tower.json", "3,2", 1, 3,
+                                 profile="tower").read_text()),
+        "z25": json.loads(_gen(root, "z25.json", "5,2", 1, 3).read_text()),
+        "group": json.loads(_gen(root, "group.json", "3,2,3", 1,
+                                 3).read_text()),
+    }
+
+
+class TestBundleContract:
+    """``verify`` of a bundle runs derive's checks in its euler suite, and
+    rejects a bundle whose parts do not fit as ``derive`` does."""
+
+    def test_tower_family_fails_membership(self, tmp_path, bundle_parts):
+        bundle = _bundle(tmp_path, "bundle.json", bundle_parts["tower"],
+                         bundle_parts["instance-r1"])
+        derive = tmp_path / "derive.json"
+        assert cli.main(["derive", str(bundle), "--out", str(derive)]) == 1
+        derived = json.loads(derive.read_text())
+        assert len(derived["witnesses"]["membership"]) == 8
+        code, report = _verify(tmp_path, bundle, "all", "report.json")
+        assert code == 1
+        assert report["checks"]["euler/membership"] is False
+        assert report["witnesses"]["euler/membership"] == \
+            derived["witnesses"]["membership"]
+
+    @pytest.mark.parametrize("euler, instance, needle", [
+        ("euler-r1", "z25", "mismatched target modulus"),
+        ("euler-r2", "instance-r1", "mismatched degree"),
+        ("euler-r1", "group", "derive needs chain-ring coefficients"),
+    ], ids=["z25-instance", "degree", "group-ring-instance"])
+    @pytest.mark.parametrize("command", ["verify", "derive"])
+    def test_mismatched_parts_exit_2(self, tmp_path, capsys, bundle_parts,
+                                     command, euler, instance, needle):
+        bundle = _bundle(tmp_path, "bundle.json", bundle_parts[euler],
+                         bundle_parts[instance])
+        out = tmp_path / "out"
+        assert cli.main([command, str(bundle), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r, s, seed", [
+        (1, 3, 0), (1, 3, 1), (1, 3, 2), (1, 3, 3), (2, 2, 0), (2, 2, 1),
+    ])
+    def test_verify_runs_derives_checks(self, tmp_path, r, s, seed):
+        bundle = _gen(tmp_path, "bundle.json", "3,2", r, s,
+                      profile="consistent", seed=seed)
+        derive = tmp_path / "derive.json"
+        cli.main(["derive", str(bundle), "--out", str(derive)])
+        derived = json.loads(derive.read_text())
+        _code, report = _verify(tmp_path, bundle, "all", "report.json")
+        assert _derivative_part(report) == (derived["checks"],
+                                            derived["witnesses"])
 
 
 class TestDeriveNeedsChainRing:

@@ -20,11 +20,9 @@ from ekslab.euler import (
     consistent_instance,
     derivative_element,
     derivative_report,
-    derivative_scalar,
     derived_class,
     derived_tables,
     derived_vector,
-    derived_vector_by_permutations,
     fs_witness,
     invariance_holds,
     pairing_determinant,
@@ -40,13 +38,17 @@ from ekslab.euler import (
     scalar_fs_holds,
     system_from_json,
     system_to_json,
-    telescoping_holds,
     tower_from_json,
     tower_to_json,
 )
 from ekslab.kolyvagin import fs_holds, system_from_ambient_tables, verify_fs
 from ekslab.rings import make_ring
-from oracles import index_to_exp
+from oracles import (
+    derivative_scalar,
+    derived_vector_by_permutations,
+    index_to_exp,
+    telescoping_holds,
+)
 
 
 def _eye(n):
@@ -687,9 +689,7 @@ class TestSerialization:
         assert report["target_modulus"] == 5
         assert report["working_modulus"] == 25
         assert all(report["relations"].values())
-        assert report["telescoping"] == {"5": True}
         assert all(report["invariance"].values())
-        assert all(report["permutation_cross_check"].values())
         assert report["pair_determinants"][""] == 1
         for d in system.tower.divisors():
             key = ",".join(str(q) for q in d)

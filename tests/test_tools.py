@@ -2,6 +2,7 @@
 source trees."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
@@ -52,3 +53,19 @@ def test_one_changed_byte_is_reported(tmp_path, monkeypatch, capsys):
     assert out == ["one-gen seed 0 z9.json: output differs",
                    "outputs compared: 1; differences: 1"]
     assert not list((copy / "src").rglob("__pycache__"))
+
+
+def test_a_differing_report_names_its_keys(tmp_path):
+    parent = {"schema": "eks-report/1", "passed": True, "witnesses": {},
+              "checks": {"a/kept": True, "a/old": True, "a/flipped": True},
+              "timings": {"a": 3}}
+    change = {"schema": "eks-report/1", "passed": False, "witnesses": {},
+              "checks": {"a/kept": True, "a/new": True, "a/flipped": False},
+              "timings": {"a": 3}, "data": {}}
+    paths = []
+    for name, doc in (("parent", parent), ("change", change)):
+        paths.append(tmp_path / f"{name}.report.json")
+        paths[-1].write_text(json.dumps(doc))
+    assert _tool().json_differences(*(p.read_bytes() for p in paths)) == [
+        "checks added: a/new", "checks removed: a/old",
+        "checks changed: a/flipped", "other keys differ: data, passed"]

@@ -12,13 +12,15 @@ order in a directory of its own, each step a fresh ``python3 -m
 ekslab.cli`` process with that tree's ``src`` on PYTHONPATH and
 PYTHONDONTWRITEBYTECODE=1, so no run leaves bytecode behind in either
 tree.  Every output file and exit code that differs between the two trees
-is printed.  The exit status is 0 when nothing differs, 1 otherwise and 2
-for bad arguments.
+is printed; for a JSON output, with the ``checks`` keys added, removed and
+changed, and the other top-level keys whose values differ.  The exit status
+is 0 when nothing differs, 1 otherwise and 2 for bad arguments.
 Without options every workload runs for seeds 0-9.
 """
 
 import argparse
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -58,6 +60,35 @@ def run_steps(tree: Path, steps, directory: Path) -> dict:
     return results
 
 
+def json_differences(data_a, data_b) -> list:
+    """What differs between two outputs that are JSON objects, one phrase
+    each: the ``checks`` keys added, removed and changed, then the other
+    top-level keys whose values differ.  Empty when either is not one."""
+    try:
+        a, b = json.loads(data_a), json.loads(data_b)
+    except (TypeError, ValueError):
+        return []
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return []
+    out = []
+    checks_a, checks_b = a.get("checks"), b.get("checks")
+    if isinstance(checks_a, dict) and isinstance(checks_b, dict):
+        both = checks_a.keys() & checks_b.keys()
+        for label, keys in (
+                ("checks added", checks_b.keys() - checks_a.keys()),
+                ("checks removed", checks_a.keys() - checks_b.keys()),
+                ("checks changed",
+                 {k for k in both if checks_a[k] != checks_b[k]})):
+            if keys:
+                out.append(f"{label}: {', '.join(sorted(keys))}")
+    missing = object()
+    other = sorted(k for k in a.keys() | b.keys() if k != "checks"
+                   and a.get(k, missing) != b.get(k, missing))
+    if other:
+        out.append(f"other keys differ: {', '.join(other)}")
+    return out
+
+
 def compare(parent: Path, change: Path, steps) -> list:
     """The differences between the two trees' runs of ``steps``, one line
     each: an exit code or an output that is not the same."""
@@ -73,7 +104,8 @@ def compare(parent: Path, change: Path, steps) -> list:
         if code_a != code_b:
             diffs.append(f"{step.output}: exit code {code_a} -> {code_b}")
         if data_a != data_b:
-            diffs.append(f"{step.output}: output differs")
+            diffs.append("; ".join([f"{step.output}: output differs",
+                                    *json_differences(data_a, data_b)]))
     return diffs
 
 
