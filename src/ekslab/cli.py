@@ -10,8 +10,10 @@ whatever order ``--suite`` names them in.  The kolyvagin and stark suites
 share one ``StarkData``, with its canonical basis system and whether that
 is a basis (and both read the instance's memoized Selmer modules and
 Fitting ideals), so kolyvagin runs first: it needs only the transitions
-from the top divisor and frees its own data before stark builds every
-transition.
+from the top divisor and, for an instance, frees its own data before
+stark builds every transition.  A bundle's kolyvagin and euler suites
+share one ``KolyvaginData``, and the euler suite checks the derived
+vectors its derivative report already holds.
 Every cached object is a deterministic function of the instance, so the
 order changes which suite builds it, never its value; the report is
 assembled in sorted order and ``config.suites`` keeps the requested list,
@@ -68,6 +70,7 @@ from .rings import make_ring
 from .selmer import (
     PROFILES,
     core_vertices,
+    divisor_key,
     divisor_name,
     five_term_exact,
     fitt_recursion_holds,
@@ -250,13 +253,16 @@ def suite_stark(data: StarkData):
     return _suite_result(checks, witnesses)
 
 
-def suite_kolyvagin(sdata: StarkData):
+def suite_kolyvagin(sdata: StarkData, kdata: KolyvaginData | None = None):
     """The contraction side: the comparison relation for the regulator
     image of the canonical basis family, and the Fitting-ideal facts of
-    the structure theorem."""
+    the structure theorem.  ``kdata`` is the bundle's shared
+    KolyvaginData; without one the suite builds its own, which it drops
+    on return."""
     checks, witnesses, data = {}, {}, {}
     instance = sdata.instance
-    kdata = KolyvaginData(instance)
+    if kdata is None:
+        kdata = KolyvaginData(instance)
     try:
         ksystem = regulator(canonical_basis_system(sdata), kdata)
     except (ValueError, RuntimeError) as exc:
@@ -279,20 +285,20 @@ def suite_kolyvagin(sdata: StarkData):
     return _suite_result(checks, witnesses, data)
 
 
-def derivative_checks(system, instance):
-    """``derive``'s checks of the derivative D(c) of an Euler system over an
-    instance whose ring, modulus, ambient rank and core rank it fits (see
-    ``_load_pair``), every level's derivative element invariant.
+def derivative_checks(kdata: KolyvaginData, tables: dict):
+    """``derive``'s checks of the derivative D(c) of an Euler system over
+    the instance of ``kdata``, which it fits in ring, modulus, ambient rank
+    and core rank (see ``_load_pair``), every level's derivative element
+    invariant.  ``tables`` are the ambient tables of the derived vectors,
+    keyed by divisor (``euler.derived_tables``).
 
     ``membership``: every derived table lies in the degree-r bidual of the
     Selmer module at its divisor; ``comparison-relation``: the tables satisfy the
     Kolyvagin relation at every (divisor, prime); ``containment/i*``: each
     level ideal of the Kolyvagin system lies in the Fitting ideal of the
-    same index.  Returns the checks and witnesses with the ambient
-    ``tables``, the Kolyvagin system ``ksystem`` and its ``level_table``
-    (both None when a table is not in its bidual)."""
-    kdata = KolyvaginData(instance)
-    tables = derived_tables(system)
+    same index.  Returns the checks and witnesses with the Kolyvagin
+    system ``ksystem`` and its ``level_table`` (both None when a table is
+    not in its bidual)."""
     ksystem, malformed = system_from_ambient_tables(kdata, tables)
     checks, witnesses, table = {"membership": not malformed}, {}, None
     if malformed:
@@ -306,15 +312,16 @@ def derivative_checks(system, instance):
         table = level_table(ksystem)
         checks.update({f"containment/i{i}": ok
                        for i, ok in enumerate(table["contained"])})
-    return {"checks": checks, "witnesses": witnesses, "tables": tables,
-            "ksystem": ksystem, "level_table": table}
+    return {"checks": checks, "witnesses": witnesses, "ksystem": ksystem,
+            "level_table": table}
 
 
-def suite_euler(system, instance=None):
+def suite_euler(system, kdata: KolyvaginData | None = None):
     """The tower layer's identities, flattened from the derivative report:
     corestriction relations and invariance of every level's derivative
-    element.  With the instance of a bundle, and every derivative element
-    invariant, also ``derive``'s checks of D(c) over that instance."""
+    element.  With the KolyvaginData of a bundle's instance, and every
+    derivative element invariant, also ``derive``'s checks of D(c) over
+    that instance, on the report's derived vectors."""
     report = derivative_report(system)
     checks, witnesses = {}, {}
     checks["relations"] = all(report["relations"].values())
@@ -323,8 +330,10 @@ def suite_euler(system, instance=None):
         witnesses["relations"] = bad
     for key in sorted(report["invariance"]):
         checks[f"invariance/{key or '()'}"] = report["invariance"][key]
-    if instance is not None and all(report["invariance"].values()):
-        derived = derivative_checks(system, instance)
+    if kdata is not None and all(report["invariance"].values()):
+        vectors = report["derived_vectors"]
+        derived = derivative_checks(kdata, {
+            d: vectors[divisor_key(d)] for d in system.tower.divisors()})
         checks.update(derived["checks"])
         witnesses.update(derived["witnesses"])
     data = {
@@ -471,12 +480,17 @@ def cmd_verify(args) -> int:
     sdata = None
     if {"stark", "kolyvagin"} & set(suites):
         sdata = StarkData(instance)
+    # A bundle's kolyvagin and euler suites share one KolyvaginData; an
+    # instance's kolyvagin suite drops its own before stark runs.
+    kdata = None
+    if euler_system is not None and instance is not None:
+        kdata = KolyvaginData(instance)
     runners = {
         "bidual": lambda: suite_bidual(instance, args.seed),
         "selmer": lambda: suite_selmer(instance),
-        "kolyvagin": lambda: suite_kolyvagin(sdata),
+        "kolyvagin": lambda: suite_kolyvagin(sdata, kdata),
         "stark": lambda: suite_stark(sdata),
-        "euler": lambda: suite_euler(euler_system, instance),
+        "euler": lambda: suite_euler(euler_system, kdata),
     }
     results = {name: runners[name]() for name in RUN_ORDER if name in suites}
 
@@ -564,9 +578,9 @@ def cmd_derive(args) -> int:
                 f"not an Euler system: the derivative element at level "
                 f"{_level_name(d)} is not invariant")
 
-    derived = derivative_checks(system, instance)
-    tables, ksystem, table = (derived[key] for key in
-                              ("tables", "ksystem", "level_table"))
+    tables = derived_tables(system)
+    derived = derivative_checks(KolyvaginData(instance), tables)
+    ksystem, table = derived["ksystem"], derived["level_table"]
     doc = {
         "schema": "eks-derive/1",
         "target_modulus": tower.p ** tower.m,

@@ -47,7 +47,8 @@ class FPModule:
     chain rings and group rings share one code path.
     """
 
-    __slots__ = ("ring", "ngens", "relations", "_rel_howell", "_size")
+    __slots__ = ("ring", "ngens", "relations", "_rel_howell", "_size",
+                 "_invariants")
 
     def __init__(self, ring, ngens: int, relations: Matrix):
         if relations.ring is not ring and relations.ring != ring:
@@ -61,6 +62,7 @@ class FPModule:
         self.relations = relations
         self._rel_howell = None
         self._size = None
+        self._invariants = None
 
     @classmethod
     def free(cls, ring, n: int) -> "FPModule":
@@ -124,9 +126,10 @@ class ModuleMap:
     f: ``kernel``, ``syzygies`` and ``annihilator`` read it through
     ``rings.kernel_vectors``, as ``dual_module`` reads the kernel of a
     plain relation matrix.  From its first ``solve_map`` on, a map
-    keeps the Smith data of that system: P, the exponents, and the part of
-    Q that back-substitution reads (the rows of the source coordinates, the
-    columns of the diagonal).  Every later ``solve_map`` and
+    keeps the Smith data of that system: the exponents, the log of row
+    operations that stands for the left transform P (``rings.smith_int``),
+    and the part of Q that back-substitution reads (the rows of the source
+    coordinates, the columns of the diagonal).  Every later ``solve_map`` and
     ``factor_through`` along the map is then one back-substitution.  This
     is the package's one factor-once solver: a plain system A.x = b is
     solved along ``free_map(A)``.
@@ -159,14 +162,15 @@ class ModuleMap:
 
     @property
     def lift_data(self):
-        """Smith data (exps, P, Q cut to the source coordinates and the
-        diagonal) of ``base_system``, built once."""
+        """Smith data of ``base_system``, built once: the exponents, the
+        row-operation log that ``rings.back_substitute`` replays in place
+        of P, and Q cut to the source coordinates and the diagonal."""
         if self._lift is None:
             ring = self.source.ring
             base = ring.base
             ncols_x = self.source.ngens * ring.rank
-            exps, P, Q = smith_int(self.base_system(), base.p, base.m)
-            self._lift = (exps, P, [row[:len(exps)] for row in Q[:ncols_x]])
+            exps, log, Q = smith_int(self.base_system(), base.p, base.m)
+            self._lift = (exps, log, [row[:len(exps)] for row in Q[:ncols_x]])
         return self._lift
 
     @classmethod
@@ -376,19 +380,20 @@ def is_isomorphism(f: ModuleMap) -> bool:
 def chain_invariants(module: FPModule) -> list:
     """Exponents e with module isomorphic to the sum of R/(p^e), descending.
 
-    Chain rings only: the Smith form of the relation matrix diagonalizes the
-    presentation.  Entries equal to the ring's nilpotency degree are free
-    summands; zero entries are trivial and dropped.
+    Chain rings only: the Smith form of the module's nonzero relation rows
+    diagonalizes the presentation.  Entries equal to the ring's nilpotency
+    degree (including the generators past the diagonal) are free summands;
+    zero entries are trivial and dropped.  Computed once per module.
     """
     ring = module.ring
     if ring.rank != 1:
         raise ValueError("invariant factors require a chain ring")
-    rel = module.relations
-    if rel.nrows == 0:
-        return [ring.m] * module.ngens
-    exps, _P, _Q = smith_int(rel.rows, ring.p, ring.m, left=False)
-    full = list(exps) + [ring.m] * (module.ngens - len(exps))
-    return sorted((e for e in full if e > 0), reverse=True)
+    if module._invariants is None:
+        rel = [row for row in module.relations.rows if any(row)]
+        exps = smith_int(rel, ring.p, ring.m, left=False)[0]
+        full = exps + [ring.m] * (module.ngens - len(exps))
+        module._invariants = sorted((e for e in full if e > 0), reverse=True)
+    return module._invariants
 
 
 # ---------------------------------------------------------------------------
@@ -538,14 +543,17 @@ class Ideal:
 
 
 def fitting_ideal(module: FPModule, i: int = 0) -> Ideal:
-    """The i-th Fitting ideal, from the (ngens - i)-minors of the module's
-    own nonzero relation rows.
+    """The i-th Fitting ideal: the ideal of the (ngens - i)-minors of the
+    module's nonzero relation rows.
 
     Conventions: minors of non-positive size give the unit ideal; asking for
-    minors larger than the relation row count gives the zero ideal.  The
-    result does not depend on which generators of the relations are taken
-    (Eisenbud, Commutative Algebra, §20.2), so no canonical form of the
-    relations is needed.
+    minors larger than the relation row count, or than ngens (i < 0), gives
+    the zero ideal.  The result does not depend on the presentation
+    (Eisenbud, Commutative Algebra, §20.2).  Over a chain ring it is read off
+    the invariants ``chain_invariants``, from one Smith form per module: with
+    M = sum of R/(p^e_j) over n summands, Fitt_i(M) = (p^e), e the sum of
+    the n - i smallest e_j, and e >= m gives the zero ideal.  Over a group
+    ring the minors are expanded.
     """
     from .rings import det_ring
 
@@ -554,6 +562,12 @@ def fitting_ideal(module: FPModule, i: int = 0) -> Ideal:
     s = g - i
     if s <= 0:
         return Ideal.unit(ring)
+    if ring.rank == 1:
+        if i < 0:
+            return Ideal.zero(ring)
+        inv = chain_invariants(module)
+        e = sum(inv[i:])
+        return Ideal.zero(ring) if e >= ring.m else Ideal(ring, [ring.p ** e])
     rel = [row for row in module.relations.rows
            if any(x != ring.zero for x in row)]
     k = len(rel)

@@ -18,7 +18,6 @@ makes ideals and submodules comparable by simple equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import mul
 
@@ -50,12 +49,27 @@ def power_exponent(value: int, p: int):
     return e if value == 1 else None
 
 
-@dataclass(frozen=True)
 class ChainRing:
-    """The ring Z/p^m: a finite chain ring with maximal ideal (p)."""
+    """The ring Z/p^m: a finite chain ring with maximal ideal (p).
 
-    p: int
-    m: int
+    Rings compare and hash by (p, m), so equal rings built apart are
+    interchangeable as dict keys and in ``Matrix`` equality.
+    """
+
+    def __init__(self, p: int, m: int):
+        self.p = p
+        self.m = m
+
+    def __eq__(self, other):
+        if other.__class__ is not ChainRing:
+            return NotImplemented
+        return self.p == other.p and self.m == other.m
+
+    def __hash__(self):
+        return hash((self.p, self.m))
+
+    def __repr__(self) -> str:
+        return f"ChainRing(p={self.p!r}, m={self.m!r})"
 
     @cached_property
     def n(self) -> int:
@@ -196,7 +210,6 @@ def _group_table(orders: tuple) -> _GroupRows:
     return _GroupRows(orders)
 
 
-@dataclass(frozen=True)
 class GroupRing:
     """(Z/p^m)[G] for G a finite abelian p-group given by cyclic orders.
 
@@ -206,18 +219,29 @@ class GroupRing:
     coordinates over the base ring.  Products read the group's shared
     multiplication rows, one row per nonzero coordinate of the first factor,
     so a sparse first factor (a group element, a short polynomial in one)
-    costs O(|support|*|G|) and builds only the rows it reads.
+    costs O(|support|*|G|) and builds only the rows it reads.  Rings compare
+    and hash by (base, orders).
     """
 
-    base: ChainRing
-    orders: tuple
-
-    def __post_init__(self):
-        for d in self.orders:
-            if not power_exponent(d, self.base.p):
+    def __init__(self, base: ChainRing, orders: tuple):
+        for d in orders:
+            if not power_exponent(d, base.p):
                 raise ValueError(
-                    f"group factor order {d} is not a positive power of p={self.base.p}"
+                    f"group factor order {d} is not a positive power of p={base.p}"
                 )
+        self.base = base
+        self.orders = orders
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupRing:
+            return NotImplemented
+        return self.base == other.base and self.orders == other.orders
+
+    def __hash__(self):
+        return hash((self.base, self.orders))
+
+    def __repr__(self) -> str:
+        return f"GroupRing(base={self.base!r}, orders={self.orders!r})"
 
     @cached_property
     def rank(self) -> int:
@@ -509,23 +533,28 @@ def row_module_size(howell_rows, p: int, m: int) -> int:
 
 
 def smith_int(A, p: int, m: int, left: bool = True):
-    """Smith form over Z/p^m: returns (exps, P, Q) with P.A.Q = diag(p^e).
+    """Smith form over Z/p^m: returns (exps, log, Q) with P.A.Q = diag(p^e).
 
     ``exps`` lists the exponents e of the nonzero-strip diagonal (an entry m
-    denotes 0).  P (k x k) and Q (g x g) are invertible over Z/p^m.  Chain
-    rings admit this form because the minimal-valuation entry divides every
-    other entry, so elimination is exact.
+    denotes 0).  Q (g x g) is invertible over Z/p^m.  Chain rings admit this
+    form because the minimal-valuation entry divides every other entry, so
+    elimination is exact.
 
-    The row updates of P cost as much as the elimination itself, so callers
-    that only read ``exps`` and Q (kernels, invariant factors) pass
-    ``left=False`` and get None in place of P.
+    The invertible left transform P (k x k) is never built: ``log`` records
+    the row operations that make it, one entry ``(row, unit, eliminations)``
+    per pivot, in order.  At the t-th pivot, rows t and ``row`` are swapped,
+    row t is scaled by ``unit``, and for each ``(i, q)`` of
+    ``eliminations`` q times row t is subtracted from row i > t.
+    ``back_substitute`` replays it on a right-hand side, which gives P.b in
+    O(eliminations) instead of O(k^2).  Callers that only read ``exps`` and
+    Q (kernels) pass ``left=False`` and get None in place of the log.
     """
     n = p ** m
     k = len(A)
     g = len(A[0]) if k else 0
     M = [[c % n for c in row] for row in A]
-    P = [[int(i == j) for j in range(k)] for i in range(k)] if left else None
     Q = [[int(i == j) for j in range(g)] for i in range(g)]
+    log = [] if left else None
     exps = []
     top = 0
     while top < min(k, g):
@@ -545,8 +574,6 @@ def smith_int(A, p: int, m: int, left: bool = True):
             break
         if bi != top:
             M[top], M[bi] = M[bi], M[top]
-            if left:
-                P[top], P[bi] = P[bi], P[top]
         if bj != top:
             for row in M:
                 row[top], row[bj] = row[bj], row[top]
@@ -556,15 +583,15 @@ def smith_int(A, p: int, m: int, left: bool = True):
         v = _val(piv, p, m)
         u_inv = pow(piv // (p ** v), -1, n)
         M[top] = [(u_inv * c) % n for c in M[top]]
-        if left:
-            P[top] = [(u_inv * c) % n for c in P[top]]
         pk = p ** v
+        eliminations = []
         for i in range(top + 1, k):
             if M[i][top]:
                 q = M[i][top] // pk
                 M[i] = [(a - q * b) % n for a, b in zip(M[i], M[top])]
-                if left:
-                    P[i] = [(a - q * b) % n for a, b in zip(P[i], P[top])]
+                eliminations.append((i, q))
+        if left:
+            log.append((bi, u_inv, eliminations))
         for j in range(top + 1, g):
             if M[top][j]:
                 q = M[top][j] // pk
@@ -574,7 +601,7 @@ def smith_int(A, p: int, m: int, left: bool = True):
                     row[j] = (row[j] - q * row[top]) % n
         exps.append(v)
         top += 1
-    return exps, P, Q
+    return exps, log, Q
 
 
 def kernel_int(A, p: int, m: int) -> list:
@@ -586,7 +613,7 @@ def kernel_int(A, p: int, m: int) -> list:
         return []
     if k == 0:
         return [[int(i == j) for j in range(g)] for i in range(g)]
-    exps, _P, Q = smith_int(A, p, m, left=False)
+    exps, _log, Q = smith_int(A, p, m, left=False)
     gens = []
     for i, e in enumerate(exps):
         if e > 0:
@@ -600,16 +627,24 @@ def kernel_int(A, p: int, m: int) -> list:
 
 
 def back_substitute(smith, b, p: int, m: int):
-    """One x with A.x = b from the Smith data (exps, P, Q) of A, or None.
+    """One x with A.x = b from the Smith data (exps, log, Q) of A, or None.
 
     The one back-substitution behind every solve: factor A once with
     ``smith_int`` and call this per right-hand side.  ``b`` must be reduced
     mod p^m.  With P.A.Q = D the system becomes D.y = P.b, solved entry by
-    entry, and x = Q.y.
+    entry, and x = Q.y; P.b comes from replaying the row operations of the
+    log on b.
     """
-    exps, P, Q = smith
+    exps, log, Q = smith
     n = p ** m
-    pb = [sum(map(mul, row, b)) % n for row in P]
+    pb = list(b)
+    for top, (row, unit, eliminations) in enumerate(log):
+        if row != top:
+            pb[top], pb[row] = pb[row], pb[top]
+        x = pb[top] = pb[top] * unit % n
+        if x:
+            for i, q in eliminations:
+                pb[i] = (pb[i] - q * x) % n
     for i in range(len(exps), len(pb)):
         if pb[i]:
             return None
@@ -977,6 +1012,9 @@ def element_from_json(ring, data):
     ``ring.rank`` int coordinates for a group ring."""
     if ring.rank == 1:
         return int_from_json(data, "ring element") % ring.n
+    if type(data) is not list:
+        raise ValueError(f"group-ring element {data!r} is not a list of "
+                         f"{ring.rank} coordinates")
     if len(data) != ring.rank:
         raise ValueError(f"group-ring element has {len(data)} "
                          f"coordinates, not {ring.rank}")

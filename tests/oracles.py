@@ -35,6 +35,7 @@ from ekslab.modules import FPModule, Ideal, ModuleMap, factor_through, \
     kernel, residue_pivots, solve_map
 from ekslab.rings import (
     Matrix,
+    _val,
     det_ring,
     howell_int,
     kernel_int,
@@ -227,6 +228,115 @@ def det_permutation_expansion(ring, rows):
             term = ring.mul(term, rows[i][perm[i]])
         acc = ring.add(acc, term) if inversions % 2 == 0 else ring.sub(acc, term)
     return acc
+
+
+def smith_int_dense(A, p: int, m: int):
+    """Smith form over Z/p^m with a dense left transform: (exps, P, Q) with
+    P.A.Q = diag(p^e), P built and updated row by row.  The reference for
+    ``rings.smith_int``, which makes the same pivot choices and row
+    operations but logs them instead of building P.
+    """
+    n = p ** m
+    k = len(A)
+    g = len(A[0]) if k else 0
+    M = [[c % n for c in row] for row in A]
+    P = [[int(i == j) for j in range(k)] for i in range(k)]
+    Q = [[int(i == j) for j in range(g)] for i in range(g)]
+    exps = []
+    top = 0
+    while top < min(k, g):
+        # Find the entry of minimal valuation in the remaining block.
+        best, bi, bj = m, -1, -1
+        for i in range(top, k):
+            for j in range(top, g):
+                if M[i][j]:
+                    v = _val(M[i][j], p, m)
+                    if v < best:
+                        best, bi, bj = v, i, j
+                        if v == 0:
+                            break
+            if best == 0:
+                break
+        if bi < 0:
+            break
+        if bi != top:
+            M[top], M[bi] = M[bi], M[top]
+            P[top], P[bi] = P[bi], P[top]
+        if bj != top:
+            for row in M:
+                row[top], row[bj] = row[bj], row[top]
+            for row in Q:
+                row[top], row[bj] = row[bj], row[top]
+        piv = M[top][top]
+        v = _val(piv, p, m)
+        u_inv = pow(piv // (p ** v), -1, n)
+        M[top] = [(u_inv * c) % n for c in M[top]]
+        P[top] = [(u_inv * c) % n for c in P[top]]
+        pk = p ** v
+        for i in range(top + 1, k):
+            if M[i][top]:
+                q = M[i][top] // pk
+                M[i] = [(a - q * b) % n for a, b in zip(M[i], M[top])]
+                P[i] = [(a - q * b) % n for a, b in zip(P[i], P[top])]
+        for j in range(top + 1, g):
+            if M[top][j]:
+                q = M[top][j] // pk
+                for row in M:
+                    row[j] = (row[j] - q * row[top]) % n
+                for row in Q:
+                    row[j] = (row[j] - q * row[top]) % n
+        exps.append(v)
+        top += 1
+    return exps, P, Q
+
+
+def back_substitute_dense(smith, b, p: int, m: int):
+    """One x with A.x = b from ``smith_int_dense`` data, or None: y solves
+    D.y = P.b entry by entry and x = Q.y."""
+    exps, P, Q = smith
+    n = p ** m
+    pb = [sum(map(mul, row, b)) % n for row in P]
+    if any(pb[len(exps):]):
+        return None
+    y = []
+    for i, e in enumerate(exps):
+        if pb[i] % (p ** e):
+            return None
+        y.append(pb[i] // (p ** e) % n)
+    return [sum(map(mul, row[:len(y)], y)) % n for row in Q]
+
+
+def replay_left_transform(log, k: int, n: int) -> list:
+    """The k x k left transform P of ``rings.smith_int`` rebuilt from its
+    row-operation log: column j is the log replayed on the unit vector
+    e_j (swap, scale the pivot row, subtract multiples of it below)."""
+    cols = []
+    for j in range(k):
+        x = [int(i == j) for i in range(k)]
+        for top, (row, unit, eliminations) in enumerate(log):
+            x[top], x[row] = x[row], x[top]
+            x[top] = x[top] * unit % n
+            for i, q in eliminations:
+                x[i] = (x[i] - q * x[top]) % n
+        cols.append(x)
+    return [[col[i] for col in cols] for i in range(k)]
+
+
+def fitting_ideal_minors(module: FPModule, i: int) -> Ideal:
+    """The i-th Fitting ideal as the ideal of the (ngens - i)-minors of the
+    module's nonzero relation rows, by cofactor-free determinants: the unit
+    ideal for minors of size <= 0, zero when no minor of that size exists."""
+    ring = module.ring
+    g = module.ngens
+    s = g - i
+    if s <= 0:
+        return Ideal.unit(ring)
+    rel = [row for row in module.relations.rows
+           if any(x != ring.zero for x in row)]
+    return Ideal(ring, [
+        det_ring(ring, [[rel[a][b] for b in cols] for a in rows])
+        for rows in itertools.combinations(range(len(rel)), s)
+        for cols in itertools.combinations(range(g), s)])
 
 
 def module_elements(module, limit: int = 1 << 12) -> list:

@@ -811,7 +811,6 @@ class TestBatteries:
 # Reached only from tests, each waiting on the open ROADMAP item (by number)
 # that wires it into the product or moves it to tests/.
 WAITING = {
-    "modules.chain_invariants": "4",
     "kolyvagin.regulator_injectivity_certificate": "1d",
     "kolyvagin.core_projection_invert": "1d",
     "kolyvagin.ks_solution_report": "1d",

@@ -535,6 +535,50 @@ class TestMalformedArtifacts:
         self._rejected(tmp_path, capsys, artifacts, command, mutate,
                        f"{width} coordinates, not 3", kind="group")
 
+    @pytest.mark.parametrize("command", ["verify", "graph", "derive"])
+    def test_group_ring_element_that_is_not_a_list(self, tmp_path, capsys,
+                                                   artifacts, command):
+        # A (Z/9)[C3] element is a list of 3 coordinates, never a bare int.
+        # derive reads the group-ring instance next to a tower family and
+        # rejects it while parsing, before any fit check.
+        doc = json.loads(json.dumps(artifacts["group"]))
+        doc["finite"][0][0] = 6
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        paths = [str(path)]
+        if command == "derive":
+            family = tmp_path / "family.json"
+            family.write_text(json.dumps(artifacts["bundle"]["euler"]))
+            paths.append(str(family))
+        out = tmp_path / "out"
+        assert cli.main([command, *paths, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("malformed artifact: ValueError: group-ring element 6 is "
+                "not a list of 3 coordinates") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "graph", "derive"])
+    def test_frobenius_without_a_fixed_line(self, tmp_path, capsys,
+                                            artifacts, command):
+        # diag(2, 8) - 1 = diag(1, 7) is invertible over Z/9, so the
+        # quotient by (Frobenius - 1) is zero, not free of rank one.
+        def mutate(doc):
+            doc["primes"][0]["frobenius"] = [[2, 0], [0, 8]]
+
+        self._rejected(tmp_path, capsys, artifacts, command, mutate,
+                       "quotient by (Frobenius - 1) is not free of rank one")
+
+    @pytest.mark.parametrize("command", ["verify", "graph", "derive"])
+    def test_condition_rows_of_the_wrong_width(self, tmp_path, capsys,
+                                               artifacts, command):
+        # core rank 5 with two primes needs rows of width 7.
+        def mutate(doc):
+            doc["core_rank"] = 5
+
+        self._rejected(tmp_path, capsys, artifacts, command, mutate,
+                       "condition rows must have width 7")
+
     @pytest.mark.parametrize("kind, mutate", [
         ("instance", _set("finite", 0, 0, 1.5)),
         ("instance", _set("finite", 0, 0, "1")),

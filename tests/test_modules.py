@@ -53,6 +53,7 @@ from oracles import (
     cyclic,
     det_permutation_expansion,
     direct_sum,
+    fitting_ideal_minors,
     from_base,
     ideal_elements,
     kernel_reference,
@@ -765,6 +766,37 @@ class TestFittingIdeals:
             for _ in range(3):
                 X = random_presentation(ring, rng, max_gens=2, max_rels=2)
                 assert fitting_ideal(X, 0).leq(annihilator(X))
+
+    @pytest.mark.parametrize("ring", [make_ring(2, 3), make_ring(3, 2),
+                                      make_ring(5, 2), make_ring(3, 3)],
+                             ids=str)
+    def test_chain_invariants_give_the_minors(self, ring):
+        # Over a chain ring every index, -1 to g + 1, is read off the
+        # invariants; the minors of the relation rows agree, on
+        # presentations with zero rows, more relations than generators,
+        # free summands (fewer relations, or a zero column) and relation
+        # entries in the maximal ideal.
+        rng = random.Random(53 + ring.n)
+        p = ring.p
+        for _ in range(25):
+            g = rng.randint(1, 4)
+            k = rng.randint(0, 6)
+            shape = rng.choice(["random", "maximal", "free-column"])
+            rows = []
+            for _ in range(k):
+                row = [ring.random_element(rng) for _ in range(g)]
+                if shape == "maximal":
+                    row = [p * x % ring.n for x in row]
+                elif shape == "free-column":
+                    row[-1] = 0
+                rows.append(row)
+            for _ in range(rng.randint(0, 2)):
+                rows.insert(rng.randint(0, len(rows)), [0] * g)
+            X = FPModule(ring, g, Matrix(ring, rows, ncols=g))
+            for i in range(-1, g + 2):
+                got = fitting_ideal(X, i)
+                assert got == fitting_ideal_minors(X, i), (rows, i)
+                assert got.exponent() == fitting_ideal_minors(X, i).exponent()
 
     def test_chain_fitt0_exponent(self):
         # For a diagonal chain-ring presentation Fitt_i is the product of the

@@ -17,6 +17,7 @@ from ekslab.rings import (
     GroupRing,
     Matrix,
     _group_table,
+    back_substitute,
     det_int,
     det_ring,
     howell_form,
@@ -49,13 +50,16 @@ from ekslab.modules import (
 from oracles import (
     additive_closure,
     annihilator_elements,
+    back_substitute_dense,
     det_permutation_expansion,
     enumerate_solutions,
     free_system,
     ideal_elements,
     index_to_exp,
     quotient_reps_int,
+    replay_left_transform,
     ring_elements,
+    smith_int_dense,
     span_set,
 )
 
@@ -104,6 +108,21 @@ class TestMakeRing:
         # 0 = 0 * 3^e is no power of 3, nor is a negative or a multiple.
         for value in (0, -3, -9, 6, 18, 2):
             assert power_exponent(value, 3) is None
+
+    def test_rings_compare_hash_and_print_by_parameters(self):
+        # Rings built apart are equal, hash alike and print the same; test
+        # ids and artifacts read ``str``, error messages ``repr``.
+        assert make_ring(3, 2) == ChainRing(3, 2) != ChainRing(3, 1)
+        assert hash(make_ring(3, 2)) == hash(ChainRing(3, 2))
+        G = make_ring(3, 2, (3, 9))
+        assert G == GroupRing(ChainRing(3, 2), (3, 9))
+        assert hash(G) == hash(GroupRing(ChainRing(3, 2), (3, 9)))
+        assert G != make_ring(3, 2, (9, 3)) and G != make_ring(3, 2)
+        assert make_ring(3, 2) != (3, 2)
+        assert str(make_ring(3, 2)) == "Z/3^2" and str(make_ring(5, 1)) == "Z/5"
+        assert str(G) == "(Z/3^2)[C3xC9]"
+        assert repr(G) == "GroupRing(base=ChainRing(p=3, m=2), orders=(3, 9))"
+        assert {make_ring(2, 3): 1}[ChainRing(2, 3)] == 1
 
     def test_group_ring_identity_and_generator(self):
         G = make_ring(3, 1, (3,))
@@ -272,7 +291,8 @@ class TestSmithKernel:
         for _ in range(40):
             k, g = rng.randint(1, 4), rng.randint(1, 4)
             A = [[rng.randrange(R.n) for _ in range(g)] for _ in range(k)]
-            exps, P, Q = smith_int(A, R.p, R.m)
+            exps, log, Q = smith_int(A, R.p, R.m)
+            P = replay_left_transform(log, k, R.n)
             assert R.is_unit(det_int(P, R.p, R.m))
             assert R.is_unit(det_int(Q, R.p, R.m))
             # P.A.Q is diagonal with the stated p-power entries.
@@ -299,6 +319,39 @@ class TestSmithKernel:
             A = [[rng.randrange(R.n) for _ in range(g)] for _ in range(k)]
             exps, _P, Q = smith_int(A, R.p, R.m)
             assert smith_int(A, R.p, R.m, left=False) == (exps, None, Q)
+
+    @pytest.mark.parametrize("ring", [
+        make_ring(2, 3), make_ring(3, 2), make_ring(5, 2), make_ring(3, 3),
+        make_ring(3, 2, (3,))], ids=str)
+    def test_replayed_back_substitution_matches_dense_p(self, ring):
+        # The logged row operations give the dense-P reference's exps, Q
+        # and solutions exactly, on tall, square and wide systems (a group
+        # ring's restricted to its base), solvable right-hand sides A.x and
+        # random ones, most of them unsolvable.
+        base = ring.base
+        p, m, n = base.p, base.m, base.n
+        rng = random.Random(41 + n * ring.rank)
+        unsolvable = 0
+        for k, g in [(5, 2), (4, 4), (2, 5), (6, 3), (3, 3), (1, 4), (4, 1)]:
+            for _ in range(6):
+                A = rand_matrix(ring, rng, k, g).to_base()
+                exps, log, Q = smith_int(A, p, m)
+                dense = smith_int_dense(A, p, m)
+                assert (exps, Q) == (dense[0], dense[2])
+                assert len(log) == len(exps)
+                x = [rng.randrange(n) for _ in range(len(A[0]))]
+                rhs = [[sum(a * c for a, c in zip(row, x)) % n for row in A]]
+                rhs += [[rng.randrange(n) for _ in A] for _ in range(3)]
+                rhs.append([p * rng.randrange(n) % n for _ in A])
+                for b in rhs:
+                    got = back_substitute((exps, log, Q), b, p, m)
+                    assert got == back_substitute_dense(dense, b, p, m)
+                    if got is None:
+                        unsolvable += 1
+                    else:
+                        assert [sum(a * c for a, c in zip(row, got)) % n
+                                for row in A] == b
+        assert unsolvable > 0
 
     @pytest.mark.parametrize("R", CHAIN_RINGS)
     def test_kernel_matches_enumeration(self, R):

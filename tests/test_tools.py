@@ -69,3 +69,26 @@ def test_a_differing_report_names_its_keys(tmp_path):
     assert _tool().json_differences(*(p.read_bytes() for p in paths)) == [
         "checks added: a/new", "checks removed: a/old",
         "checks changed: a/flipped", "other keys differ: data, passed"]
+
+
+def _ab_tool():
+    path = ROOT / "tools" / "inprocess_ab.py"
+    spec = importlib.util.spec_from_file_location("inprocess_ab", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_inprocess_ab_of_a_tree_against_itself(capsys):
+    # One tower-derive round: the gen steps run once, then one fresh
+    # interpreter per tree times the verify and derive steps.
+    argv = [str(ROOT), str(ROOT), "--workload", "tower-derive",
+            "--rounds", "1"]
+    assert _ab_tool().main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("tower-derive seed 0, 1 round(s), in-process CPU "
+                      "seconds per round")
+    assert [line.split(":")[0] for line in out[1:3]] == ["parent", "change"]
+    assert out[3].startswith("median paired ratio change/parent: ")
+    assert out[3].endswith(" of 1 rounds")
+    assert len(out) == 4
