@@ -52,7 +52,6 @@ from .rings import (
     det_ring,
     membership_int,
     submodule_howell,
-    vec_to_base,
 )
 # Unused here: perfbench/tests checks that the tracer wraps this module's
 # binding of kernel_int.
@@ -311,7 +310,7 @@ class ExteriorBidual:
             self._image_howell = submodule_howell(
                 ring, cols + ambient.relations.rows, ambient.ngens)
         base = ring.base
-        return all(membership_int(vec_to_base(ring, col), self._image_howell,
+        return all(membership_int(ring.vec_to_base(col), self._image_howell,
                                   base.p, base.m)
                    for col in incl.matrix.transpose().rows)
 

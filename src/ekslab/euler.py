@@ -723,8 +723,13 @@ def consistent_instance(p: int, m: int, rank: int, n_primes: int, seed: int,
 
     The singular rows are the tail coordinate functionals, so membership
     pins each level's support; the finite-part rows are drawn at random and
-    the per-level targets solved linearly, resampling whenever a draw makes
-    some level unsolvable.  Returns ``(tower, system, kdata)``.
+    the per-level targets solved linearly, resampling whenever a draw has
+    a degenerate Frobenius or makes some level unsolvable.  Returns
+    ``(tower, system, kdata)``.
+
+    The checks after the solve follow from it and from the compensated
+    perturbations: a failure is a program error, raised as
+    ``AssertionError`` with the stage and the level, never redrawn.
     """
     from .kolyvagin import KolyvaginData, fs_holds, system_from_ambient_tables
 
@@ -812,7 +817,6 @@ def consistent_instance(p: int, m: int, rank: int, n_primes: int, seed: int,
         # Realize the targets with compensated kernel classes.
         system = canonical_system(tower, list(base))
         class_targets = {(): list(base)}
-        ok = True
         for d in instance.divisors():
             if not d:
                 continue
@@ -832,21 +836,23 @@ def consistent_instance(p: int, m: int, rank: int, n_primes: int, seed: int,
                 z = [S.from_int(sign * c) for c in delta]
                 system = perturb(system, d, z)
             if derived_class(system, d) != want:
-                ok = False
-                break
-        if not ok:
-            continue
+                raise AssertionError(f"consistent_instance: the derived class "
+                                     f"at level {d} is not its target")
         system.meta.update({"kind": "consistent", "seed": seed})
         tables = derived_tables(system)
-        if any(tables[tuple(sorted(d))] != targets[tuple(sorted(d))]
-               for d in instance.divisors()):
-            continue
+        for d in instance.divisors():
+            if tables[d] != targets[d]:
+                raise AssertionError(f"consistent_instance: the derived table "
+                                     f"at level {d} is not the solved target")
         _ksys, malformed = system_from_ambient_tables(kdata, tables)
         if malformed:
-            continue
-        if not all(fs_holds(kdata, tables, d, q)
-                   for d in instance.divisors() for q in d):
-            continue
+            raise AssertionError(f"consistent_instance: the table at level "
+                                 f"{malformed[0]} is not in its bidual")
+        for d in instance.divisors():
+            for q in d:
+                if not fs_holds(kdata, tables, d, q):
+                    raise AssertionError(f"consistent_instance: the relation "
+                                         f"fails at level {d}, prime {q}")
         return tower, system, kdata
     raise RuntimeError("no consistent draw found within the retry budget")
 
@@ -916,6 +922,9 @@ def system_from_json(data: dict) -> EulerSystem:
     if not 1 <= degree <= tower.rank:
         raise ValueError(f"degree {degree} is not between 1 and the tower's "
                          f"rank {tower.rank}")
+    if not isinstance(data["classes"], dict):
+        raise ValueError(f"classes {data['classes']!r} is not an object keyed "
+                         f"by divisor")
     divisors = [divisor_from_key(key) for key in data["classes"]]
     if sorted(tuple(sorted(d)) for d in divisors) != sorted(tower.divisors()):
         raise ValueError(f"class keys {sorted(data['classes'])} are not the "

@@ -51,7 +51,6 @@ from .rings import (
     kernel_int,
     membership_int,
     row_module_size,
-    vec_to_base,
 )
 from .selmer import (
     SelmerInstance,
@@ -450,7 +449,7 @@ def system_coordinate_vector(system: Family, layout, width=None) -> list:
         width = sum(g * d for _off, g in layout.values())
     vec = [0] * width
     for key, (off, g) in layout.items():
-        flat = vec_to_base(ring, system.component(key))
+        flat = ring.vec_to_base(system.component(key))
         vec[off:off + g * d] = flat
     return vec
 
@@ -474,7 +473,7 @@ def ks_solution_report(kdata: KolyvaginData, sdata: StarkData) -> dict:
     span = []
     for k in range(ring.rank):
         unit_vec = (0,) * k + (1,) + (0,) * (ring.rank - 1 - k)
-        e_k = ring.from_vec(unit_vec) if ring.rank > 1 else 1
+        e_k = unit_vec if ring.rank > 1 else 1
         scaled = reg.scaled(e_k)
         span.append(system_coordinate_vector(scaled, layout, width))
     for key, (off, g) in layout.items():

@@ -5,10 +5,12 @@ Elements of ``ChainRing(p, m)`` are plain ints in ``[0, p**m)``.  Elements of
 group basis (mixed-radix order on the generator exponents).  Every heavy
 computation — canonical row forms, kernels, linear solving — is performed on
 integer matrices over the base chain ring.  Group rings get there by
-restriction of scalars, never by elimination over the group ring itself; a
-chain ring is its own base, so its matrices and vectors are used as they are
-(each ring class says how in ``matrix_to_base``, ``vec_to_base`` and
-``vec_from_base``).
+restriction of scalars, never by elimination over the group ring itself,
+and ``span_rows_base`` is its one construction.  For spans, an R-vector v
+becomes its translates, the base coordinates of g_t*v for each group
+element g_t; for maps, ``Matrix.to_base`` is the transpose of the
+translates of the columns.  A chain ring is its own base: its matrices and
+vectors are used as they are.
 
 The canonical form used throughout is the Howell form: the unique reduced
 row form attached to a row module over Z/p^m.  Two generating sets span the
@@ -116,14 +118,7 @@ class ChainRing:
 
     def val(self, a: int) -> int:
         """p-adic valuation of a in [0, m]; val(0) = m."""
-        a %= self.n
-        if a == 0:
-            return self.m
-        v = 0
-        while a % self.p == 0:
-            a //= self.p
-            v += 1
-        return v
+        return _val(a % self.n, self.p, self.m)
 
     def is_unit(self, a: int) -> bool:
         return a % self.p != 0
@@ -137,21 +132,7 @@ class ChainRing:
             if x % self.p != 0:
                 return x
 
-    def to_vec(self, a: int) -> tuple:
-        return (a % self.n,)
-
-    def from_vec(self, vec) -> int:
-        return vec[0] % self.n
-
-    def action_matrix(self, a: int) -> list:
-        """Base-ring matrix of multiplication by a (1x1 for a chain ring)."""
-        return [[a % self.n]]
-
     # Restriction of scalars: the ring is its own base, so these copy.
-
-    def matrix_to_base(self, rows, ncols: int) -> list:
-        """The int matrix of a matrix with reduced entries: a copy."""
-        return [row[:] for row in rows]
 
     def vec_to_base(self, vec) -> list:
         n = self.n
@@ -348,52 +329,15 @@ class GroupRing:
         # elements whose augmentation is a unit of the base.
         return self.base.is_unit(self.augmentation(a))
 
-    def action_matrix(self, a) -> list:
-        """Base matrix of multiplication by a: column t holds a*g_t in coordinates."""
-        n = self.base.n
-        d = self.rank
-        table = self._mul_index
-        mat = [[0] * d for _ in range(d)]
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            row = table[i]
-            for t in range(d):
-                mat[row[t]][t] = (mat[row[t]][t] + x) % n
-        return mat
-
-    def to_vec(self, a) -> tuple:
-        return tuple(c % self.base.n for c in a)
-
-    def from_vec(self, vec) -> tuple:
-        return tuple(c % self.base.n for c in vec)
-
-    # Restriction of scalars: each element becomes |G| base coordinates.
-
-    def matrix_to_base(self, rows, ncols: int) -> list:
-        """Int matrix B with B.vec(x) = vec(A.x): the action matrix of each
-        entry of A as a |G| x |G| block."""
-        d = self.rank
-        out = [[0] * (ncols * d) for _ in range(len(rows) * d)]
-        for i, row in enumerate(rows):
-            for j in range(ncols):
-                block = self.action_matrix(row[j])
-                for a in range(d):
-                    orow = out[i * d + a]
-                    brow = block[a]
-                    for b in range(d):
-                        orow[j * d + b] = brow[b]
-        return out
+    # Restriction of scalars: each element becomes its |G| coordinates.
 
     def vec_to_base(self, vec) -> list:
-        out = []
-        for x in vec:
-            out.extend(self.to_vec(x))
-        return out
+        n = self.base.n
+        return [c % n for x in vec for c in x]
 
     def vec_from_base(self, flat) -> list:
         d = self.rank
-        return [self.from_vec(tuple(flat[i * d : (i + 1) * d]))
+        return [self.reduce(flat[i * d:(i + 1) * d])
                 for i in range(len(flat) // d)]
 
     def from_int(self, c: int) -> tuple:
@@ -736,7 +680,8 @@ class Matrix:
     ``transpose``, ``stack`` and ``sub`` build their result from rows they
     have just produced, already reduced and of one length, and pass
     ``reduced=True`` to skip that pass; such rows must be fresh lists the new
-    matrix owns.
+    matrix owns.  ``to_base`` restricts scalars to Z/p^m: the transpose of
+    the translates of its columns (``span_rows_base``).
     """
 
     __slots__ = ("ring", "rows", "nrows", "ncols")
@@ -832,46 +777,39 @@ class Matrix:
         )
 
     def to_base(self) -> list:
-        """Restriction of scalars: int matrix B with B.vec(x) = vec(A.x)."""
-        return self.ring.matrix_to_base(self.rows, self.ncols)
-
-
-def vec_to_base(ring, vec) -> list:
-    """Flatten a vector over the ring to base-ring coordinates."""
-    return ring.vec_to_base(vec)
-
-
-def vec_from_base(ring, flat) -> list:
-    """Reassemble a base-coordinate vector into ring elements."""
-    return ring.vec_from_base(flat)
-
-
-def translates_base(ring, vec) -> list:
-    """Base rows spanning the same R-submodule as the single vector ``vec``.
-
-    Over a chain ring this is the one row itself; over a group ring the rows
-    are the coordinate vectors of g_t * vec for every group basis element, so
-    the base-ring row span equals the R-span of vec.
-    """
-    if ring.rank == 1:
-        return [[x % ring.n for x in vec]]
-    n = ring.base.n
-    xs = [[c % n for c in x] for x in vec]
-    table = ring._mul_index
-    rows = []
-    for t in range(ring.rank):
-        # g_t * g_j = g_table[t][j], so g_t * x has x[j] at coordinate
-        # table[t][j]: read through the inverse permutation, the row of g_t^-1.
-        inv = table[table[t].index(0)]
-        rows.append([x[j] for x in xs for j in inv])
-    return rows
+        """Restriction of scalars: the int matrix B with B.vec(x) = vec(A.x).
+        Its column (j, t) is g_t times column j of A, so B is the transpose
+        of ``span_rows_base`` of the columns (a copy of A over a chain ring);
+        with no columns, B still has nrows*|G| (empty) rows."""
+        ring = self.ring
+        if ring.rank == 1:
+            return [row[:] for row in self.rows]
+        if not self.ncols:
+            return [[] for _ in range(self.nrows * ring.rank)]
+        return [list(col) for col in
+                zip(*span_rows_base(ring, zip(*self.rows)))]
 
 
 def span_rows_base(ring, vectors) -> list:
-    """Base rows whose span is the R-span of the given R-vectors."""
+    """Base rows whose span is the R-span of the given R-vectors: the
+    restriction of scalars behind every span and every ``Matrix.to_base``.
+
+    Over a chain ring each vector is its own row.  Over a group ring a
+    vector v gives |G| rows, row t the base coordinates of g_t * v in the
+    group basis, so the base-ring row span equals the R-span of v.
+    """
+    if ring.rank == 1:
+        n = ring.n
+        return [[x % n for x in vec] for vec in vectors]
+    n = ring.base.n
+    table = ring._mul_index
+    # g_t * g_j = g_table[t][j], so g_t * x has x[j] at coordinate
+    # table[t][j]: read through the inverse permutation, the row of g_t^-1.
+    inverses = [table[table[t].index(0)] for t in range(ring.rank)]
     rows = []
     for vec in vectors:
-        rows.extend(translates_base(ring, vec))
+        xs = [[c % n for c in x] for x in vec]
+        rows.extend([x[j] for x in xs for j in inv] for inv in inverses)
     return rows
 
 
@@ -897,7 +835,7 @@ def kernel_vectors(ring, system, ncols: int) -> list:
     width = ncols * ring.rank
     out = []
     for row in kernel_int(system or [[0] * width], base.p, base.m):
-        vec = vec_from_base(ring, row[:width])
+        vec = ring.vec_from_base(row[:width])
         if any(x != ring.zero for x in vec):
             out.append(vec)
     return out

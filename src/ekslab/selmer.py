@@ -438,7 +438,7 @@ def _draw_rows(ring, rng, profile: str, core_rank: int, s: int):
             for j in range(s, n):
                 trow[j] = ring.random_element(rng)
         elif profile == "degenerate":
-            p_elt = ring.from_vec((ring.p,) + (0,) * (ring.rank - 1))
+            p_elt = ring.from_int(ring.p)
             frow = [ring.mul(p_elt, c) for c in frow]
             trow = [ring.mul(p_elt, c) for c in trow]
             if rng.randrange(2):

@@ -44,7 +44,6 @@ from ekslab.rings import (
     row_module_size,
     span_rows_base,
     submodule_howell,
-    vec_from_base,
 )
 
 
@@ -64,6 +63,38 @@ def index_to_exp(ring, idx: int) -> tuple:
         idx, e = divmod(idx, d)
         out.append(e)
     return tuple(reversed(out))
+
+
+def basis_element(ring, t: int):
+    """The group element g_t of index t as a ring element (1 over a chain
+    ring)."""
+    if ring.rank == 1:
+        return ring.one
+    return tuple(int(i == t) for i in range(ring.rank))
+
+
+def action_block(ring, a) -> list:
+    """The |G| x |G| base matrix of multiplication by a: column t holds the
+    coordinates of a*g_t, one ``ring.mul`` per group element g_t."""
+    d = ring.rank
+    cols = [ring.vec_to_base([ring.mul(a, basis_element(ring, t))])
+            for t in range(d)]
+    return [[cols[t][s] for t in range(d)] for s in range(d)]
+
+
+def to_base_blocks(A: Matrix) -> list:
+    """Restriction of scalars block by block, the reference for
+    ``Matrix.to_base``: entry (i, j) of A becomes its ``action_block`` at
+    rows i*|G|.. and columns j*|G|.."""
+    ring = A.ring
+    d = ring.rank
+    out = [[0] * (A.ncols * d) for _ in range(A.nrows * d)]
+    for i, row in enumerate(A.rows):
+        for j, x in enumerate(row):
+            block = action_block(ring, x)
+            for a in range(d):
+                out[i * d + a][j * d:(j + 1) * d] = block[a]
+    return out
 
 
 def reduce_element(R, S, x):
@@ -155,7 +186,7 @@ def canonical_reps(module):
 
 
 def from_base(module, flat) -> list:
-    return vec_from_base(module.ring, list(flat))
+    return module.ring.vec_from_base(list(flat))
 
 
 def additive_closure(rows, n: int, limit: int = 1 << 16) -> frozenset:
@@ -208,7 +239,7 @@ def annihilator_elements(ring, gens, limit: int = 1 << 14) -> frozenset:
     out = []
     for y in ring_elements(ring):
         if all(ring.mul(y, g) == ring.zero for g in gens):
-            out.append(tuple(ring.to_vec(y)))
+            out.append(tuple(ring.vec_to_base([y])))
     return frozenset(out)
 
 
@@ -473,7 +504,7 @@ def alternating_form_solutions(ring, functionals, r: int, limit: int = 200):
         if d > 1:
             for gidx in range(len(ring.orders)):
                 sig = ring.generator(gidx)
-                act = ring.action_matrix(sig)
+                act = action_block(ring, sig)
                 for u in range(r):
                     i = t[u]
                     fi = L[i]
@@ -802,7 +833,7 @@ def syzygies_reference(ambient: FPModule, vectors) -> list:
     )
     out = []
     for row in ker:
-        vec = vec_from_base(ring, row)
+        vec = ring.vec_from_base(row)
         if any(x != ring.zero for x in vec):
             out.append(vec)
     return out
@@ -843,7 +874,7 @@ def kernel_reference(f: ModuleMap):
     ker_base = kernel_int(cond, base.p, base.m)
     gens = []
     for row in ker_base:
-        vec = vec_from_base(ring, row)
+        vec = ring.vec_from_base(row)
         if not f.source.element_is_zero(vec):
             gens.append(vec)
     return present_submodule_reference(f.source, gens)
@@ -864,7 +895,7 @@ def annihilator_reference(module: FPModule) -> Ideal:
     if not stacked:
         return Ideal.unit(ring)
     ker = kernel_int(stacked, base.p, base.m)
-    gens = [ring.from_vec(tuple(row)) for row in ker]
+    gens = [ring.vec_from_base(row)[0] for row in ker]
     return Ideal(ring, [g for g in gens if g != ring.zero])
 
 

@@ -41,7 +41,7 @@ from ekslab.modules import (
     solve_map,
 )
 from ekslab.rings import ChainRing, Matrix, det_ring, make_ring, \
-    membership_int, row_module_size, vec_to_base
+    membership_int, row_module_size
 from oracles import (
     all_functionals,
     alternating_form_solutions,
@@ -795,7 +795,7 @@ class TestAlternatingFormOracle:
                 val = ring.zero
                 for c, v in zip(W, tbl):
                     val = ring.add(val, ring.mul(c, v))
-                for e, ve in enumerate(vec_to_base(ring, [val])):
+                for e, ve in enumerate(ring.vec_to_base([val])):
                     full[a * d + e] = ve
             assert membership_int(full, H, base.p, base.m)
 

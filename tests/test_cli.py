@@ -611,9 +611,29 @@ class TestMalformedArtifacts:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("classes", [[1, 2], ["0", "1"], 5],
+                             ids=["int-list", "key-list", "int"])
+    def test_family_classes_that_are_not_an_object(self, tmp_path, capsys,
+                                                   artifacts, classes):
+        # A standalone family (the bundle's euler part) keys its classes
+        # by divisor in an object.
+        doc = json.loads(json.dumps(artifacts["bundle"]["euler"]))
+        doc["classes"] = classes
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["verify", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("malformed artifact: ValueError: classes" in err
+                and "is not an object keyed by divisor" in err)
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mutate", [
         _set("instance", 5), _set("euler", []), _set("euler", "tower", []),
-    ], ids=["instance-int", "euler-list", "tower-list"])
+        _set("euler", "classes", [1, 2]), _set("euler", "classes", 5),
+    ], ids=["instance-int", "euler-list", "tower-list", "classes-list",
+            "classes-int"])
     @pytest.mark.parametrize("command", ["verify", "derive"])
     def test_bundle_part_that_is_not_an_object(self, tmp_path, capsys,
                                                artifacts, command, mutate):

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from ekslab import cli, euler
 from ekslab.biduals import contract_table
 from ekslab.euler import (
     EulerSystem,
@@ -650,6 +651,31 @@ class TestLocalComparison:
     def test_odd_prime_required(self):
         with pytest.raises(ValueError, match="odd prime"):
             consistent_instance(2, 2, 1, 1, seed=0)
+
+    def test_corrupted_perturbation_is_a_program_error(self, monkeypatch,
+                                                       tmp_path):
+        # A perturbation that misses its compensation is a bug, not an
+        # unlucky draw: it is raised, never redrawn, and ``gen`` does not
+        # report it as bad parameters (exit 2).
+        calls = []
+
+        def corrupt(system, divisor, z):
+            calls.append(divisor)
+            S = system.tower.level_ring(divisor)
+            return perturb(system, divisor, [S.add(z[0], S.one)] + z[1:])
+
+        monkeypatch.setattr(euler, "perturb", corrupt)
+        with pytest.raises(AssertionError,
+                           match=r"derived class at level \(\d.*\) is not its "
+                                 r"target"):
+            consistent_instance(5, 2, 2, 2, seed=11)
+        assert len(calls) == 1
+        out = tmp_path / "bundle.json"
+        with pytest.raises(AssertionError, match="consistent_instance"):
+            cli.main(["gen", "--ring", "5,2", "--r", "2", "--s", "2",
+                      "--profile", "consistent", "--seed", "11",
+                      "--out", str(out)])
+        assert not out.exists()
 
 
 class TestSerialization:

@@ -41,8 +41,6 @@ from ekslab.rings import (
     make_ring,
     solve_int,
     submodule_howell,
-    vec_from_base,
-    vec_to_base,
 )
 from oracles import (
     all_functionals,
@@ -185,8 +183,8 @@ def _fresh_solve_map(f, target_vec):
     ncols_x = f.source.ngens * ring.rank
     aug = [row + [rc[u] for rc in f.target.rel_howell]
            for u, row in enumerate(f.matrix.to_base())]
-    sol = solve_int(aug, vec_to_base(ring, target_vec), base.p, base.m)
-    return None if sol is None else vec_from_base(ring, sol[:ncols_x])
+    sol = solve_int(aug, ring.vec_to_base(target_vec), base.p, base.m)
+    return None if sol is None else ring.vec_from_base(sol[:ncols_x])
 
 
 class TestKeptFactorization:
@@ -608,14 +606,14 @@ class TestDuality:
             D, Y = dual_module(X)
             assert D.size == len(oracle)
             # every package functional (from coords) appears in the oracle set
-            oracle_set = {tuple(vec_to_base(ring, f)) for f in oracle}
+            oracle_set = {tuple(ring.vec_to_base(f)) for f in oracle}
             for coords in [D.zero_element()] + [D.generator(i)
                                                 for i in range(D.ngens)]:
                 vec = [
                     ring.reduce(sum_coeff)
                     for sum_coeff in _functional_vector(ring, Y, coords)
                 ]
-                assert tuple(vec_to_base(ring, vec)) in oracle_set
+                assert tuple(ring.vec_to_base(vec)) in oracle_set
 
     def test_functionals_kill_relations(self):
         for ring in RINGS:
@@ -821,7 +819,7 @@ class TestAnnihilator:
             for a in ring_elements(ring):
                 if all(X.element_is_zero([ring.mul(a, x) for x in e])
                        for e in elements):
-                    expected.add(tuple(ring.to_vec(a)))
+                    expected.add(tuple(ring.vec_to_base([a])))
             got = ideal_elements(ring, ann.gens) if ann.gens else \
                 span_set(ring, [], 1)
             assert got == frozenset(expected)
@@ -863,11 +861,20 @@ class TestIdealApi:
         assert I == J and hash(I) == hash(J)
         assert I != Ideal(Z4, [1])
 
+    @pytest.mark.parametrize("spec", [(3, 2, ()), (3, 2, (3,))], ids=str)
+    def test_equal_ideals_over_rings_built_apart_hash_equal(self, spec):
+        R, S = make_ring(*spec), make_ring(*spec)
+        assert R is not S
+        I, J = Ideal(R, [R.from_int(3)]), Ideal(S, [S.from_int(3)])
+        assert I == J and hash(I) == hash(J)
+        assert len({I, J}) == 1
+        assert {I: 1}[J] == 1
+
     def test_group_ring_ideal_membership(self):
         sig = F3C3.generator(0)
         aug = F3C3.sub(sig, F3C3.one)
         I = Ideal(F3C3, [aug])
-        norm = F3C3.from_vec((1, 1, 1))
+        norm = F3C3.reduce((1, 1, 1))
         # In characteristic 3, (sigma - 1)^2 = sigma^2 + sigma + 1 is exactly
         # the norm, so the norm lies in the augmentation ideal; 1 does not.
         assert F3C3.mul(aug, aug) == norm
@@ -884,7 +891,7 @@ class TestModuleSerialization:
         I = Ideal(ring, [ring.random_element(rng) for _ in range(2)])
         # ``ideal_json`` writes the canonical base rows, one ring element each
         doc = ideal_json(I)
-        back = Ideal(ring, [vec_from_base(ring, row)[0]
+        back = Ideal(ring, [ring.vec_from_base(row)[0]
                             for row in doc["generators"]])
         assert back == I
 
@@ -907,7 +914,7 @@ class TestFixedPoints:
         assert F.size == 3
         # the fixed line is spanned by the norm element
         gens = [incl.apply(F.generator(i)) for i in range(F.ngens)]
-        target = span_set(F3C3, [[F3C3.from_vec((1, 1, 1))]], 1)
+        target = span_set(F3C3, [[F3C3.reduce((1, 1, 1))]], 1)
         assert span_set(F3C3, gens, 1) == target
 
     def test_frozen_diag_action_on_z9_squared(self):

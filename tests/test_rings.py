@@ -9,7 +9,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ekslab.rings import (
@@ -36,9 +36,6 @@ from ekslab.rings import (
     solve_int,
     span_rows_base,
     submodule_howell,
-    translates_base,
-    vec_from_base,
-    vec_to_base,
 )
 from ekslab.modules import (
     FPModule,
@@ -61,6 +58,7 @@ from oracles import (
     ring_elements,
     smith_int_dense,
     span_set,
+    to_base_blocks,
 )
 
 RINGS = [
@@ -419,13 +417,13 @@ class TestSolve:
                 ker_set = span_set(R, K.rows, g) if K.nrows else frozenset(
                     {(0,) * (g * R.rank)}
                 )
-                base_part = tuple(vec_to_base(R, particular))
+                base_part = tuple(R.vec_to_base(particular))
                 shifted = frozenset(
                     tuple((a + bb) % R.base.n for a, bb in zip(base_part, kv))
                     for kv in ker_set
                 )
                 assert shifted == frozenset(
-                    tuple(vec_to_base(R, s)) for s in expected
+                    tuple(R.vec_to_base(s)) for s in expected
                 )
 
 
@@ -457,12 +455,12 @@ class TestSolver:
             Ab = A.to_base()
             for b in self._rhs(R, rng, A, 8):
                 got = solve_map(solver, b)
-                want = solve_int(Ab, vec_to_base(R, b), base.p, base.m)
+                want = solve_int(Ab, R.vec_to_base(b), base.p, base.m)
                 if want is None:
                     nones += 1
                     assert got is None
                 else:
-                    assert got == vec_from_base(R, want)
+                    assert got == R.vec_from_base(want)
                     assert A.apply(got) == [R.reduce(x) for x in b]
                 assert solve_map(free_system(A), b) == got
         if base.m > 1:
@@ -485,12 +483,12 @@ class TestSolver:
                 if not expected:
                     assert got is None
                     continue
-                part = vec_to_base(R, got)
+                part = R.vec_to_base(got)
                 shifted = frozenset(
                     tuple((a + c) % R.base.n for a, c in zip(part, kv))
                     for kv in ker_set)
                 assert shifted == frozenset(
-                    tuple(vec_to_base(R, s)) for s in expected)
+                    tuple(R.vec_to_base(s)) for s in expected)
 
     def test_empty_matrix_solves_everything(self):
         R = make_ring(3, 2)
@@ -501,13 +499,13 @@ class TestSolver:
 class TestGroupRingLinear:
     def test_frozen_sigma_action_is_cyclic_permutation(self):
         G = make_ring(3, 1, (3,))
-        act = G.action_matrix(G.generator(0))
+        act = Matrix(G, [[G.generator(0)]]).to_base()
         assert act == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
 
     def test_frozen_sigma_minus_one_action_det_zero(self):
         G = make_ring(3, 2, (3,))
         sm1 = G.sub(G.generator(0), G.one)
-        act = G.action_matrix(sm1)
+        act = Matrix(G, [[sm1]]).to_base()
         assert det_int(act, 3, 2) == 0
 
     def test_howell_form_group_ring_uses_base(self):
@@ -553,7 +551,7 @@ class TestSelfInjectivity:
             I_rows = submodule_howell(R, [[g] for g in gens], 1)
             ann_rows = kernel_int(I_rows, base.p, base.m) if I_rows else None
             if I_rows:
-                ann_gens = [R.from_vec(tuple(r)) for r in ann_rows]
+                ann_gens = [R.vec_from_base(r)[0] for r in ann_rows]
             else:
                 ann_gens = [R.one]
             # Ann as an ideal must be closed: canonicalize, then annihilate again.
@@ -563,7 +561,7 @@ class TestSelfInjectivity:
                 else [[int(i == j) for j in range(R.rank)]
                       for i in range(R.rank)]
             back = submodule_howell(
-                R, [[R.from_vec(tuple(r))] for r in back_rows], 1
+                R, [[R.vec_from_base(r)[0]] for r in back_rows], 1
             )
             assert back == (I_rows or []), "double annihilator failed to recover ideal"
 
@@ -721,8 +719,8 @@ class TestRingDot:
             for t in range(R.rank):
                 g = R.from_int(1) if R.rank == 1 else tuple(
                     int(i == t) for i in range(R.rank))
-                expected.append(vec_to_base(R, [_oracle_mul(R, g, x) for x in vec]))
-            assert translates_base(R, vec) == expected
+                expected.append(R.vec_to_base([_oracle_mul(R, g, x) for x in vec]))
+            assert span_rows_base(R, [vec]) == expected
 
     @pytest.mark.parametrize("R", DOT_RINGS, ids=str)
     def test_syzygies_in_zero_ambient(self, R):
@@ -745,6 +743,44 @@ class TestRingDot:
         assert ker.ngens == 0 and incl.matrix.shape == (0, 0)
 
 
+# DOT_RINGS with a group of exponent 4 and two factors: (Z/8)[C4xC2].
+TO_BASE_RINGS = DOT_RINGS + [make_ring(2, 3, (4, 2))]
+
+
+class TestRestrictionOfScalars:
+    """``Matrix.to_base``, the transpose of the translates of the columns,
+    against the block construction from per-coordinate products."""
+
+    @given(R=st.sampled_from(TO_BASE_RINGS), nrows=st.integers(0, 4),
+           ncols=st.integers(0, 4), seed=st.integers(0, 1 << 16))
+    @example(R=TO_BASE_RINGS[-1], nrows=3, ncols=0, seed=0)
+    @example(R=TO_BASE_RINGS[-2], nrows=0, ncols=2, seed=0)
+    @settings(max_examples=120, deadline=None)
+    def test_to_base_matches_action_blocks(self, R, nrows, ncols, seed):
+        rng = random.Random(seed)
+        A = Matrix(R, [[_unreduced(R, rng) for _ in range(ncols)]
+                       for _ in range(nrows)], ncols=ncols)
+        B = A.to_base()
+        assert B == to_base_blocks(A)
+        # With no columns there are still nrows*|G| (empty) rows:
+        # ``base_system`` appends the target's relation columns to them.
+        assert len(B) == nrows * R.rank
+        assert all(len(row) == ncols * R.rank for row in B)
+
+    @pytest.mark.parametrize("R", TO_BASE_RINGS, ids=str)
+    def test_base_matrix_applies_the_matrix(self, R):
+        # B.vec(x) = vec(A.x) on random x, unreduced.
+        rng = random.Random(61 + R.rank)
+        A = Matrix(R, [[_unreduced(R, rng) for _ in range(3)]
+                       for _ in range(2)], ncols=3)
+        B = A.to_base()
+        for _ in range(5):
+            x = [_unreduced(R, rng) for _ in range(3)]
+            flat = R.vec_to_base(x)
+            got = [sum(b * c for b, c in zip(row, flat)) for row in B]
+            assert R.vec_from_base(got) == A.apply(x)
+
+
 FAST_CHAIN_RINGS = [
     make_ring(3, 2),               # Z/9
     make_ring(2, 3),               # Z/8
@@ -758,26 +794,15 @@ FAST_PATH_RINGS = FAST_CHAIN_RINGS + DOT_RINGS[2:4]
 SHAPES = [(2, 3), (1, 1), (3, 0), (0, 2), (0, 0)]
 
 
-def _action_to_base(ring, rows, ncols):
-    """Restriction of scalars through the action matrix of every entry."""
+def _flatten_by_element(ring, vec):
+    return [c for x in vec for c in ring.vec_to_base([x])]
+
+
+def _unflatten_by_reduce(ring, flat):
     d = ring.rank
-    out = [[0] * (ncols * d) for _ in range(len(rows) * d)]
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            block = ring.action_matrix(x)
-            for a in range(d):
-                for b in range(d):
-                    out[i * d + a][j * d + b] = block[a][b]
-    return out
-
-
-def _flatten_by_to_vec(ring, vec):
-    return [c for x in vec for c in ring.to_vec(x)]
-
-
-def _unflatten_by_from_vec(ring, flat):
-    d = ring.rank
-    return [ring.from_vec(tuple(flat[i * d:(i + 1) * d]))
+    if d == 1:
+        return [ring.reduce(x) for x in flat]
+    return [ring.reduce(tuple(flat[i * d:(i + 1) * d]))
             for i in range(len(flat) // d)]
 
 
@@ -790,13 +815,13 @@ class TestChainFastPaths:
         for k, g in SHAPES:
             rows = [[_unreduced(R, rng) for _ in range(g)] for _ in range(k)]
             A = Matrix(R, rows, ncols=g)
-            assert A.to_base() == _action_to_base(R, A.rows, g)
+            assert A.to_base() == to_base_blocks(A)
             vec = [_unreduced(R, rng) for _ in range(g)]
-            flat = vec_to_base(R, vec)
-            assert flat == _flatten_by_to_vec(R, vec)
+            flat = R.vec_to_base(vec)
+            assert flat == _flatten_by_element(R, vec)
             unreduced_flat = [x + rng.randint(-3, 3) * R.base.n for x in flat]
-            assert (vec_from_base(R, unreduced_flat)
-                    == _unflatten_by_from_vec(R, unreduced_flat)
+            assert (R.vec_from_base(unreduced_flat)
+                    == _unflatten_by_reduce(R, unreduced_flat)
                     == [R.reduce(x) for x in vec])
 
     @pytest.mark.parametrize("R", FAST_CHAIN_RINGS, ids=str)

@@ -156,7 +156,7 @@ class TestTransitions:
         top = data.top_divisor
         t = data.transition(top, (1,))
         bid = data.bidual(top)
-        u, v = [Z9C3.from_vec((1, 2, 0))], [Z9C3.from_vec((0, 4, 7))]
+        u, v = [Z9C3.reduce((1, 2, 0))], [Z9C3.reduce((0, 4, 7))]
         lhs = t.apply([Z9C3.add(a, b) for a, b in zip(u, v)])
         rhs = [Z9C3.add(a, b) for a, b in zip(t.apply(u), t.apply(v))]
         assert data.bidual((1,)).module.elements_equal(lhs, rhs)
@@ -277,7 +277,7 @@ class TestContentIdeals:
         data = StarkData(inst)
         basis = canonical_basis_system(data)
         assert all(verify_stark_theorem(basis, system_is_basis(basis)).values())
-        p_elt = ring.from_vec((ring.p,) + (0,) * (ring.rank - 1))
+        p_elt = ring.from_int(ring.p)
         scaled = basis.scaled(p_elt)
         assert all(verify_stark_theorem(scaled, system_is_basis(scaled))
                    .values())
