@@ -100,6 +100,30 @@ GOLDEN = {
         "f1d08fe1276b0ca745c29db9643d8ec71f4392369b48493aacf4625afa9552fb",
     "z9c9-r1-s1-seed1.report.json":
         "9e34e249280778e4867ad0f2872711d70ba5257ef2d564be1f091743f4003867",
+    # Euler outputs off the Z/9 benchmark moduli, recorded before the euler
+    # layer moved onto the shared ring, wedge and solver code: tower
+    # families over Z/25 and over Z/8 (p = 2), and consistent bundles over
+    # Z/25 and over Z/7 (m = 1), each verified, the bundles also derived.
+    "tower-z25-r1-s2.json":
+        "76f5882db1bbc38c7cb7cb9c7504898882c4ea816dc79f820c9e73c91067bf8b",
+    "tower-z25-r1-s2.report.json":
+        "d21583fd2bdd08488daad7341fd0cf96eb30bb3947c74aa3e3ab2ca81f6b982a",
+    "tower-z8-r1-s2.json":
+        "a7736fdcbd25ccee30b105c48c8caef211790baaa68f573028a1cb32361a62e4",
+    "tower-z8-r1-s2.report.json":
+        "60fa6e700bbbdce359f090c02b8221eb3f8e36156c4b4beb241ead0e9f0f1b64",
+    "bundle-z25-r1-s2.json":
+        "083c4016c28c1f23cec3978f52ae157e89ad434a5165f95d2ba1c336785e1fa2",
+    "bundle-z25-r1-s2.report.json":
+        "319b5e3d082cb88b2f19218765f492a8430709397ec2bb7552f8b01d1731c6af",
+    "bundle-z25-r1-s2.derive.json":
+        "5ee0bc2674bb28ea4836aa728b2392840586d923e5c96f295d34d2251f515e17",
+    "bundle-z7-r1-s3.json":
+        "aae82a6c821eff77f52418567c4de0dbe19b3a21c8be43c5180b1732a0a895cd",
+    "bundle-z7-r1-s3.report.json":
+        "64b384402ac90e0f58038bf156aa1c1cb6267fa69d281c1d628a0c834f6b94d1",
+    "bundle-z7-r1-s3.derive.json":
+        "90bd5fcdf9b68da19ad7f2c5def0d7727aa1a4d4adf0a60e8770f940caeaaaec",
 }
 
 
@@ -195,6 +219,34 @@ class TestGoldenBytes:
         out = tmp_path / "bundle-z9-r1-s3.derive.json"
         assert cli.main(["derive", str(bundle), "--out", str(out)]) == 0
         assert _digest(out) == GOLDEN["bundle-z9-r1-s3.derive.json"]
+
+    @pytest.mark.parametrize("stem, ring, s", [
+        ("tower-z25-r1-s2", "5,2", 2),
+        ("tower-z8-r1-s2", "2,3", 2),
+    ])
+    def test_tower_families(self, tmp_path, stem, ring, s):
+        tower = _gen(tmp_path, f"{stem}.json", ring, 1, s, profile="tower")
+        assert _digest(tower) == GOLDEN[f"{stem}.json"]
+        report = tmp_path / f"{stem}.report.json"
+        assert cli.main(["verify", str(tower), "--suite", "all",
+                         "--seed", "0", "--out", str(report)]) == 0
+        assert _digest(report) == GOLDEN[f"{stem}.report.json"]
+
+    @pytest.mark.parametrize("stem, ring, s", [
+        ("bundle-z25-r1-s2", "5,2", 2),
+        ("bundle-z7-r1-s3", "7,1", 3),
+    ])
+    def test_consistent_bundles(self, tmp_path, stem, ring, s):
+        bundle = _gen(tmp_path, f"{stem}.json", ring, 1, s,
+                      profile="consistent")
+        assert _digest(bundle) == GOLDEN[f"{stem}.json"]
+        report = tmp_path / f"{stem}.report.json"
+        assert cli.main(["verify", str(bundle), "--suite", "all",
+                         "--seed", "0", "--out", str(report)]) == 0
+        assert _digest(report) == GOLDEN[f"{stem}.report.json"]
+        out = tmp_path / f"{stem}.derive.json"
+        assert cli.main(["derive", str(bundle), "--out", str(out)]) == 0
+        assert _digest(out) == GOLDEN[f"{stem}.derive.json"]
 
     def test_tower_s4(self, tmp_path):
         tower = _gen(tmp_path, "tower-z9-r1-s4.json", "3,2", 1, 4,
