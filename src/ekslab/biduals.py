@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
+from math import comb
 
 from .modules import (
     FPModule,
@@ -134,6 +135,22 @@ def interior_product(ring, n: int, k: int, ell, table) -> list:
     return contract_table(ring, n, k, 1, list(ell), table)
 
 
+def contraction_rows(ring, n: int, k: int, ell) -> list:
+    """The matrix of F -> ell _| F, degree-k tables on R^n to degree k - 1,
+    read off the contraction plan: row B holds sign * ell_a at the column
+    of {a} u B.  Degree k < 1 has nothing to contract: no rows."""
+    if k < 1:
+        return []
+    width = comb(n, k)
+    rows = []
+    for terms in _contraction_plan(n, k, 1):
+        row = [ring.zero] * width
+        for a, s, c in terms:
+            row[c] = ring.reduce(ell[a]) if s == 1 else ring.neg(ell[a])
+        rows.append(row)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Exterior powers of presented modules.
 # ---------------------------------------------------------------------------
@@ -144,36 +161,26 @@ class ExteriorPower:
 
     ``subsets[a]`` names the a-th generator: the wedge of the base module's
     generators at those indices.  The presentation is the standard right-exact
-    one: every relation row of the base wedged into every (r-1)-monomial.
+    one, every relation row of the base wedged into every (r-1)-monomial:
+    its relations are contraction rows, rel wedged into K being row K of the
+    matrix of contraction by rel (``contraction_rows``), less zero rows.
     """
 
-    __slots__ = ("base", "degree", "subsets", "position", "module")
+    __slots__ = ("base", "degree", "subsets", "module")
 
     def __init__(self, base: FPModule, degree: int):
         if degree < 0:
             raise ValueError("exterior power of negative degree")
         ring = base.ring
+        zero = ring.zero
         g = base.ngens
         self.base = base
         self.degree = degree
         self.subsets = r_subsets(g, degree)
-        self.position = {I: a for a, I in enumerate(self.subsets)}
         ngens = len(self.subsets)
-        rows = []
-        for rel in base.relations.rows:
-            for K in r_subsets(g, degree - 1) if degree >= 1 else []:
-                row = [ring.zero] * ngens
-                touched = False
-                for i, coeff in enumerate(rel):
-                    if coeff == ring.zero or i in K:
-                        continue
-                    s = merge_sign((i,), K)
-                    I = tuple(sorted((i,) + K))
-                    c = coeff if s == 1 else ring.neg(coeff)
-                    row[self.position[I]] = ring.add(row[self.position[I]], c)
-                    touched = True
-                if touched:
-                    rows.append(row)
+        rows = [row for rel in base.relations.rows
+                for row in contraction_rows(ring, g, degree, rel)
+                if any(x != zero for x in row)]
         self.module = FPModule(ring, ngens, Matrix(ring, rows, ncols=ngens))
 
 

@@ -13,23 +13,34 @@ Corestriction (fiber summation over the collapsed symbol groups) ties the
 family together; the derivative scalars collapse each class to a vector over
 Z/M; the pair determinants assemble those into the derived vectors that feed
 the contraction-system machinery in :mod:`ekslab.kolyvagin`.
+
+Level rings come from one cache keyed by divisor and modulus exponent
+(``EulerTower.level_ring``).  The empty level is the chain ring Z/p^m, read
+through the same ring methods as every group level.
 """
 
 import itertools
 import random
 
-from .biduals import contract_table, interior_product, r_subsets
+from .biduals import (
+    contract_table,
+    contraction_rows,
+    interior_product,
+    r_subsets,
+)
+from .modules import free_map, solve_map
 from .rings import (
     Matrix,
-    det_int,
+    det_ring,
     element_from_json,
     element_to_json,
     int_from_json,
-    kernel_int,
+    kernel_matrix,
     make_ring,
     power_exponent,
-    solve_int,
 )
+# Unused here: perfbench/tests checks the tracer wraps this binding too.
+from .rings import kernel_int  # noqa: F401
 from .selmer import (
     PrimeData,
     SelmerInstance,
@@ -82,7 +93,7 @@ class EulerTower:
 
     __slots__ = ("p", "m", "m_big", "rank", "orders", "frobenius", "images",
                  "local_polys", "ring", "target", "n", "width",
-                 "_levels", "_target_levels", "_factors", "_level_maps")
+                 "_levels", "_factors", "_level_maps")
 
     def __init__(self, p, m, m_big, rank, orders, frobenius, images,
                  local_polys=None):
@@ -138,7 +149,6 @@ class EulerTower:
                     f"local polynomial of prime {q} has nonzero value at 1 "
                     f"mod {M}")
         self._levels = {}
-        self._target_levels = {}
         self._factors = {}
         self._level_maps = {}
 
@@ -149,19 +159,15 @@ class EulerTower:
     def divisors(self) -> list:
         return all_divisors(self.n_primes)
 
-    def level_ring(self, divisor):
-        key = tuple(sorted(divisor))
+    def level_ring(self, divisor, m=None):
+        """(Z/p^m)[G_divisor], at working precision unless another modulus
+        exponent is given: the tower's one level-ring cache, keyed by the
+        sorted divisor and the exponent.  The empty level is Z/p^m."""
+        key = (tuple(sorted(divisor)), self.m_big if m is None else m)
         if key not in self._levels:
             self._levels[key] = make_ring(
-                self.p, self.m_big, tuple(self.orders[q] for q in key))
+                self.p, key[1], tuple(self.orders[q] for q in key[0]))
         return self._levels[key]
-
-    def target_level_ring(self, divisor):
-        key = tuple(sorted(divisor))
-        if key not in self._target_levels:
-            self._target_levels[key] = make_ring(
-                self.p, self.m, tuple(self.orders[q] for q in key))
-        return self._target_levels[key]
 
     # -- local factors ------------------------------------------------------
 
@@ -176,19 +182,13 @@ class EulerTower:
         if key in self._factors:
             return self._factors[key]
         S = self.level_ring(key[1])
-        poly = self.local_polys[q]
-        if S.rank == 1:
-            out = sum(poly) % S.n
-        else:
-            vec = [0] * S.rank
-            image = [self.images[q][qq] for qq in key[1]]
-            for k, a in enumerate(poly):
-                if a == 0:
-                    continue
-                exps = tuple(-k * b for b in image)
-                vec[S.exp_to_index(exps)] = (vec[S.exp_to_index(exps)] + a) % S.base.n
-            out = tuple(vec)
-        self._factors[key] = out
+        vec = [0] * S.rank
+        image = [self.images[q][qq] for qq in key[1]]
+        for k, a in enumerate(self.local_polys[q]):
+            if a:
+                i = S.exp_to_index(tuple(-k * b for b in image))
+                vec[i] += a
+        out = self._factors[key] = S.vec_from_base(vec)[0]
         return out
 
     def derivative_at_one(self, q: int) -> int:
@@ -217,24 +217,20 @@ class EulerTower:
         small = tuple(sorted(small))
         if not set(small) <= set(big):
             raise ValueError("corestriction goes from a level to a sub-level")
-        Sb = self.level_ring(big)
         Ss = self.level_ring(small)
-        if Sb.rank == 1:
-            return x % Ss.n
-        if Ss.rank == 1:
-            return sum(x) % Ss.n
         out = [0] * Ss.rank
-        for j, c in zip(self._level_map(big, small), x):
+        for j, c in zip(self._level_map(big, small),
+                        self.level_ring(big).vec_to_base((x,))):
             if c:
                 out[j] += c
-        return tuple(c % Ss.base.n for c in out)
+        return Ss.vec_from_base(out)[0]
 
     def _level_map(self, src, dst) -> list:
         """Per index of the level ring at ``src``, the index at ``dst`` of
         its exponents on the symbol groups ``dst`` keeps: the group map that
         corestriction (``dst`` inside ``src``) and inflation (``src`` inside
-        ``dst``) read, built once per pair of levels (both sorted, neither
-        ring a chain ring)."""
+        ``dst``) read, built once per pair of sorted levels.  The empty
+        level's ring has one index, 0, so either end may be empty."""
         key = (src, dst)
         if key not in self._level_maps:
             Sd = self.level_ring(dst)
@@ -257,26 +253,17 @@ class EulerTower:
         if not set(small) <= set(big):
             raise ValueError("inflation goes from a sub-level to a level")
         Sb = self.level_ring(big)
-        Ss = self.level_ring(small)
-        if Sb.rank == 1:
-            return x % Sb.n
-        if Ss.rank == 1:
-            return Sb.from_int(x)
         out = [0] * Sb.rank
         # The level map is injective this way up: no two entries meet.
-        for j, c in zip(self._level_map(small, big), x):
+        for j, c in zip(self._level_map(small, big),
+                        self.level_ring(small).vec_to_base((x,))):
             out[j] = c
-        return tuple(c % Sb.base.n for c in out)
-
-    def corestrict_class(self, big, small, cls) -> list:
-        return [self.corestrict(big, small, c) for c in cls]
+        return Sb.vec_from_base(out)[0]
 
 
 def _derivative_factors(ring) -> list:
     """The factors D_i = sum_t t*sigma_i^t of the derivative operator of a
     level ring, one per cyclic factor; none on a chain ring."""
-    if ring.rank == 1:
-        return []
     out = []
     for i, order in enumerate(ring.orders):
         vec = [0] * ring.rank
@@ -315,9 +302,6 @@ class EulerSystem:
     @property
     def width(self) -> int:
         return len(r_subsets(self.tower.n, self.degree))
-
-    def component(self, divisor) -> list:
-        return list(self.classes[tuple(sorted(divisor))])
 
 
 def canonical_system(tower: EulerTower, x) -> EulerSystem:
@@ -396,7 +380,8 @@ def relation_report(system: EulerSystem) -> dict:
         for k in range(len(nn) + 1):
             for dd in itertools.combinations(nn, k):
                 Ss = tower.level_ring(dd)
-                lhs = tower.corestrict_class(nn, dd, system.classes[nn])
+                lhs = [tower.corestrict(nn, dd, c)
+                       for c in system.classes[nn]]
                 factors = [tower.euler_factor(q, dd)
                            for q in nn if q not in dd]
                 rhs = _times(Ss, factors, system.classes[dd])
@@ -419,19 +404,15 @@ def relation_holds(system: EulerSystem):
 def reduce_class(tower: EulerTower, divisor, cls, m=None) -> list:
     """Coefficientwise reduction of a level class to precision p^m
     (the target modulus by default); the symbol groups are untouched."""
-    if m is None:
-        m = tower.m
-    S = make_ring(tower.p, m, tuple(tower.orders[q] for q in sorted(divisor)))
-    if S.rank == 1:
-        return [c % S.n for c in cls]
-    return [tuple(c % S.base.n for c in x) for x in cls]
+    S = tower.level_ring(divisor, tower.m if m is None else m)
+    return [S.reduce(c) for c in cls]
 
 
 def derivative_element(system: EulerSystem, divisor) -> list:
     """The derivative scalar times the target-reduced class at a level."""
     tower = system.tower
     d = tuple(sorted(divisor))
-    S = tower.target_level_ring(d)
+    S = tower.level_ring(d, tower.m)
     reduced = reduce_class(tower, d, system.classes[d])
     return _times(S, _derivative_factors(S), reduced)
 
@@ -457,18 +438,16 @@ def derived_class(system: EulerSystem, divisor) -> list:
     if d in system._derived:
         return list(system._derived[d])
     tower = system.tower
-    S = tower.target_level_ring(d)
+    S = tower.level_ring(d, tower.m)
     w = derivative_element(system, d)
-    if S.rank == 1:
-        out = [c % S.n for c in w]
-    else:
-        for pos in range(len(d)):
-            g = S.generator(pos)
-            if any(S.mul(g, c) != c for c in w):
-                raise ValueError(
-                    f"derivative element at level {d} is not invariant: "
-                    "not an Euler system")
-        out = [c[0] for c in w]
+    for pos in range(len(d)):
+        g = S.generator(pos)
+        if any(S.mul(g, c) != c for c in w):
+            raise ValueError(
+                f"derivative element at level {d} is not invariant: "
+                "not an Euler system")
+    # Each entry's identity coefficient: the first of its |G| base coordinates.
+    out = S.vec_to_base(w)[::S.rank]
     system._derived[d] = list(out)
     return out
 
@@ -492,11 +471,7 @@ def pairing_matrix(tower: EulerTower, divisor) -> list:
 def pairing_determinant(tower: EulerTower, divisor) -> int:
     """Determinant of the pairing matrix over Z/M; 1 on the empty divisor,
     independent of the prime ordering."""
-    primes = tuple(divisor)
-    if not primes:
-        return 1 % (tower.p ** tower.m)
-    A = pairing_matrix(tower, primes)
-    return det_int(A, tower.p, tower.m)
+    return det_ring(tower.target, pairing_matrix(tower, divisor))
 
 
 def derived_vector(system: EulerSystem, divisor) -> list:
@@ -546,10 +521,9 @@ def reduction_identity_holds(system: EulerSystem, reduced: EulerSystem,
                              phi, divisor) -> bool:
     """Contract-then-derive equals derive-then-contract at a divisor."""
     tower = system.tower
-    M = tower.p ** tower.m
-    phi_M = [a % M for a in phi]
+    phi = [tower.target.from_int(a) for a in phi]
     lhs = contract_table(tower.target, tower.n, system.degree,
-                         system.degree - 1, phi_M,
+                         system.degree - 1, phi,
                          derived_class(system, divisor))
     return lhs == derived_class(reduced, divisor)
 
@@ -575,28 +549,26 @@ def scalar_fs_holds(kdata, tables, divisor, q: int, phi) -> bool:
     nn = tuple(sorted(divisor))
     lower = tuple(x for x in nn if x != q)
     u = kdata.effective_unit(q)
-    phi = [c % ring.n for c in phi]
+    phi = [ring.from_int(c) for c in phi]
     top = contract_table(ring, n, r, r - 1, phi, tables[nn])
     bot = contract_table(ring, n, r, r - 1, phi, tables[lower])
-    v = inst.singular_functional(q)
-    t = inst.finite_functional(q)
-    lhs = sum(a * b for a, b in zip(v, top)) % ring.n
-    rhs = (u * sum(a * b for a, b in zip(t, bot))) % ring.n
-    return lhs == rhs
+    return ring.dot(inst.singular_functional(q), top) == ring.mul(
+        u, ring.dot(inst.finite_functional(q), bot))
+
+
+def _unit_functionals(size: int) -> list:
+    """The functionals that pick one of ``size`` coordinates, in order."""
+    return [[int(b == a) for b in range(size)] for a in range(size)]
 
 
 def fs_witness(kdata, tables):
     """The first failing rank-one comparison, as (divisor, prime, monomial),
     or None when every scalar identity holds."""
     inst = kdata.instance
-    n = inst.ambient_rank
-    r = kdata.rank
-    monomials = r_subsets(n, r - 1)
+    monomials = r_subsets(inst.ambient_rank, kdata.rank - 1)
     for nn in inst.divisors():
         for q in nn:
-            for a, A in enumerate(monomials):
-                phi = [0] * len(monomials)
-                phi[a] = 1
+            for A, phi in zip(monomials, _unit_functionals(len(monomials))):
                 if not scalar_fs_holds(kdata, tables, nn, q, phi):
                     return (nn, q, A)
     return None
@@ -617,46 +589,34 @@ def rank_reduction_report(system: EulerSystem, kdata) -> dict:
     from .kolyvagin import fs_holds
 
     tower = system.tower
-    M = tower.p ** tower.m
     n = tower.n
     r = system.degree
-    monomials = r_subsets(n, r - 1)
+    units = _unit_functionals(len(r_subsets(n, r - 1)))
     tables = derived_tables(system)
     expansion = True
     identity = True
-    for a in range(len(monomials)):
-        phi = [0] * len(monomials)
-        phi[a] = 1
+    for phi in units:
         reduced = rank_one_reduction(system, phi)
         for d in tower.divisors():
             if not reduction_identity_holds(system, reduced, phi, d):
                 identity = False
-            want = contract_table(tower.target, n, r, r - 1, phi, tables[d])
-            if derived_vector(reduced, d) != [c % M for c in want]:
+            if derived_vector(reduced, d) != contract_table(
+                    tower.target, n, r, r - 1, phi, tables[d]):
                 expansion = False
     full = {}
     scalars = {}
-    equivalence = True
     for nn in kdata.instance.divisors():
         for q in nn:
             key = f"{divisor_key(nn)}@{q}"
             full[key] = fs_holds(kdata, tables, nn, q)
-            ok = True
-            for a in range(len(monomials)):
-                phi = [0] * len(monomials)
-                phi[a] = 1
-                if not scalar_fs_holds(kdata, tables, nn, q, phi):
-                    ok = False
-                    break
-            scalars[key] = ok
-            if full[key] != scalars[key]:
-                equivalence = False
+            scalars[key] = all(scalar_fs_holds(kdata, tables, nn, q, phi)
+                               for phi in units)
     return {
         "expansion": expansion,
         "reduction_identity": identity,
         "full_fs": full,
         "scalar_fs": scalars,
-        "equivalence": equivalence,
+        "equivalence": full == scalars,
         "fs_holds": all(full.values()),
         "witness": fs_witness(kdata, tables),
     }
@@ -702,17 +662,6 @@ def _instance_frobenius(rng, p, m, m_big, n):
         return None
     diag.append(last)
     return [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _constraint_matrix(ring, n, r, row):
-    """Integer matrix of the contraction-by-row map on wedge coordinates."""
-    width = len(r_subsets(n, r))
-    cols = []
-    for i in range(width):
-        e = [0] * width
-        e[i] = 1
-        cols.append(interior_product(ring, n, r, row, e))
-    return [[cols[i][b] for i in range(width)] for b in range(len(cols[0]))]
 
 
 def consistent_instance(p: int, m: int, rank: int, n_primes: int, seed: int,
@@ -781,33 +730,29 @@ def consistent_instance(p: int, m: int, rank: int, n_primes: int, seed: int,
             if not d:
                 continue
             forbidden = {rank + q for q in range(n_primes) if q not in d}
-            rows = []
-            rhs = []
-            for i, I in enumerate(monomials):
-                if set(I) & forbidden:
-                    row = [0] * width
-                    row[i] = 1
-                    rows.append(row)
-                    rhs.append(0)
+            rows = [unit for I, unit in zip(monomials,
+                                            _unit_functionals(width))
+                    if set(I) & forbidden]
+            rhs = [0] * len(rows)
             for q in d:
                 lower = tuple(x for x in d if x != q)
                 u = kdata.effective_unit(q)
-                A = _constraint_matrix(Rbar, n, rank,
-                                       instance.singular_functional(q))
                 want = interior_product(Rbar, n, rank,
                                         instance.finite_functional(q),
                                         targets[lower])
-                rows.extend(A)
+                rows.extend(contraction_rows(
+                    Rbar, n, rank, instance.singular_functional(q)))
                 rhs.extend((u * c) % M for c in want)
-                B = _constraint_matrix(Rbar, n, rank,
-                                       instance.finite_functional(q))
-                rows.extend(B)
-                rhs.extend(0 for _ in B)
-            sol = solve_int(rows, rhs, p, m)
+                finite_rows = contraction_rows(Rbar, n, rank,
+                                               instance.finite_functional(q))
+                rows.extend(finite_rows)
+                rhs.extend(0 for _ in finite_rows)
+            A = Matrix(Rbar, rows, ncols=width)
+            sol = solve_map(free_map(A), rhs)
             if sol is None:
                 solved = False
                 break
-            for row in kernel_int(rows, p, m):
+            for row in kernel_matrix(A).rows:
                 c = rng.randrange(M)
                 sol = [(a + c * b) % M for a, b in zip(sol, row)]
             targets[d] = sol

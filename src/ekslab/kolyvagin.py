@@ -152,19 +152,25 @@ def fs_holds(data: KolyvaginData, tables: dict, divisor, q: int) -> bool:
     return lhs == [ring.mul(u, c) for c in rhs]
 
 
+def relation_failures(data: KolyvaginData, tables: dict) -> list:
+    """The (divisor, prime) pairs at which ``fs_holds`` fails on ambient
+    tables keyed by sorted divisor, in divisor order, then prime order."""
+    return [(n, q) for n in data.instance.divisors() for q in n
+            if not fs_holds(data, tables, n, q)]
+
+
 def verify_fs(system: Family):
     """Check the defining relation at every (divisor, prime) pair.
 
     Returns ``(holds, failures)`` where failures lists the pairs at which
     the singular value of the component does not match the finite-singular
-    image of the component one prime down (``fs_holds`` on the components'
-    ambient tables).
+    image of the component one prime down (``relation_failures`` on the
+    components' ambient tables).
     """
     data = system.data
-    divisors = data.instance.divisors()
-    tables = {n: data.ambient_table(n, system.component(n)) for n in divisors}
-    failures = [(n, q) for n in divisors for q in n
-                if not fs_holds(data, tables, n, q)]
+    tables = {n: data.ambient_table(n, system.component(n))
+              for n in data.instance.divisors()}
+    failures = relation_failures(data, tables)
     return not failures, failures
 
 

@@ -85,6 +85,10 @@ class ChainRing:
     rank = 1
     orders: tuple = ()
 
+    def exp_to_index(self, exps) -> int:
+        """The index of a group element: the trivial group has one, at 0."""
+        return 0
+
     @property
     def size(self) -> int:
         return self.n

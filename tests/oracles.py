@@ -30,12 +30,14 @@ from ekslab.euler import (
     _derivative_factors,
     _times,
     derived_class,
+    pairing_matrix,
 )
 from ekslab.modules import FPModule, Ideal, ModuleMap, factor_through, \
     kernel, residue_pivots, solve_map
 from ekslab.rings import (
     Matrix,
     _val,
+    det_int,
     det_ring,
     howell_int,
     kernel_int,
@@ -948,3 +950,145 @@ def derived_vector_by_permutations(system: EulerSystem, divisor) -> list:
         kp = derived_class(system, fixed)
         out = [(o + coeff * c) % M for o, c in zip(out, kp)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The euler layer's constructions before it computed through the ring,
+# wedge and solver layers: the hand-built wedge relations, the contraction
+# matrix from unit tables, and the level operations with a branch for the
+# empty level's chain ring.
+# ---------------------------------------------------------------------------
+
+
+def exterior_relations_reference(ring, relations, g: int, degree: int) -> list:
+    """The relation rows of the degree-r exterior power of R^g / relations,
+    built by hand: each relation rel wedged into each (r-1)-monomial K, the
+    coefficient of rel at i landing on the monomial {i} u K with the merge
+    sign; a row nothing landed on is skipped."""
+    position = subset_position(g, degree)
+    rows = []
+    for rel in relations:
+        for K in r_subsets(g, degree - 1) if degree >= 1 else []:
+            row = [ring.zero] * len(position)
+            touched = False
+            for i, coeff in enumerate(rel):
+                if coeff == ring.zero or i in K:
+                    continue
+                s = merge_sign((i,), K)
+                I = tuple(sorted((i,) + K))
+                c = coeff if s == 1 else ring.neg(coeff)
+                row[position[I]] = ring.add(row[position[I]], c)
+                touched = True
+            if touched:
+                rows.append(row)
+    return rows
+
+
+def contraction_matrix_reference(ring, n: int, r: int, ell) -> list:
+    """The matrix of contraction by ``ell`` from degree-r tables on R^n
+    (1 <= r <= n): column i is the interior product of the i-th unit
+    table."""
+    width = len(r_subsets(n, r))
+    cols = []
+    for i in range(width):
+        e = [ring.zero] * width
+        e[i] = ring.one
+        cols.append(interior_product(ring, n, r, ell, e))
+    return [[cols[i][b] for i in range(width)] for b in range(len(cols[0]))]
+
+
+def corestrict_branched(tower, big, small, x):
+    """Corestriction with the chain-ring ends taken apart: an int at an
+    empty ``big``, the coordinate sum at an empty ``small``."""
+    big = tuple(sorted(big))
+    small = tuple(sorted(small))
+    if not set(small) <= set(big):
+        raise ValueError("corestriction goes from a level to a sub-level")
+    Sb = tower.level_ring(big)
+    Ss = tower.level_ring(small)
+    if Sb.rank == 1:
+        return x % Ss.n
+    if Ss.rank == 1:
+        return sum(x) % Ss.n
+    out = [0] * Ss.rank
+    for j, c in zip(tower._level_map(big, small), x):
+        if c:
+            out[j] += c
+    return tuple(c % Ss.base.n for c in out)
+
+
+def inflate_branched(tower, small, big, x):
+    """Inflation with the chain-ring ends taken apart: an int at an empty
+    ``big``, the identity coordinate at an empty ``small``."""
+    big = tuple(sorted(big))
+    small = tuple(sorted(small))
+    if not set(small) <= set(big):
+        raise ValueError("inflation goes from a sub-level to a level")
+    Sb = tower.level_ring(big)
+    Ss = tower.level_ring(small)
+    if Sb.rank == 1:
+        return x % Sb.n
+    if Ss.rank == 1:
+        return Sb.from_int(x)
+    out = [0] * Sb.rank
+    for j, c in zip(tower._level_map(small, big), x):
+        out[j] = c
+    return tuple(c % Sb.base.n for c in out)
+
+
+def euler_factor_branched(tower, q: int, divisor):
+    """P_q at the inverse Frobenius image: the value at 1 on the empty
+    level, a coordinate tuple elsewhere."""
+    d = tuple(sorted(divisor))
+    S = tower.level_ring(d)
+    poly = tower.local_polys[q]
+    if S.rank == 1:
+        return sum(poly) % S.n
+    vec = [0] * S.rank
+    image = [tower.images[q][qq] for qq in d]
+    for k, a in enumerate(poly):
+        if a == 0:
+            continue
+        exps = tuple(-k * b for b in image)
+        vec[S.exp_to_index(exps)] = (vec[S.exp_to_index(exps)] + a) % S.base.n
+    return tuple(vec)
+
+
+def reduce_class_branched(tower, divisor, cls, m=None) -> list:
+    """A level class reduced to precision p^m (the target's by default) in
+    a ring built afresh: ints on the empty level, tuples elsewhere."""
+    if m is None:
+        m = tower.m
+    S = make_ring(tower.p, m, tuple(tower.orders[q] for q in sorted(divisor)))
+    if S.rank == 1:
+        return [c % S.n for c in cls]
+    return [tuple(c % S.base.n for c in x) for x in cls]
+
+
+def derived_class_branched(system: EulerSystem, divisor) -> list:
+    """The derived class with the empty level taken apart: there the
+    reduced class itself, elsewhere the identity coefficients of the
+    derivative element once every generator fixes it (ValueError if
+    not)."""
+    tower = system.tower
+    d = tuple(sorted(divisor))
+    S = make_ring(tower.p, tower.m, tuple(tower.orders[q] for q in d))
+    w = _times(S, _derivative_factors(S),
+               reduce_class_branched(tower, d, system.classes[d]))
+    if S.rank == 1:
+        return [c % S.n for c in w]
+    for pos in range(len(d)):
+        g = S.generator(pos)
+        if any(S.mul(g, c) != c for c in w):
+            raise ValueError(f"derivative element at level {d} is not "
+                             "invariant")
+    return [c[0] for c in w]
+
+
+def pairing_determinant_det_int(tower, divisor) -> int:
+    """The pairing determinant by ``det_int`` on the pairing matrix, 1 on
+    the empty divisor."""
+    primes = tuple(divisor)
+    if not primes:
+        return 1 % (tower.p ** tower.m)
+    return det_int(pairing_matrix(tower, primes), tower.p, tower.m)

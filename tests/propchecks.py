@@ -17,6 +17,7 @@ from ekslab.biduals import (
     interior_product,
     merge_sign,
     r_subsets,
+    subset_position,
 )
 from ekslab.modules import (
     FPModule,
@@ -143,6 +144,7 @@ def check_wedge_kernel(ring, rng):
     ker_sub, ker_incl = kernel(wmap)
     kernel_gens = [ker_incl.apply(ker_sub.generator(i))
                    for i in range(ker_sub.ngens)]
+    position = subset_position(g, r)
     span_gens = []
     for v in vectors:
         for K in r_subsets(g, r - 1):
@@ -153,7 +155,7 @@ def check_wedge_kernel(ring, rng):
                 s = merge_sign((i,), K)
                 I = tuple(sorted((i,) + K))
                 val = c if s == 1 else ring.neg(c)
-                w[ext_s.position[I]] = ring.add(w[ext_s.position[I]], val)
+                w[position[I]] = ring.add(w[position[I]], val)
             span_gens.append(w)
     assert same_submodule(ext_s.module, kernel_gens, span_gens), \
         "wedge kernel differs from the sub-wedge span"

@@ -22,6 +22,7 @@ from ekslab.biduals import (
     bidual_functor_map,
     contract_pullback,
     contract_table,
+    contraction_rows,
     exterior_map,
     fitt0_via_bidual,
     interior_product,
@@ -47,6 +48,8 @@ from oracles import (
     alternating_form_solutions,
     contract_pullback_reference,
     contraction_map,
+    contraction_matrix_reference,
+    exterior_relations_reference,
     free_system,
     same_submodule,
     wedge_coeffs,
@@ -198,6 +201,55 @@ def sum_dot(ring, f, x):
     for a, b in zip(f, x):
         acc = ring.add(acc, ring.mul(a, b))
     return acc
+
+
+WEDGE_RINGS = [Z9, make_ring(5, 1), make_ring(3, 2, (3,)),
+               make_ring(2, 3, (4, 2))]
+
+
+def _functionals(ring, n, rng):
+    """Functionals on R^n: zero, each unit vector, all ones, one of units
+    and two random ones with some zero entries."""
+    out = [[ring.zero] * n, [ring.one] * n,
+           [ring.random_unit(rng) for _ in range(n)]]
+    for i in range(n):
+        out.append([ring.one if j == i else ring.zero for j in range(n)])
+    for _ in range(2):
+        out.append([ring.random_element(rng) if rng.random() < 0.6
+                    else ring.zero for _ in range(n)])
+    return out
+
+
+class TestContractionRows:
+    """``contraction_rows`` against the two constructions it replaced: the
+    matrix of interior products of unit tables, and the hand-built wedge
+    relations of ``ExteriorPower``."""
+
+    @pytest.mark.parametrize("ring", WEDGE_RINGS, ids=str)
+    def test_equals_both_references(self, ring):
+        rng = random.Random(41)
+        for n in range(1, 5):
+            for ell in _functionals(ring, n, rng):
+                assert contraction_rows(ring, n, 0, ell) == []
+                assert exterior_relations_reference(ring, [ell], n, 0) == []
+                for k in range(1, min(3, n) + 1):
+                    rows = contraction_rows(ring, n, k, ell)
+                    assert rows == contraction_matrix_reference(
+                        ring, n, k, ell)
+                    assert [row for row in rows
+                            if any(x != ring.zero for x in row)] == \
+                        exterior_relations_reference(ring, [ell], n, k)
+
+    @pytest.mark.parametrize("ring", WEDGE_RINGS, ids=str)
+    def test_exterior_power_relations(self, ring):
+        rng = random.Random(43)
+        for n in range(1, 5):
+            rels = _functionals(ring, n, rng)
+            X = FPModule(ring, n, Matrix(ring, rels, ncols=n))
+            for k in range(0, 4):
+                W = ExteriorPower(X, k)
+                assert W.module.relations.rows == \
+                    exterior_relations_reference(ring, X.relations.rows, n, k)
 
 
 class TestExteriorPower:

@@ -45,9 +45,15 @@ from ekslab.euler import (
 from ekslab.kolyvagin import fs_holds, system_from_ambient_tables, verify_fs
 from ekslab.rings import make_ring
 from oracles import (
+    corestrict_branched,
     derivative_scalar,
+    derived_class_branched,
     derived_vector_by_permutations,
+    euler_factor_branched,
     index_to_exp,
+    inflate_branched,
+    pairing_determinant_det_int,
+    reduce_class_branched,
     telescoping_holds,
 )
 
@@ -162,7 +168,7 @@ class TestFactorwiseProducts:
             x = [_lift_int(S, c) for c in (2, 7, 11)]
             assert canonical_system(tower, [2, 7, 11]).classes[d] == \
                 _product_first(S, euler, x)
-            T = tower.target_level_ring(d)
+            T = tower.level_ring(d, tower.m)
             reduced = reduce_class(tower, d, system.classes[d])
             assert derivative_element(system, d) == _product_first(
                 T, _derivative_factors(T), reduced)
@@ -332,8 +338,89 @@ class TestLevelMaps:
 
     def test_nesting_required(self):
         tower = _two_prime_tower()
-        with pytest.raises(ValueError, match="sub-level"):
+        with pytest.raises(ValueError, match="corestriction goes from a "
+                                             "level to a sub-level"):
             tower.corestrict((0,), (1,), tower.level_ring((0,)).one)
+        with pytest.raises(ValueError, match="inflation goes from a "
+                                             "sub-level to a level"):
+            tower.inflate((0,), (1,), tower.level_ring((0,)).one)
+        # The empty level is nested in every level, and no level in it.
+        with pytest.raises(ValueError, match="corestriction goes"):
+            tower.corestrict((), (0,), 1)
+        with pytest.raises(ValueError, match="inflation goes"):
+            tower.inflate((0,), (), tower.level_ring((0,)).one)
+
+    def test_one_level_ring_cache(self):
+        tower = _two_prime_tower()
+        for d in ((), (1,), (1, 0)):
+            orders = tuple(tower.orders[q] for q in sorted(d))
+            assert tower.level_ring(d) is tower.level_ring(
+                tuple(sorted(d)), tower.m_big)
+            assert tower.level_ring(d) == make_ring(5, 3, orders)
+            assert tower.level_ring(d, tower.m) is tower.level_ring(
+                d, tower.m)
+            assert tower.level_ring(d, tower.m) == make_ring(5, 1, orders)
+        assert tower.level_ring((), tower.m) == tower.target
+
+
+def _diagonal_tower(p, m, s, seed):
+    """Rank 1 over Z/p^m with s primes, every symbol group of order p^m:
+    each Frobenius is diag(1, 1 + p, ..., 1 + s*p) at working precision
+    p^(2m), and the image exponents are drawn from the seed."""
+    M = p ** m
+    n = 1 + s
+    rng = random.Random(seed)
+    fr = [[[1 + p * i if i == j else 0 for j in range(n)] for i in range(n)]
+          for _ in range(s)]
+    images = [[rng.randrange(M) for _ in range(s)] for _ in range(s)]
+    return EulerTower(p, m, 2 * m, 1, (M,) * s, fr, images)
+
+
+class TestLevelOperationsAgainstBranched:
+    """The empty level is a chain ring read through the same ring methods
+    as every group level: corestriction and inflation at both ends, the
+    Euler factors, reduction, derived classes and pairing determinants
+    equal the branched constructions kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (2, 3)])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_level_operations(self, p, m, s):
+        tower = _diagonal_tower(p, m, s, seed=10 * p + s)
+        rng = random.Random(p + s)
+        levels = tower.divisors()
+        for big in levels:
+            Sb = tower.level_ring(big)
+            for small in levels:
+                if not set(small) <= set(big):
+                    continue
+                x = Sb.random_element(rng)
+                assert tower.corestrict(big, small, x) == \
+                    corestrict_branched(tower, big, small, x)
+                y = tower.level_ring(small).random_element(rng)
+                assert tower.inflate(small, big, y) == \
+                    inflate_branched(tower, small, big, y)
+            for q in range(s):
+                assert tower.euler_factor(q, big) == \
+                    euler_factor_branched(tower, q, big)
+        system = random_system(tower, s)
+        for d in levels:
+            for exponent in (None, 1, tower.m_big):
+                assert reduce_class(tower, d, system.classes[d],
+                                    exponent) == reduce_class_branched(
+                    tower, d, system.classes[d], exponent)
+            assert derived_class(system, d) == \
+                derived_class_branched(system, d)
+            assert pairing_determinant(tower, d) == \
+                pairing_determinant_det_int(tower, d)
+
+    def test_pairing_determinants_of_four_primes(self):
+        # Past three primes ``det_ring`` eliminates instead of expanding
+        # cofactors.
+        tower = _pairing_tower()
+        for k in range(5):
+            for d in itertools.permutations(range(4), k):
+                assert pairing_determinant(tower, d) == \
+                    pairing_determinant_det_int(tower, d)
 
 
 class TestCanonicalSystem:
@@ -347,7 +434,7 @@ class TestCanonicalSystem:
     def test_corestriction_matches_value_at_one(self):
         tower = _one_prime_tower()
         system = canonical_system(tower, [3, 7])
-        cor = tower.corestrict_class((0,), (), system.classes[(0,)])
+        cor = [tower.corestrict((0,), (), c) for c in system.classes[(0,)]]
         assert cor == [0, 0]
         value_at_one = sum(tower.local_polys[0]) % 625
         assert cor == [(value_at_one * c) % 625 for c in (3, 7)]
@@ -356,7 +443,7 @@ class TestCanonicalSystem:
         tower = EulerTower(5, 1, 4, 1, (5,), [[[1, 0], [0, 2]]], [[1]],
                            local_polys=[[6, -1]])
         system = canonical_system(tower, [1, 2])
-        cor = tower.corestrict_class((0,), (), system.classes[(0,)])
+        cor = [tower.corestrict((0,), (), c) for c in system.classes[(0,)]]
         assert cor == [5, 10]
 
     def test_zero_vector(self):
@@ -494,7 +581,7 @@ class TestDerivedClasses:
         phi = [1, 7, 0, 3]
         for d in tower.divisors():
             S = tower.level_ring(d)
-            T = tower.target_level_ring(d)
+            T = tower.level_ring(d, tower.m)
             lift = (lambda R, a: R.from_int(a) if R.rank > 1 else a % R.n)
             one = reduce_class(tower, d, contract_table(
                 S, 4, 2, 1, [lift(S, a) for a in phi], system.classes[d]))

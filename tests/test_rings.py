@@ -128,6 +128,19 @@ class TestMakeRing:
         assert G.mul(s, G.mul(s, s)) == G.one
         assert G.mul(G.one, s) == s
 
+    def test_chain_ring_is_the_group_ring_of_the_trivial_group(self):
+        # One group element, at index 0, and one base coordinate per
+        # element: the same reads as a group ring's.
+        R = make_ring(3, 2)
+        assert R.orders == () and R.rank == 1
+        assert R.exp_to_index(()) == 0
+        assert R.vec_to_base([10, 4]) == [1, 4]
+        assert R.vec_from_base([10, 4]) == [1, 4]
+        G = make_ring(3, 2, (3,))
+        assert G.exp_to_index((0,)) == 0
+        assert G.vec_from_base(G.vec_to_base([G.from_int(10)])) == [
+            G.from_int(1)]
+
 
 def _exponentwise_row(orders, exps, index, x):
     """Row of g_x by the definition: index of the exponentwise sum."""

@@ -80,15 +80,51 @@ def _ab_tool():
 
 
 def test_inprocess_ab_of_a_tree_against_itself(capsys):
-    # One tower-derive round: the gen steps run once, then one fresh
-    # interpreter per tree times the verify and derive steps.
+    # One tower-derive round: one fresh interpreter per tree runs the gen
+    # steps, then the verify and derive steps on its own artifacts.
     argv = [str(ROOT), str(ROOT), "--workload", "tower-derive",
             "--rounds", "1"]
     assert _ab_tool().main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ("tower-derive seed 0, 1 round(s), in-process CPU "
                       "seconds per round")
-    assert [line.split(":")[0] for line in out[1:3]] == ["parent", "change"]
-    assert out[3].startswith("median paired ratio change/parent: ")
-    assert out[3].endswith(" of 1 rounds")
-    assert len(out) == 4
+    for first, label in ((1, "gen"), (4, "verify and derive")):
+        assert [line.split(" median")[0] for line in out[first:first + 2]] \
+            == [f"{label}: parent", f"{label}: change"]
+        ratio = out[first + 2]
+        assert ratio.startswith(f"{label}: median paired ratio change/parent ")
+        assert ratio.endswith(" of 1 rounds")
+    assert out[7] == "outputs whose bytes differ: none"
+    assert len(out) == 8
+
+
+def _gen_verify(seed):
+    return _one_gen(seed) + [SimpleNamespace(output="z9.report.json", argv=(
+        "verify", "{dir}/z9.json", "--suite", "bidual", "--seed", "0",
+        "--out", "{dir}/z9.report.json"))]
+
+
+def test_inprocess_ab_names_the_outputs_that_differ(tmp_path, monkeypatch,
+                                                    capsys):
+    tool = _ab_tool()
+    monkeypatch.setattr(tool, "load_workloads",
+                        lambda: {"gen-verify": _gen_verify})
+    argv = ["--workload", "gen-verify", "--rounds", "2"]
+    # Two copies of one tree: no output differs.
+    copy = tmp_path / "copy"
+    shutil.copytree(ROOT / "src", copy / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert tool.main([str(ROOT), str(copy), *argv]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "outputs whose bytes differ: none"
+    assert len(out) == 8
+
+    # The copy ends its JSON with a space: both outputs differ.
+    cli_py = copy / "src" / "ekslab" / "cli.py"
+    text = cli_py.read_text()
+    old = 'separators=(",", ":")) + "\\n"'
+    assert text.count(old) == 1
+    cli_py.write_text(text.replace(old, 'separators=(",", ":")) + " "'))
+    assert tool.main([str(ROOT), str(copy), *argv]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "outputs whose bytes differ: z9.json, z9.report.json"
