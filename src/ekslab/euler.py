@@ -561,17 +561,26 @@ def _unit_functionals(size: int) -> list:
     return [[int(b == a) for b in range(size)] for a in range(size)]
 
 
-def fs_witness(kdata, tables):
-    """The first failing rank-one comparison, as (divisor, prime, monomial),
-    or None when every scalar identity holds."""
+def scalar_fs_failures(kdata, tables) -> dict:
+    """For each (divisor, prime) pair, in order, the monomial of the first
+    unit functional whose rank-one comparison fails there, or None when
+    every one holds: one ``scalar_fs_holds`` per functional up to the
+    first failure."""
     inst = kdata.instance
     monomials = r_subsets(inst.ambient_rank, kdata.rank - 1)
-    for nn in inst.divisors():
-        for q in nn:
-            for A, phi in zip(monomials, _unit_functionals(len(monomials))):
-                if not scalar_fs_holds(kdata, tables, nn, q, phi):
-                    return (nn, q, A)
-    return None
+    units = _unit_functionals(len(monomials))
+    return {(nn, q): next((A for A, phi in zip(monomials, units)
+                           if not scalar_fs_holds(kdata, tables, nn, q, phi)),
+                          None)
+            for nn in inst.divisors() for q in nn}
+
+
+def fs_witness(failures):
+    """The first failing rank-one comparison of a ``scalar_fs_failures``
+    scan, as (divisor, prime, monomial), or None when every scalar
+    identity holds."""
+    return next(((nn, q, A) for (nn, q), A in failures.items()
+                 if A is not None), None)
 
 
 def rank_reduction_report(system: EulerSystem, kdata) -> dict:
@@ -603,14 +612,13 @@ def rank_reduction_report(system: EulerSystem, kdata) -> dict:
             if derived_vector(reduced, d) != contract_table(
                     tower.target, n, r, r - 1, phi, tables[d]):
                 expansion = False
+    failures = scalar_fs_failures(kdata, tables)
     full = {}
     scalars = {}
-    for nn in kdata.instance.divisors():
-        for q in nn:
-            key = f"{divisor_key(nn)}@{q}"
-            full[key] = fs_holds(kdata, tables, nn, q)
-            scalars[key] = all(scalar_fs_holds(kdata, tables, nn, q, phi)
-                               for phi in units)
+    for (nn, q), failure in failures.items():
+        key = f"{divisor_key(nn)}@{q}"
+        full[key] = fs_holds(kdata, tables, nn, q)
+        scalars[key] = failure is None
     return {
         "expansion": expansion,
         "reduction_identity": identity,
@@ -618,7 +626,7 @@ def rank_reduction_report(system: EulerSystem, kdata) -> dict:
         "scalar_fs": scalars,
         "equivalence": full == scalars,
         "fs_holds": all(full.values()),
-        "witness": fs_witness(kdata, tables),
+        "witness": fs_witness(failures),
     }
 
 

@@ -29,6 +29,7 @@ from .rings import (
     membership_int,
     row_module_size,
     smith_int,
+    span_rows_base,
     submodule_howell,
 )
 # Unused here: perfbench/tests checks that the tracer wraps this module's
@@ -117,6 +118,30 @@ class ModuleMap:
     every defining relation of the source must land in the target's relation
     module, otherwise the data does not describe a map at all.
 
+    The check is skipped, through the private ``_sound``, only where a map
+    is well defined by construction:
+
+    * ``compose`` when ``first.target is self.source``: each relation dies
+      under ``first`` and its image dies under ``self``.  Between two
+      presentations that only share a generator count the composite is
+      checked, since nothing else rejects other middle relations;
+    * ``sub`` when both maps share their source and target objects: a
+      difference of two maps is a map;
+    * the inclusion of ``present_submodule``: its relations are the
+      syzygies of its columns, just computed, so each one dies;
+    * the projection of ``cokernel``: the identity onto the same
+      generators, with more relations;
+    * the contracted map of ``biduals.contract_pullback``: a contraction
+      after the bidual's embedding into its free ambient, a map already;
+    * m2 and m4 of ``selmer.five_term_data``: m2 is a condition row after
+      the inclusion into the free ambient, and m4 drops one coordinate
+      from the dual Selmer module, whose relations are the columns of the
+      condition matrix, onto the relaxed one, whose relations are the
+      same columns without that row.
+
+    Every other map is checked: maps read from artifacts, solved maps
+    (``factor_through``, ``dual_map``) and the bidual constructions.
+
     One base system serves both solving and kernels: ``base_system``, the
     matrix A at the base level with the Howell rows N of the target's
     relations appended as columns.  A solution of [A | N].(x, y) = b is an
@@ -136,6 +161,21 @@ class ModuleMap:
     __slots__ = ("source", "target", "matrix", "_lift")
 
     def __init__(self, source: FPModule, target: FPModule, matrix: Matrix):
+        self._set(source, target, matrix)
+        for rel in source.relations.rows:
+            if not target.element_is_zero(matrix.apply(rel)):
+                raise ValueError("map is not well defined: a relation does not die")
+
+    @classmethod
+    def _sound(cls, source: FPModule, target: FPModule,
+               matrix: Matrix) -> "ModuleMap":
+        """The map of a construction that is well defined by itself (see
+        the class docstring): the shape is checked, the relations are not."""
+        f = cls.__new__(cls)
+        f._set(source, target, matrix)
+        return f
+
+    def _set(self, source, target, matrix):
         if matrix.shape != (target.ngens, source.ngens):
             raise ValueError(
                 f"map matrix shape {matrix.shape} != "
@@ -145,9 +185,6 @@ class ModuleMap:
         self.target = target
         self.matrix = matrix
         self._lift = None
-        for rel in source.relations.rows:
-            if not target.element_is_zero(matrix.apply(rel)):
-                raise ValueError("map is not well defined: a relation does not die")
 
     def base_system(self) -> list:
         """The int rows [A | N]: the map's matrix at the base level, with
@@ -181,22 +218,24 @@ class ModuleMap:
     def compose(self, first: "ModuleMap") -> "ModuleMap":
         """self o first (apply ``first``, then self).
 
-        The middle modules must agree as presentations (same ring, same
-        generator count); the constructor re-checks well-definedness on the
-        composite, so a mismatch cannot slip through silently.
+        The middle generator counts must agree.  When ``first.target`` is
+        ``self.source`` the composite is a map by construction; otherwise
+        the two middle presentations may have other relations, and the
+        composite is checked, so a relation of ``first.source`` that does
+        not die in ``self.target`` raises ``ValueError``.
         """
         if first.target.ngens != self.source.ngens:
             raise ValueError("composition shape mismatch")
-        return ModuleMap(first.source, self.target, self.matrix.mul(first.matrix))
+        build = ModuleMap._sound if first.target is self.source else ModuleMap
+        return build(first.source, self.target, self.matrix.mul(first.matrix))
 
     def sub(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(self.source, self.target, self.matrix.sub(other.matrix))
+        build = (ModuleMap._sound if self.source is other.source
+                 and self.target is other.target else ModuleMap)
+        return build(self.source, self.target, self.matrix.sub(other.matrix))
 
     def is_zero_map(self) -> bool:
-        return all(
-            self.target.element_is_zero(col)
-            for col in self.matrix.transpose().rows
-        )
+        return all(map(self.target.element_is_zero, self.matrix.columns()))
 
     def equals(self, other: "ModuleMap") -> bool:
         return self.sub(other).is_zero_map()
@@ -264,7 +303,7 @@ def present_submodule(ambient: FPModule, vectors):
         syz = syzygies(ambient, vectors)
     t = len(vectors)
     sub = FPModule(ring, t, Matrix(ring, syz, ncols=t, reduced=True))
-    incl = ModuleMap(
+    incl = ModuleMap._sound(
         sub,
         ambient,
         Matrix(ring, [[vec[j] for vec in vectors] for j in range(ambient.ngens)],
@@ -299,11 +338,11 @@ def kernel(f: ModuleMap):
 def cokernel(f: ModuleMap):
     """Cokernel of a module map, as ``(coker, proj)`` from the target."""
     ring = f.target.ring
-    img_rows = Matrix(
-        ring, [list(c) for c in f.matrix.transpose().rows], ncols=f.target.ngens
-    )
+    img_rows = Matrix(ring, [list(c) for c in f.matrix.columns()],
+                      ncols=f.target.ngens, reduced=True)
     coker = FPModule(ring, f.target.ngens, f.target.relations.stack(img_rows))
-    proj = ModuleMap(f.target, coker, Matrix.identity(ring, f.target.ngens))
+    proj = ModuleMap._sound(f.target, coker,
+                            Matrix.identity(ring, f.target.ngens))
     return coker, proj
 
 
@@ -357,10 +396,11 @@ def image_order(f: ModuleMap) -> int:
     target = f.target
     ring = target.ring
     base = ring.base
-    cols = [list(c) for c in f.matrix.transpose().rows]
-    span = submodule_howell(ring, cols + target.relations.rows, target.ngens)
+    rel = target.rel_howell
+    span = howell_int(span_rows_base(ring, f.matrix.columns()) + rel,
+                      target.ngens * ring.rank, base.p, base.m)
     return (row_module_size(span, base.p, base.m)
-            // row_module_size(target.rel_howell, base.p, base.m))
+            // row_module_size(rel, base.p, base.m))
 
 
 def is_injective(f: ModuleMap) -> bool:

@@ -406,36 +406,42 @@ def howell_int(rows, ncols: int, p: int, m: int) -> list:
     pivot p^k reduced mod p^k, and the row module closed under the annihilator
     rows p^{m-k} * row.  Two row sets span the same module iff their Howell
     forms are equal, and the form is idempotent.
+
+    Each row's first nonzero entry is its pivot, exactly p^k: the final
+    reductions only touch the columns past a row's own pivot.  So
+    ``membership_int`` and ``row_module_size`` read the pivots as they are.
     """
     n = p ** m
     work = [[c % n for c in r] for r in rows]
     work = [r for r in work if any(r)]
     result = []  # (pivot_col, row) in increasing pivot_col order
     for j in range(ncols):
+        if not work:
+            break
         rest = []
         pivot = None
         for r in work:
-            if r[j] % n == 0:
+            x = r[j]
+            if not x:
                 rest.append(r)
                 continue
-            if pivot is None:
-                pivot = r
-                continue
-            # Ensure the pivot has the minimal valuation at column j, then
-            # eliminate r[j] exactly (the quotient exists in a chain ring).
-            if _val(r[j], p, m) < _val(pivot[j], p, m):
+            # Keep the entry of minimal valuation at column j as the pivot,
+            # valued once, then eliminate the other row exactly (the
+            # quotient exists in a chain ring).
+            v = 0 if x % p else _val(x, p, m)
+            if pivot is None or v < vp:
                 pivot, r = r, pivot
-            vp = _val(pivot[j], p, m)
-            upin = pow(pivot[j] // (p ** vp), -1, n)
-            q = (r[j] // (p ** vp)) * upin % n
+                vp, pk = v, p ** v
+                unit_inv = pow(x // pk, -1, n)
+                if r is None:
+                    continue
+            q = (r[j] // pk) * unit_inv % n
             r = [(a - q * b) % n for a, b in zip(r, pivot)]
             if any(r):
                 rest.append(r)
         work = rest
         if pivot is not None:
-            vp = _val(pivot[j], p, m)
-            u = pow(pivot[j] // (p ** vp), -1, n)
-            pivot = [(u * a) % n for a in pivot]
+            pivot = [(unit_inv * a) % n for a in pivot]
             if vp > 0:
                 ann = [(p ** (m - vp)) * a % n for a in pivot]
                 if any(ann):
@@ -456,27 +462,43 @@ def howell_int(rows, ncols: int, p: int, m: int) -> list:
 
 
 def membership_int(x, howell_rows, p: int, m: int) -> bool:
-    """Whether vector x lies in the row module given by its Howell form."""
+    """Whether vector x lies in the row module given by its Howell form.
+
+    ``howell_rows`` must be a ``howell_int`` form: each row's first nonzero
+    entry is its pivot, an exact power of p, and the pivot columns
+    increase.  The pivots are read, not valued.
+    """
     n = p ** m
     x = [c % n for c in x]
+    j = 0
     for row in howell_rows:
-        j = next(t for t, c in enumerate(row) if c)
+        while not row[j]:
+            j += 1
         if x[j]:
-            k = _val(row[j], p, m)
-            if _val(x[j], p, m) < k:
+            pivot = row[j]
+            if x[j] % pivot:
                 return False
-            q = x[j] // (p ** k)
+            q = x[j] // pivot
             for t in range(j, len(x)):
                 x[t] = (x[t] - q * row[t]) % n
+        j += 1
     return not any(x)
 
 
 def row_module_size(howell_rows, p: int, m: int) -> int:
-    """Cardinality of the row module from its Howell form."""
+    """Cardinality of the row module from its Howell form.
+
+    ``howell_rows`` must be a ``howell_int`` form, whose pivots are exact
+    powers of p: a pivot p^k contributes a factor p^(m-k) = p^m / p^k.
+    """
+    n = p ** m
     size = 1
+    j = 0
     for row in howell_rows:
-        j = next(t for t, c in enumerate(row) if c)
-        size *= p ** (m - _val(row[j], p, m))
+        while not row[j]:
+            j += 1
+        size *= n // row[j]
+        j += 1
     return size
 
 
@@ -507,44 +529,51 @@ def smith_int(A, p: int, m: int, left: bool = True):
     top = 0
     while top < min(k, g):
         # Find the entry of minimal valuation in the remaining block.
+        # The first unit ends the search; other entries are valued.
         best, bi, bj = m, -1, -1
         for i in range(top, k):
+            row = M[i]
             for j in range(top, g):
-                if M[i][j]:
-                    v = _val(M[i][j], p, m)
+                x = row[j]
+                if x:
+                    if x % p:
+                        best, bi, bj = 0, i, j
+                        break
+                    v = _val(x, p, m)
                     if v < best:
                         best, bi, bj = v, i, j
-                        if v == 0:
-                            break
             if best == 0:
                 break
         if bi < 0:
             break
         if bi != top:
             M[top], M[bi] = M[bi], M[top]
+        # Rows above ``top`` are zero from column ``top`` on, so the column
+        # swap and the column operations below only touch the rows from
+        # ``top`` down.
         if bj != top:
-            for row in M:
+            for row in M[top:]:
                 row[top], row[bj] = row[bj], row[top]
             for row in Q:
                 row[top], row[bj] = row[bj], row[top]
-        piv = M[top][top]
-        v = _val(piv, p, m)
-        u_inv = pow(piv // (p ** v), -1, n)
-        M[top] = [(u_inv * c) % n for c in M[top]]
+        v = best
         pk = p ** v
+        u_inv = pow(M[top][top] // pk, -1, n)
+        pivot_row = M[top] = [(u_inv * c) % n for c in M[top]]
         eliminations = []
         for i in range(top + 1, k):
             if M[i][top]:
                 q = M[i][top] // pk
-                M[i] = [(a - q * b) % n for a, b in zip(M[i], M[top])]
+                M[i] = [(a - q * b) % n for a, b in zip(M[i], pivot_row)]
                 eliminations.append((i, q))
         if left:
             log.append((bi, u_inv, eliminations))
+        # After the eliminations column ``top`` of M is zero but for the
+        # pivot, so a column operation of M would only clear the pivot
+        # row's entry, which nothing reads again: only Q is updated.
         for j in range(top + 1, g):
-            if M[top][j]:
-                q = M[top][j] // pk
-                for row in M:
-                    row[j] = (row[j] - q * row[top]) % n
+            if pivot_row[j]:
+                q = pivot_row[j] // pk
                 for row in Q:
                     row[j] = (row[j] - q * row[top]) % n
         exps.append(v)
@@ -598,10 +627,11 @@ def back_substitute(smith, b, p: int, m: int):
             return None
     y = []
     for i, e in enumerate(exps):
-        if _val(pb[i], p, m) < e:
+        pe = p ** e
+        if pb[i] % pe:
             return None
         # Solve p^e * y_i = pb[i]: any lift of the exact quotient works.
-        y.append(pb[i] // (p ** e) % n)
+        y.append(pb[i] // pe % n)
     # y vanishes beyond the diagonal, so only the first len(y) columns of Q
     # contribute: a caller may keep Q cut to those columns, and to the rows
     # of the coordinates it wants.
@@ -680,11 +710,11 @@ class Matrix:
     """A dense matrix over a ChainRing or GroupRing with shape checking.
 
     ``Matrix(ring, rows)`` reduces every entry and rejects ragged rows, so
-    rows from outside (JSON included) always pass through both.  ``mul``,
-    ``transpose``, ``stack`` and ``sub`` build their result from rows they
-    have just produced, already reduced and of one length, and pass
-    ``reduced=True`` to skip that pass; such rows must be fresh lists the new
-    matrix owns.  ``to_base`` restricts scalars to Z/p^m: the transpose of
+    rows from outside (JSON included) always pass through both.  ``zeros``,
+    ``identity``, ``mul``, ``transpose``, ``stack`` and ``sub`` build their
+    result from rows they have just produced, already reduced and of one
+    length, and pass ``reduced=True`` to skip that pass; such rows must be
+    fresh lists the new matrix owns.  ``to_base`` restricts scalars to Z/p^m: the transpose of
     the translates of its columns (``span_rows_base``).
     """
 
@@ -708,12 +738,14 @@ class Matrix:
     @classmethod
     def zeros(cls, ring, nrows: int, ncols: int) -> "Matrix":
         z = ring.zero
-        return cls(ring, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls(ring, [[z] * ncols for _ in range(nrows)], ncols=ncols,
+                   reduced=True)
 
     @classmethod
     def identity(cls, ring, size: int) -> "Matrix":
         z, o = ring.zero, ring.one
-        return cls(ring, [[o if i == j else z for j in range(size)] for i in range(size)])
+        return cls(ring, [[o if i == j else z for j in range(size)]
+                          for i in range(size)], ncols=size, reduced=True)
 
     @property
     def shape(self):
@@ -728,6 +760,11 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.rows!r})"
+
+    def columns(self) -> list:
+        """The columns as tuples, read without building the transpose; with
+        no rows, ``ncols`` empty columns."""
+        return list(zip(*self.rows)) if self.rows else [()] * self.ncols
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -757,8 +794,7 @@ class Matrix:
                 f"cannot multiply {self.shape} by {other.shape}: inner dims differ"
             )
         dot = self.ring.dot
-        # Columns of ``other``; with no rows, zip would give no columns at all.
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
+        cols = other.columns()
         return Matrix(self.ring, [[dot(row, col) for col in cols]
                                   for row in self.rows], ncols=other.ncols,
                       reduced=True)

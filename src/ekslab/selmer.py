@@ -169,7 +169,7 @@ def all_divisors(n_primes: int) -> list:
 
 class SelmerInstance:
     __slots__ = ("ring", "core_rank", "primes", "finite", "transverse",
-                 "_modules", "_fitting")
+                 "_modules", "_fitting", "_state_memo")
 
     def __init__(self, ring, core_rank: int, primes, finite: Matrix,
                  transverse: Matrix):
@@ -188,6 +188,7 @@ class SelmerInstance:
         self.transverse = transverse
         self._modules = {}
         self._fitting = {}
+        self._state_memo = {}
 
     @property
     def n_primes(self) -> int:
@@ -230,15 +231,20 @@ class SelmerInstance:
 
     def _states(self, divisor, drop=None, inside=_TRANSVERSE) -> tuple:
         """The state of each prime: ``inside`` at the primes of the divisor,
-        finite outside, relaxed at ``drop``."""
-        primes = set(divisor)
-        return tuple(_RELAXED if q == drop else inside if q in primes
-                     else _FINITE for q in range(self.n_primes))
+        finite outside, relaxed at ``drop``; built once per arguments."""
+        key = (tuple(divisor), drop, inside)
+        states = self._state_memo.get(key)
+        if states is None:
+            primes = set(divisor)
+            states = self._state_memo[key] = tuple(
+                _RELAXED if q == drop else inside if q in primes
+                else _FINITE for q in range(self.n_primes))
+        return states
 
     def _conditions(self, states) -> Matrix:
         rows = [list(getattr(self, side).rows[q])
                 for q, state in enumerate(states) for side in state]
-        return Matrix(self.ring, rows, ncols=self.ambient_rank)
+        return Matrix(self.ring, rows, ncols=self.ambient_rank, reduced=True)
 
     def _memo(self, kind, build, states):
         """``build(condition map)``, once per kind and tuple of prime
@@ -318,23 +324,26 @@ def five_term_data(instance: SelmerInstance, divisor, q: int):
     inside = set(divisor)
     row_q = (instance.transverse if q in inside else instance.finite).rows[q]
     line = FPModule.free(ring, 1)
-    vals = []
-    for j in range(selq.ngens):
-        vals.append(ring.dot(row_q, inclq.apply(selq.generator(j))))
-    m2 = ModuleMap(selq, line, Matrix(ring, [vals], ncols=selq.ngens))
+    vals = [ring.dot(row_q, col) for col in inclq.matrix.columns()]
+    # m2 and m4 are well defined by construction (``ModuleMap``): m2 is a
+    # condition row after the inclusion into the free ambient, and m4
+    # drops coordinate q, the row that the relaxed dual's relations lack.
+    m2 = ModuleMap._sound(selq, line, Matrix(ring, [vals], ncols=selq.ngens,
+                                             reduced=True))
 
     dual = instance.dual_selmer(divisor)
     dualq = instance.dual_selmer(divisor, drop=q)
     col = [ring.one if i == q else ring.zero for i in range(instance.n_primes)]
-    m3 = ModuleMap(line, dual, Matrix(ring, [[c] for c in col], ncols=1))
+    m3 = ModuleMap(line, dual, Matrix(ring, [[c] for c in col], ncols=1,
+                                      reduced=True))
     drop_rows = []
     for i in range(instance.n_primes):
         if i == q:
             continue
         drop_rows.append([ring.one if j == i else ring.zero
                           for j in range(instance.n_primes)])
-    m4 = ModuleMap(dual, dualq, Matrix(
-        ring, drop_rows, ncols=instance.n_primes))
+    m4 = ModuleMap._sound(dual, dualq, Matrix(
+        ring, drop_rows, ncols=instance.n_primes, reduced=True))
     return m1, m2, m3, m4
 
 

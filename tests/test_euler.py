@@ -36,6 +36,7 @@ from ekslab.euler import (
     reduction_identity_holds,
     relation_holds,
     relation_report,
+    scalar_fs_failures,
     scalar_fs_holds,
     system_from_json,
     system_to_json,
@@ -691,6 +692,25 @@ class TestLocalComparison:
         assert all(report["full_fs"].values())
         assert all(report["scalar_fs"].values())
 
+    def test_report_runs_each_scalar_comparison_once(self, monkeypatch):
+        # The consistent Z/9 r1 s3 bundle of seed 0: 12 (divisor, prime)
+        # pairs and one unit functional, so one scan makes 12 comparisons.
+        tower, system, kdata = consistent_instance(3, 2, 1, 3, seed=0)
+        before = rank_reduction_report(system, kdata)
+        calls = []
+        original = euler.scalar_fs_holds
+
+        def counted(*args):
+            calls.append(args[2:4])
+            return original(*args)
+
+        monkeypatch.setattr(euler, "scalar_fs_holds", counted)
+        after = rank_reduction_report(system, kdata)
+        assert len(calls) == 12
+        assert len(set(calls)) == 12
+        assert after == before
+        assert after["witness"] is None and after["fs_holds"]
+
     def test_consistent_instance_feeds_contraction_system(self):
         tower, system, kdata = consistent_instance(5, 2, 2, 2, seed=11)
         ksys, malformed = system_from_ambient_tables(kdata,
@@ -716,7 +736,7 @@ class TestLocalComparison:
         tables = derived_tables(system)
         bad = {d: list(v) for d, v in tables.items()}
         bad[(0, 1)][1] = (bad[(0, 1)][1] + 1) % 25
-        assert fs_witness(kdata, bad) == ((0, 1), 0, (0,))
+        assert fs_witness(scalar_fs_failures(kdata, bad)) == ((0, 1), 0, (0,))
         assert not fs_holds(kdata, bad, (0, 1), 0)
         # full-degree and all-scalar forms still agree on the bad tables
         monomials = [(0,), (1,), (2,), (3,)]
@@ -731,7 +751,7 @@ class TestLocalComparison:
         tables = derived_tables(system)
         bad = {d: list(v) for d, v in tables.items()}
         bad[(0, 1)][0] = (bad[(0, 1)][0] + 1) % 25
-        assert fs_witness(kdata, bad) is None
+        assert fs_witness(scalar_fs_failures(kdata, bad)) is None
         _, malformed = system_from_ambient_tables(kdata, bad)
         assert malformed == [(0, 1)]
 

@@ -9,6 +9,7 @@ seven standard rings.
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -32,6 +33,7 @@ from ekslab.modules import (
     solve_map,
     syzygies,
 )
+from ekslab import cli
 from ekslab.biduals import ExteriorBidual
 from ekslab.cli import ideal_json
 from ekslab.rings import (
@@ -151,6 +153,18 @@ class TestModuleMap:
         assert ident.compose(f).equals(f)
         assert f.compose(f).is_zero_map()
 
+    def test_compose_across_two_presentations_is_checked(self):
+        # f : R/(3) -> R/(3) and g : R -> R over Z/9 have middle modules
+        # with one generator each, but other relations: the composite
+        # R/(3) -> R sends the relation 3 to 3, which does not die.
+        A = cyclic(Z9, 3)
+        B = cyclic(Z9, 3)
+        f = ModuleMap(A, B, Matrix(Z9, [[1]]))
+        g = ModuleMap(FPModule.free(Z9, 1), FPModule.free(Z9, 1),
+                      Matrix(Z9, [[1]]))
+        with pytest.raises(ValueError, match="not well defined"):
+            g.compose(f)
+
     @pytest.mark.parametrize("ring", SMALL_RINGS, ids=repr)
     def test_maps_agree_with_hom_oracle(self, ring):
         rng = random.Random(77)
@@ -174,6 +188,39 @@ class TestModuleMap:
                 except ValueError:
                     bad += 1
             assert bad == ring.size - len(homs)
+
+
+class TestSoundConstructions:
+    """The maps that skip the well-definedness check (``ModuleMap._sound``)
+    are collected over whole verifies and each one is checked in full."""
+
+    @pytest.mark.parametrize("ring, r, s", [
+        ("3,2", 1, 3), ("3,2,3", 1, 2), ("2,3,4", 1, 1)])
+    def test_every_unchecked_map_is_well_defined(self, tmp_path,
+                                                  monkeypatch, ring, r, s):
+        artifact = tmp_path / "instance.json"
+        assert cli.main(["gen", "--ring", ring, "--r", str(r), "--s", str(s),
+                         "--profile", "generic", "--seed", "0",
+                         "--out", str(artifact)]) == 0
+        built = []
+        sound = ModuleMap._sound.__func__
+
+        def recording(cls, source, target, matrix):
+            f = sound(cls, source, target, matrix)
+            built.append((sys._getframe(1).f_code.co_name, f))
+            return f
+
+        monkeypatch.setattr(ModuleMap, "_sound", classmethod(recording))
+        assert cli.main(["verify", str(artifact), "--suite", "all",
+                         "--seed", "0", "--out",
+                         str(tmp_path / "report.json")]) in (0, 1)
+        assert {site for site, _ in built} == {
+            "compose", "sub", "present_submodule", "cokernel",
+            "contract_pullback", "five_term_data"}
+        for _site, f in built:
+            # The full check of the constructor: every source relation
+            # dies in the target.
+            ModuleMap(f.source, f.target, f.matrix)
 
 
 def _fresh_solve_map(f, target_vec):

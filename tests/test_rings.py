@@ -868,8 +868,109 @@ class TestChainFastPaths:
                            for _ in range(k)], ncols=g)
             C = Matrix(R, [[_unreduced(R, rng) for _ in range(3)]
                            for _ in range(g)], ncols=3)
-            for out in (A.mul(C), A.transpose(), A.stack(B), A.sub(B)):
+            for out in (A.mul(C), A.transpose(), A.stack(B), A.sub(B),
+                        Matrix.zeros(R, k, g), Matrix.identity(R, g)):
                 assert out == Matrix(R, out.rows, ncols=out.ncols)
+            assert A.columns() == [tuple(row) for row in A.transpose().rows]
+            assert len(Matrix.zeros(R, 0, g).columns()) == g
             assert A.transpose().shape == (g, k)
             assert A.stack(B).shape == (2 * k, g)
             assert A.mul(C).shape == (k, 3)
+
+
+# Z/8 (p = 2), Z/9, Z/25 and Z/27, at widths whose spans stay enumerable.
+PIVOT_RINGS = [(make_ring(2, 3), 4), (make_ring(3, 2), 4),
+               (make_ring(5, 2), 3), (make_ring(3, 3), 3)]
+
+
+def _pivot_cases(R, width, rng) -> list:
+    """Row sets over R: none, a lone zero row, and random sets with a zero
+    row, a zero column, duplicated rows, or only non-unit entries (so no
+    pivot is a unit), in turn."""
+    cases = [[], [[0] * width]]
+    for trial in range(16):
+        rows = [[rng.randrange(R.n) for _ in range(width)]
+                for _ in range(rng.randint(1, 4))]
+        kind = trial % 4
+        if kind == 0:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * width)
+        elif kind == 1:
+            col = rng.randrange(width)
+            for row in rows:
+                row[col] = 0
+        elif kind == 2:
+            rows += [list(row) for row in rows]
+        else:
+            rows = [[R.p * x % R.n for x in row] for row in rows]
+        cases.append(rows)
+    return cases
+
+
+def _span(R, rows, width) -> frozenset:
+    return additive_closure(rows or [[0] * width], R.n)
+
+
+class TestPivotsAgainstEnumeration:
+    """``howell_int``, ``membership_int``, ``row_module_size`` and
+    ``smith_int`` against the enumerated span and the dense Smith
+    reference (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("R,width", PIVOT_RINGS, ids=lambda x: str(x))
+    def test_howell_form_spans_the_rows_with_power_pivots(self, R, width):
+        rng = random.Random(211 + R.n)
+        for rows in _pivot_cases(R, width, rng):
+            H = howell_int(rows, width, R.p, R.m)
+            span = _span(R, rows, width)
+            assert _span(R, H, width) == span
+            assert row_module_size(H, R.p, R.m) == len(span)
+            # Each row's first nonzero entry is its pivot, an exact power
+            # of p, in increasing columns, and the rows above it are
+            # reduced modulo it there.
+            pivots = []
+            for row in H:
+                j = next(t for t, c in enumerate(row) if c)
+                assert power_exponent(row[j], R.p) is not None
+                assert not pivots or j > pivots[-1]
+                pivots.append(j)
+            for i, j in enumerate(pivots):
+                assert all(above[j] < H[i][j] for above in H[:i])
+            shuffled = [list(row) for row in rows] + [list(row) for row in H]
+            rng.shuffle(shuffled)
+            assert howell_int(shuffled, width, R.p, R.m) == H
+            assert howell_int(H, width, R.p, R.m) == H
+
+    @pytest.mark.parametrize("R,width", PIVOT_RINGS, ids=lambda x: str(x))
+    def test_membership_matches_the_enumerated_span(self, R, width):
+        rng = random.Random(223 + R.n)
+        for rows in _pivot_cases(R, width, rng):
+            H = howell_int(rows, width, R.p, R.m)
+            span = _span(R, rows, width)
+            inside = rng.sample(sorted(span), min(len(span), 40))
+            vectors = [list(x) for x in inside]
+            vectors += [[rng.randrange(R.n) for _ in range(width)]
+                        for _ in range(40)]
+            vectors += [[R.p * rng.randrange(R.n) % R.n for _ in range(width)]
+                        for _ in range(20)]
+            for x in vectors:
+                expected = tuple(x) in span
+                assert membership_int(x, H, R.p, R.m) == expected
+                # Unreduced entries are read modulo p^m.
+                unreduced = [c + R.n * rng.randrange(3) for c in x]
+                assert membership_int(unreduced, H, R.p, R.m) == expected
+
+    @pytest.mark.parametrize("R,width", PIVOT_RINGS, ids=lambda x: str(x))
+    def test_smith_matches_the_dense_reference(self, R, width):
+        rng = random.Random(227 + R.n)
+        for rows in _pivot_cases(R, width, rng):
+            if not rows:
+                continue
+            exps, log, Q = smith_int(rows, R.p, R.m)
+            dense_exps, P, dense_Q = smith_int_dense(rows, R.p, R.m)
+            assert (exps, Q) == (dense_exps, dense_Q)
+            assert replay_left_transform(log, len(rows), R.n) == P
+            assert smith_int(rows, R.p, R.m, left=False) == (exps, None, Q)
+            # The diagonal counts the span: |row span| = prod p^(m - e).
+            size = 1
+            for e in exps:
+                size *= R.p ** (R.m - e)
+            assert size == len(_span(R, rows, width))
