@@ -240,14 +240,12 @@ class ExteriorBidual:
     tables on plain r-subsets of coordinates of the generators of
     ``module``.  Such a bidual also answers, once each, whether an ambient
     functional restricts into X's dual (``restricts_to_dual``) and whether
-    a submodule of the ambient lies in X (``contains_image``), and keeps
-    the embedding's tables contracted by each sequence of functionals it
-    was asked for (``contracted_tables``).
+    a submodule of the ambient lies in X (``contains_image``).
     """
 
     __slots__ = ("X", "r", "dual", "Y", "wedge", "module", "YW", "inclusion",
                  "free", "_dual_solver", "_table_solver", "_embedding",
-                 "_in_dual", "_image_howell", "_contracted")
+                 "_in_dual", "_image_howell")
 
     def __init__(self, X: FPModule, r: int, inclusion: ModuleMap | None = None,
                  free: "ExteriorBidual | None" = None):
@@ -267,7 +265,6 @@ class ExteriorBidual:
         self._embedding = None
         self._in_dual = {}
         self._image_howell = None
-        self._contracted = {}
 
     @property
     def dual_solver(self) -> ModuleMap:
@@ -307,24 +304,6 @@ class ExteriorBidual:
             known = solve_map(self.dual_solver, restricted) is not None
             self._in_dual[key] = known
         return known
-
-    def contracted_tables(self, order: tuple) -> list:
-        """The columns of ``embedding`` contracted by the ambient
-        functionals of ``order`` (tuples), first to last.  Built once per
-        sequence from the tables of its prefix, so the transitions from one
-        divisor share their contractions: the tables for n come from those
-        for n plus its smallest contracted prime."""
-        tables = self._contracted.get(order)
-        if tables is None:
-            if not order:
-                tables = self.embedding.matrix.columns()
-            else:
-                n = self.free.X.ngens
-                k = self.r - len(order) + 1
-                tables = [interior_product(self.X.ring, n, k, order[-1], t)
-                          for t in self.contracted_tables(order[:-1])]
-            self._contracted[order] = tables
-        return tables
 
     def contains_image(self, incl: ModuleMap) -> bool:
         """Whether every generator of ``incl``, a map into the ambient of
@@ -471,8 +450,7 @@ def contract_pullback(big: ExteriorBidual, functionals: dict,
         T = scale . P_Y^-1 (phi _| P_X(.)):
 
     each generator's ambient table (a column of P_X) is contracted by the
-    ambient functionals, largest prime first (``big.contracted_tables``),
-    solved along P_Y, and scaled.
+    ambient functionals, largest prime first, solved along P_Y, and scaled.
     It is the contraction by the restricted functionals in X's own bidual
     followed by the preimage under the bidual functor map of Y -> X: by
     naturality P_X(i*phi _| a) = phi _| P_X(a), with P_Y = P_X o (Y -> X)
@@ -505,7 +483,14 @@ def contract_pullback(big: ExteriorBidual, functionals: dict,
         raise RuntimeError(escapes)
     if small.r != big.r - len(order):
         raise ValueError("the small bidual must have the contracted degree")
-    tables = big.contracted_tables(tuple(map(tuple, order)))
+    n = big.free.X.ngens
+    tables = []
+    for col in big.embedding.matrix.columns():
+        table, k = col, big.r
+        for ell in order:
+            table = interior_product(ring, n, k, ell, table)
+            k -= 1
+        tables.append(table)
     target = small.free.module
     # A contraction after the embedding, which is a map: well defined by
     # construction (``ModuleMap``).

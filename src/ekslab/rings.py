@@ -518,6 +518,10 @@ def smith_int(A, p: int, m: int, left: bool = True):
     ``back_substitute`` replays it on a right-hand side, which gives P.b in
     O(eliminations) instead of O(k^2).  Callers that only read ``exps`` and
     Q (kernels) pass ``left=False`` and get None in place of the log.
+
+    Only ``exps``, ``log`` and Q are meaningful.  The working copy of A is
+    not left in Smith form: column operations are applied to Q alone, so
+    each pivot row keeps its entries past the pivot.
     """
     n = p ** m
     k = len(A)
@@ -548,9 +552,9 @@ def smith_int(A, p: int, m: int, left: bool = True):
             break
         if bi != top:
             M[top], M[bi] = M[bi], M[top]
-        # Rows above ``top`` are zero from column ``top`` on, so the column
-        # swap and the column operations below only touch the rows from
-        # ``top`` down.
+        # Rows above ``top`` are never read again, so the column swap only
+        # touches the rows from ``top`` down.  (They are not zero past
+        # their pivots: M gets no column operations, see below.)
         if bj != top:
             for row in M[top:]:
                 row[top], row[bj] = row[bj], row[top]
@@ -569,8 +573,9 @@ def smith_int(A, p: int, m: int, left: bool = True):
         if left:
             log.append((bi, u_inv, eliminations))
         # After the eliminations column ``top`` of M is zero but for the
-        # pivot, so a column operation of M would only clear the pivot
-        # row's entry, which nothing reads again: only Q is updated.
+        # pivot, so a column operation of M would only change the pivot
+        # row, which nothing reads again: only Q is updated, and the pivot
+        # row keeps its entries past the pivot.
         for j in range(top + 1, g):
             if pivot_row[j]:
                 q = pivot_row[j] // pk
