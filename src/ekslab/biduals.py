@@ -48,12 +48,7 @@ from .modules import (
     free_map,
     solve_map,
 )
-from .rings import (
-    Matrix,
-    det_ring,
-    membership_int,
-    submodule_howell,
-)
+from .rings import Matrix, det_ring
 # Unused here: perfbench/tests checks that the tracer wraps this module's
 # binding of kernel_int.
 from .rings import kernel_int  # noqa: F401
@@ -238,14 +233,11 @@ class ExteriorBidual:
     once.  The free module's bidual is presented on its value tables (its
     ``YW`` is the identity), so the embedding's columns are the value
     tables on plain r-subsets of coordinates of the generators of
-    ``module``.  Such a bidual also answers, once each, whether an ambient
-    functional restricts into X's dual (``restricts_to_dual``) and whether
-    a submodule of the ambient lies in X (``contains_image``).
+    ``module``.
     """
 
     __slots__ = ("X", "r", "dual", "Y", "wedge", "module", "YW", "inclusion",
-                 "free", "_dual_solver", "_table_solver", "_embedding",
-                 "_in_dual", "_image_howell")
+                 "free", "_dual_solver", "_table_solver", "_embedding")
 
     def __init__(self, X: FPModule, r: int, inclusion: ModuleMap | None = None,
                  free: "ExteriorBidual | None" = None):
@@ -263,8 +255,6 @@ class ExteriorBidual:
         self._dual_solver = None
         self._table_solver = None
         self._embedding = None
-        self._in_dual = {}
-        self._image_howell = None
 
     @property
     def dual_solver(self) -> ModuleMap:
@@ -293,34 +283,6 @@ class ExteriorBidual:
                 self.inclusion, self.r, self, self.free)
         return self._embedding
 
-    def restricts_to_dual(self, ell) -> bool:
-        """Whether the functional ``ell`` on the ambient, restricted to X
-        along ``inclusion``, lies in X's dual (the span of Y's rows),
-        decided once per functional."""
-        key = tuple(ell)
-        known = self._in_dual.get(key)
-        if known is None:
-            restricted = self.inclusion.matrix.transpose().apply(list(ell))
-            known = solve_map(self.dual_solver, restricted) is not None
-            self._in_dual[key] = known
-        return known
-
-    def contains_image(self, incl: ModuleMap) -> bool:
-        """Whether every generator of ``incl``, a map into the ambient of
-        ``inclusion``, lies in X's image there: Howell membership of its
-        columns in the span of the inclusion's columns and the ambient's
-        relations, whose Howell form is built once."""
-        ambient = self.inclusion.target
-        ring = ambient.ring
-        if self._image_howell is None:
-            cols = self.inclusion.matrix.columns()
-            self._image_howell = submodule_howell(
-                ring, cols + ambient.relations.rows, ambient.ngens)
-        base = ring.base
-        return all(membership_int(ring.vec_to_base(col), self._image_howell,
-                                  base.p, base.m)
-                   for col in incl.matrix.columns())
-
     def table(self, coords) -> list:
         """Values of the functional with these coordinates on the monomials."""
         return self.YW.transpose().apply(list(coords))
@@ -329,13 +291,12 @@ class ExteriorBidual:
         """Coordinates of a value table, or None when it is not a functional.
 
         A table defines an element exactly when it kills the relations of the
-        wedge module; tables failing that are rejected, which is how malformed
-        derived classes are detected downstream.
+        wedge module.  The rows of YW span exactly those tables (``module``
+        is the dual of the wedge module), so the solve along
+        ``table_solver`` decides membership: it returns None for the tables
+        that fail, which is how malformed derived classes are detected
+        downstream.
         """
-        ring = self.module.ring
-        for rel in self.wedge.module.relations.rows:
-            if ring.dot(rel, table) != ring.zero:
-                return None
         return solve_map(self.table_solver, table)
 
     def xi(self) -> ModuleMap:
@@ -435,17 +396,17 @@ def bidual_contraction(source: ExteriorBidual, target: ExteriorBidual, phi) -> M
 
 
 def contract_pullback(big: ExteriorBidual, functionals: dict,
-                      small: ExteriorBidual, scale, messages) -> ModuleMap:
+                      small: ExteriorBidual, scale, message: str) -> ModuleMap:
     """Contract by a wedge of local functionals in the free ambient and
     read the result in a smaller module's bidual: the one construction
     behind the Stark transitions, the Kolyvagin relation maps and the
     regulator.
 
     ``big`` and ``small`` are biduals of modules X and Y of one free ambient
-    R^n, each with its ``inclusion`` and ``embedding`` (P_X, P_Y), with Y
-    inside X and ``small.r`` the degree left after contracting ``big``.
-    ``functionals`` maps prime indices to functionals on the ambient, wedged
-    in *descending* prime order into phi.  The map is
+    R^n, each with its ``inclusion`` and ``embedding`` (P_X, P_Y), and
+    ``small.r`` the degree left after contracting ``big``.  ``functionals``
+    maps prime indices to functionals on the ambient, wedged in
+    *descending* prime order into phi.  The map is
 
         T = scale . P_Y^-1 (phi _| P_X(.)):
 
@@ -455,6 +416,21 @@ def contract_pullback(big: ExteriorBidual, functionals: dict,
     followed by the preimage under the bidual functor map of Y -> X: by
     naturality P_X(i*phi _| a) = phi _| P_X(a), with P_Y = P_X o (Y -> X)
     that gives P_Y(T a) = scale . phi _| P_X(a), and P_Y is injective.
+
+    The restriction i*ell of each ambient functional ell always lies in
+    X's dual: it kills every relation of X, which the inclusion sends to 0
+    in R^n.  Y inside X is the caller's precondition, and each caller meets it
+    by construction, since its Y is the kernel of a superset of the
+    condition rows that cut out X, and a kernel of more rows lies in the
+    kernel of fewer:
+      * a transition from m to a subdivisor n: the relaxed module at n
+        carries the finite rows at every prime outside n, a superset of
+        those of the relaxed module at m;
+      * the regulator at n: the Selmer module at n is the relaxed module
+        at n cut by the transverse rows at the primes of n;
+      * a Kolyvagin relation map at q into the module strict at q: that
+        module is the Selmer module at the divisor cut by the other row
+        at q.
 
     The callers' signs make the maps compose exactly:
       * a transition from divisor m to a subdivisor n contracts by the
@@ -467,20 +443,11 @@ def contract_pullback(big: ExteriorBidual, functionals: dict,
         indices of n), nu the number of primes of n; with it the
         Kolyvagin relation holds with no further factor.
 
-    ``messages`` are the ``RuntimeError`` texts, raised in this order, for
-    a functional whose restriction to X is outside X's dual, for Y escaping
-    X, and for a contracted element outside the bidual of Y.  The first two
-    are hypotheses on (X, functional) and (X, Y) alone, which ``big``
-    decides once each (``restricts_to_dual``, ``contains_image``).
+    ``message`` is the ``RuntimeError`` text for a contracted element
+    outside the bidual of Y, which the solve along P_Y reports.
     """
-    not_dual, escapes, outside = messages
     ring = big.X.ring
     order = [functionals[q] for q in sorted(functionals, reverse=True)]
-    for ell in order:
-        if not big.restricts_to_dual(ell):
-            raise RuntimeError(not_dual)
-    if not big.contains_image(small.inclusion):
-        raise RuntimeError(escapes)
     if small.r != big.r - len(order):
         raise ValueError("the small bidual must have the contracted degree")
     n = big.free.X.ngens
@@ -497,7 +464,7 @@ def contract_pullback(big: ExteriorBidual, functionals: dict,
     contracted = ModuleMap._sound(big.module, target, Matrix(
         ring, [[table[a] for table in tables] for a in range(target.ngens)],
         ncols=len(tables), reduced=True))
-    return factor_through(contracted, small.embedding, outside, scale=scale)
+    return factor_through(contracted, small.embedding, message, scale=scale)
 
 
 # ---------------------------------------------------------------------------

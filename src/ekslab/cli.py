@@ -738,7 +738,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default="-")
 
     derive = sub.add_parser(
-        "derive", help="derive the contraction-side family and its ideals")
+        "derive", help="derive the contraction-side family and its ideals; "
+                       "on a consistent bundle, membership and the "
+                       "comparison relation hold because the generator "
+                       "solved for them")
     derive.add_argument("artifacts", nargs="+",
                         help="a bundle artifact, or a tower-family artifact "
                              "and an instance artifact")

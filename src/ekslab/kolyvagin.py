@@ -70,13 +70,6 @@ def divisor_sign(ring, divisor):
     return ring.one if total % 2 == 0 else ring.neg(ring.one)
 
 
-_REGULATOR_ERRORS = (
-    "functional is not in the dual of the module",
-    "submodule does not sit inside the larger one",
-    "regulator component does not lie in the modified bidual",
-)
-
-
 class KolyvaginData(FamilyData):
     """Biduals of the modified Selmer modules of an instance, the regulator
     maps into them, and the comparison units of the defining relation.
@@ -227,7 +220,8 @@ def regulator_component_map(sdata: StarkData, kdata: KolyvaginData,
             scale = ring.mul(scale, kdata.effective_unit(q))
         kdata._reg_map[key] = contract_pullback(
             sdata.bidual(key), {q: inst.finite_functional(q) for q in key},
-            kdata.bidual(key), scale, _REGULATOR_ERRORS)
+            kdata.bidual(key), scale,
+            "regulator component does not lie in the modified bidual")
     return kdata._reg_map[key]
 
 

@@ -249,16 +249,15 @@ class ModuleMap:
 # ---------------------------------------------------------------------------
 
 
-def syzygies(ambient: FPModule, vectors) -> list:
+def syzygies(ambient: FPModule, columns: Matrix) -> list:
     """Generators of {c in R^t : sum c_i . v_i = 0 in ambient}: the kernel
-    of the map R^t -> ambient with the vectors as its columns."""
+    of the map R^t -> ambient whose matrix has the vectors v_i as its t
+    ``columns``."""
     ring = ambient.ring
-    t = len(vectors)
+    t = columns.ncols
     if t == 0:
         return []
-    V = Matrix(ring, [[vec[j] for vec in vectors] for j in range(ambient.ngens)],
-               ncols=t)
-    f = ModuleMap(FPModule.free(ring, t), ambient, V)
+    f = ModuleMap(FPModule.free(ring, t), ambient, columns)
     return kernel_vectors(ring, f.base_system(), t)
 
 
@@ -293,22 +292,23 @@ def present_submodule(ambient: FPModule, vectors):
     their pivot columns are dropped, and the presentation generators are
     the kept vectors, in their given order, with their syzygies as
     relations.  When nothing is dropped (the vectors are already minimal)
-    the first syzygies are the relations.
+    the first syzygies are the relations.  The matrix with the vectors as
+    its columns is built once: the syzygies read it, and the inclusion is
+    its selection of the kept columns.
     """
     ring = ambient.ring
-    syz = syzygies(ambient, vectors)
-    drop = set(residue_pivots(ring, syz, len(vectors)))
+    V = Matrix(ring, [[vec[j] for vec in vectors] for j in range(ambient.ngens)],
+               ncols=len(vectors))
+    syz = syzygies(ambient, V)
+    drop = set(residue_pivots(ring, syz, V.ncols))
     if drop:
-        vectors = [v for i, v in enumerate(vectors) if i not in drop]
-        syz = syzygies(ambient, vectors)
-    t = len(vectors)
+        keep = [i for i in range(V.ncols) if i not in drop]
+        V = Matrix(ring, [[row[i] for i in keep] for row in V.rows],
+                   ncols=len(keep), reduced=True)
+        syz = syzygies(ambient, V)
+    t = V.ncols
     sub = FPModule(ring, t, Matrix(ring, syz, ncols=t, reduced=True))
-    incl = ModuleMap._sound(
-        sub,
-        ambient,
-        Matrix(ring, [[vec[j] for vec in vectors] for j in range(ambient.ngens)],
-               ncols=t),
-    )
+    incl = ModuleMap._sound(sub, ambient, V)
     return sub, incl
 
 

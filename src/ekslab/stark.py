@@ -86,13 +86,6 @@ class FamilyData:
         return {}
 
 
-_TRANSITION_ERRORS = (
-    "a singular functional is not in the dual of the relaxed module",
-    "relaxed module escapes the more relaxed one",
-    "a contracted element does not lie in the smaller bidual",
-)
-
-
 class StarkData(FamilyData):
     """The relaxed modules' biduals, the transition maps, and the canonical
     basis system of an instance.
@@ -146,7 +139,7 @@ class StarkData(FamilyData):
         return contract_pullback(
             self.bidual(m_key), {q: inst.singular_functional(q) for q in qs},
             self.bidual(n_key), ring.one if t % 2 == 0 else ring.neg(ring.one),
-            _TRANSITION_ERRORS)
+            "a contracted element does not lie in the smaller bidual")
 
 
 class Family:

@@ -43,6 +43,7 @@ from ekslab.rings import (
     kernel_int,
     kernel_matrix,
     make_ring,
+    membership_int,
     row_module_size,
     span_rows_base,
     submodule_howell,
@@ -621,8 +622,33 @@ def wedge_coeffs(ring, rows, n: int) -> list:
     return out
 
 
+def restricts_to_dual_reference(big, ell) -> bool:
+    """Whether the ambient functional ``ell``, restricted to X along
+    ``big.inclusion``, lies in X's dual: a solve along ``big.dual_solver``.
+    A hypothesis of ``biduals.contract_pullback`` that holds for every
+    inclusion into a free ambient, so it is not decided there."""
+    restricted = big.inclusion.matrix.transpose().apply(list(ell))
+    return solve_map(big.dual_solver, restricted) is not None
+
+
+def contains_image_reference(big, incl) -> bool:
+    """Whether every generator of ``incl``, a map into the ambient of
+    ``big.inclusion``, lies in X's image there: Howell membership of its
+    columns in the span of X's columns and the ambient's relations.  The
+    precondition Y inside X of ``biduals.contract_pullback``, which its
+    callers meet by construction."""
+    ambient = big.inclusion.target
+    ring = ambient.ring
+    base = ring.base
+    howell = submodule_howell(
+        ring, big.inclusion.matrix.columns() + ambient.relations.rows,
+        ambient.ngens)
+    return all(membership_int(ring.vec_to_base(col), howell, base.p, base.m)
+               for col in incl.matrix.columns())
+
+
 def contract_pullback_reference(big, big_incl, functionals: dict, lowered,
-                                small_incl, small, scale, messages):
+                                small_incl, small, scale, message: str):
     """``biduals.contract_pullback`` computed in X's own dual coordinates,
     the route the package took before it contracted in the free ambient.
 
@@ -632,24 +658,24 @@ def contract_pullback_reference(big, big_incl, functionals: dict, lowered,
     with inclusion ``small_incl``.  Each functional is restricted to X and
     read in X's dual generators; they are wedged in descending prime order,
     the contraction lands in ``lowered``, and its preimage under the bidual
-    functor map of Y -> X, times ``scale``, is the result.  ``messages``
-    are the texts for a functional outside X's dual, for Y escaping X, and
-    for a contracted element outside the bidual of Y.
+    functor map of Y -> X, times ``scale``, is the result.  ``message`` is
+    the text for a contracted element outside the bidual of Y; a
+    functional outside X's dual and a Y escaping X raise texts of their
+    own, which ``contract_pullback`` never raises.
     """
-    not_dual, escapes, outside = messages
     ring = big.X.ring
     restrict = big_incl.matrix.transpose()
     rows = []
     for q in sorted(functionals, reverse=True):
         sol = solve_map(big.dual_solver, restrict.apply(list(functionals[q])))
         if sol is None:
-            raise RuntimeError(not_dual)
+            raise RuntimeError("a functional is not in the dual of X")
         rows.append(sol)
     phi = wedge_coeffs(ring, rows, big.dual.ngens)
     contr = bidual_contraction(big, lowered, phi)
-    sub = factor_through(small_incl, big_incl, escapes)
+    sub = factor_through(small_incl, big_incl, "Y escapes X")
     push = bidual_functor_map(sub, small.r, small, lowered)
-    return factor_through(contr, push, outside, scale=scale)
+    return factor_through(contr, push, message, scale=scale)
 
 
 def cocycle_on_every_chain(data) -> bool:
@@ -675,11 +701,7 @@ def cocycle_on_every_chain(data) -> bool:
 # package took before it compared ambient tables.
 # ---------------------------------------------------------------------------
 
-STRICT_ERRORS = (
-    "functional is not in the dual of the module",
-    "submodule does not sit inside the larger one",
-    "contracted element does not lie in the strict bidual",
-)
+STRICT_ERROR = "contracted element does not lie in the strict bidual"
 
 
 def strict_module(instance, divisor, q: int):
@@ -721,7 +743,7 @@ def drop_map(kdata, divisor, q: int, strict=None):
     else:
         row, scale = inst.finite_functional(q), kdata.effective_unit(q)
     return contract_pullback(kdata.bidual(divisor), {q: row}, strict, scale,
-                             STRICT_ERRORS)
+                             STRICT_ERROR)
 
 
 def verify_fs_reference(system):

@@ -10,11 +10,13 @@ import ast
 import itertools
 import random
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
 import ekslab
+from ekslab import cli, kolyvagin, stark
 from ekslab.biduals import (
     ExteriorBidual,
     ExteriorPower,
@@ -46,11 +48,13 @@ from ekslab.rings import ChainRing, Matrix, det_ring, make_ring, \
 from oracles import (
     all_functionals,
     alternating_form_solutions,
+    contains_image_reference,
     contract_pullback_reference,
     contraction_map,
     contraction_matrix_reference,
     exterior_relations_reference,
     free_system,
+    restricts_to_dual_reference,
     same_submodule,
     wedge_coeffs,
     wedge_mult_matrix,
@@ -474,7 +478,7 @@ def _embedded(X, r, incl):
 
 
 class TestContractPullback:
-    MESSAGES = ("not a functional", "escapes", "outside")
+    MESSAGE = "outside"
 
     def test_identity_inclusions_give_the_scaled_descending_contraction(self):
         rng = random.Random(71)
@@ -486,7 +490,7 @@ class TestContractPullback:
                       for _ in range(2))
             minus = ring.neg(ring.one)
             got = contract_pullback(b3, {0: f0, 2: f2}, b1, minus,
-                                    self.MESSAGES)
+                                    self.MESSAGE)
             dual = free_system(b3.Y.transpose())
             rows = [solve_map(dual, f2), solve_map(dual, f0)]
             phi = wedge_coeffs(ring, rows, 3)
@@ -495,16 +499,6 @@ class TestContractPullback:
                 x = b3.module.generator(b)
                 assert got.apply(x) == [ring.mul(minus, v)
                                         for v in want.apply(x)]
-
-    def test_a_submodule_outside_raises_the_given_text(self):
-        ambient = FPModule.free(Z9, 2)
-        line = FPModule.free(Z9, 1)
-        line_incl = ModuleMap(line, ambient, Matrix(Z9, [[1], [0]]))
-        with pytest.raises(RuntimeError, match="escapes"):
-            contract_pullback(
-                _embedded(line, 1, line_incl), {},
-                _embedded(ambient, 1, ModuleMap.identity(ambient)),
-                Z9.one, self.MESSAGES)
 
     @staticmethod
     def _scaled_span(ring, rng, ambient, vectors):
@@ -527,10 +521,10 @@ class TestContractPullback:
     @pytest.mark.parametrize("ring", [Z9, Z8, make_ring(3, 2, (3,)),
                                       make_ring(2, 3, (4,))], ids=str)
     def test_the_ambient_route_equals_the_dual_coordinate_route(self, ring):
-        # Y inside X inside R^n; Y is cut out of X by the functionals (the
-        # shape of a transition, which lands), a random submodule of X
-        # (which mostly does not), or a random submodule of R^n (which
-        # mostly escapes).
+        # Y inside X inside R^n, as for every caller; Y is cut out of X by
+        # the functionals (the shape of a transition, which lands), or it
+        # is spanned by one or two random elements of X (which mostly does
+        # not land).
         rng = random.Random(f"pullback-{ring}")
         n = 3 if ring.rank == 1 else 2
         ambient = FPModule.free(ring, n)
@@ -550,27 +544,96 @@ class TestContractPullback:
                 Y, y_incl = present_submodule(ambient, [
                     x_incl.apply(v) for v in y_in_x.matrix.transpose().rows])
             else:
-                y_vecs = ([x_incl.apply(random_element(X, rng))]
-                          if shape == 1 else
-                          [[ring.random_element(rng) for _ in range(n)]])
-                Y, y_incl = self._scaled_span(ring, rng, ambient, y_vecs)
+                Y, y_incl = self._scaled_span(ring, rng, ambient, [
+                    x_incl.apply(random_element(X, rng))
+                    for _ in range(shape)])
             r = t + 1 if t < n else t
             big = _embedded(X, r, x_incl)
             small = _embedded(Y, r - t, y_incl)
+            assert contains_image_reference(big, y_incl)
+            assert all(restricts_to_dual_reference(big, f)
+                       for f in funcs.values())
             scale = ring.neg(ring.one) if trial % 2 else ring.one
             got, got_err = self._outcome(lambda: contract_pullback(
-                big, funcs, small, scale, self.MESSAGES))
+                big, funcs, small, scale, self.MESSAGE))
             want, want_err = self._outcome(
                 lambda: contract_pullback_reference(
                     big, x_incl, funcs, ExteriorBidual(X, r - t), y_incl,
-                    small, scale, self.MESSAGES))
+                    small, scale, self.MESSAGE))
             assert got_err == want_err
             if got is not None:
                 assert got.source is want.source
                 assert got.target is want.target
                 assert got.equals(want)
             outcomes.add(got_err)
-        assert outcomes == {None, "escapes", "outside"}
+        assert outcomes == {None, "outside"}
+
+
+class TestContractionHypotheses:
+    """``contract_pullback`` decides neither of its hypotheses: each
+    ambient functional restricts into X's dual, and Y lies inside X.  Its
+    callers are wrapped over whole verifies and derives, and both
+    references hold on every call."""
+
+    CALLERS = {"_build_transition", "regulator_component_map"}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        recorded = []
+
+        def checking(big, functionals, small, scale, message):
+            recorded.append((
+                sys._getframe(1).f_code.co_name,
+                all(restricts_to_dual_reference(big, ell)
+                    for ell in functionals.values()),
+                contains_image_reference(big, small.inclusion)))
+            return contract_pullback(big, functionals, small, scale, message)
+
+        for module in (stark, kolyvagin):
+            monkeypatch.setattr(module, "contract_pullback", checking)
+        return recorded
+
+    def test_the_references_can_fail(self):
+        # A line of R^2 does not contain R^2; over a non-free ambient
+        # Z/3 = Z/9 / 3, the functional x -> x is not a functional of Z/3.
+        ambient = FPModule.free(Z9, 2)
+        line = FPModule.free(Z9, 1)
+        line_incl = ModuleMap(line, ambient, Matrix(Z9, [[1], [0]]))
+        whole = ModuleMap.identity(ambient)
+        assert not contains_image_reference(_embedded(line, 1, line_incl),
+                                            whole)
+        assert contains_image_reference(_embedded(ambient, 1, whole),
+                                        line_incl)
+        z3 = FPModule(Z9, 1, Matrix(Z9, [[3]]))
+        big = _embedded(z3, 1, ModuleMap.identity(z3))
+        assert not restricts_to_dual_reference(big, [1])
+        assert restricts_to_dual_reference(big, [3])
+
+    def _assert_both_hold(self, calls):
+        assert {site for site, _, _ in calls} == self.CALLERS
+        assert all(in_dual and inside for _, in_dual, inside in calls)
+
+    @pytest.mark.parametrize("ring, s", [("3,2", 3), ("3,2,3", 2),
+                                         ("2,3,4", 1)])
+    def test_generic_verify(self, tmp_path, calls, ring, s):
+        artifact = tmp_path / "instance.json"
+        assert cli.main(["gen", "--ring", ring, "--r", "1", "--s", str(s),
+                         "--profile", "generic", "--seed", "0",
+                         "--out", str(artifact)]) == 0
+        assert cli.main(["verify", str(artifact), "--seed", "0", "--out",
+                         str(tmp_path / "report.json")]) in (0, 1)
+        self._assert_both_hold(calls)
+
+    def test_consistent_bundle_verify_and_derive(self, tmp_path, calls):
+        bundle = tmp_path / "bundle.json"
+        assert cli.main(["gen", "--ring", "3,2", "--r", "1", "--s", "3",
+                         "--profile", "consistent", "--seed", "0",
+                         "--out", str(bundle)]) == 0
+        assert cli.main(["verify", str(bundle), "--seed", "0", "--out",
+                         str(tmp_path / "report.json")]) in (0, 1)
+        assert cli.main(["derive", str(bundle), "--out",
+                         str(tmp_path / "derive.json")]) in (0, 1)
+        self._assert_both_hold(calls)
 
 
 class TestBidualFunctorReuse:

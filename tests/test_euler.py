@@ -43,7 +43,8 @@ from ekslab.euler import (
     tower_from_json,
     tower_to_json,
 )
-from ekslab.kolyvagin import fs_holds, system_from_ambient_tables, verify_fs
+from ekslab.kolyvagin import fs_holds, relation_failures, \
+    system_from_ambient_tables, verify_fs
 from ekslab.rings import make_ring
 from oracles import (
     corestrict_branched,
@@ -783,6 +784,45 @@ class TestLocalComparison:
                       "--profile", "consistent", "--seed", "11",
                       "--out", str(out)])
         assert not out.exists()
+
+
+class TestOnlyTheSolvedSystemDerives:
+    """On a consistent bundle, ``derive``'s ``membership`` and
+    ``comparison-relation`` hold for the family that
+    ``consistent_instance`` solved for, and for no other Euler system of
+    the same tower that was tried: the canonical family of each unit
+    wedge vector, and two seeded perturbations of the bundle's family at
+    each nonempty level.  So they check the generator and the derivative
+    code, not the theorem that D sends every Euler system to a Kolyvagin
+    system; the level classes carry no local conditions that would make
+    that a consequence."""
+
+    @pytest.mark.parametrize("p, m, s, tried", [(5, 1, 2, 9), (3, 2, 3, 18)])
+    def test_every_other_system_fails(self, p, m, s, tried):
+        tower, system, kdata = consistent_instance(p, m, 1, s, seed=0)
+        others = [canonical_system(tower, [int(j == i)
+                                           for j in range(tower.width)])
+                  for i in range(tower.width)]
+        rng = random.Random(f"other-systems-{p}-{m}-{s}")
+        for d in tower.divisors()[1:]:
+            ring = tower.level_ring(d)
+            others += [perturb(system, d, [ring.random_element(rng)
+                                           for _ in range(tower.width)])
+                       for _ in range(2)]
+        assert len(others) == tried
+        own = cli.derivative_checks(kdata, derived_tables(system))["checks"]
+        assert own["membership"] and own["comparison-relation"]
+        for other in others:
+            assert relation_holds(other)[0]
+            assert all(invariance_holds(other, d) for d in tower.divisors())
+            tables = derived_tables(other)
+            derived = cli.derivative_checks(kdata, tables)
+            assert not derived["checks"]["membership"]
+            assert not derived["checks"]["comparison-relation"]
+            assert derived["witnesses"]["membership"]
+            # The check reads False once membership fails; the relation
+            # itself fails too.
+            assert relation_failures(kdata, tables)
 
 
 class TestSerialization:

@@ -352,7 +352,7 @@ class TestSubquotients:
     def test_syzygies_vanish(self):
         F = FPModule.free(Z4, 2)
         vectors = [[2, 0], [2, 2], [0, 2]]
-        for c in syzygies(F, vectors):
+        for c in syzygies(F, Matrix(Z4, [list(r) for r in zip(*vectors)])):
             acc = [Z4.zero, Z4.zero]
             for coeff, vec in zip(c, vectors):
                 acc = [Z4.add(a, Z4.mul(coeff, v)) for a, v in zip(acc, vec)]
@@ -607,7 +607,8 @@ class TestCocheckReference:
             # Vectors that all die in the target: its own relation rows.
             dead = [list(r) for r in f.target.relations.rows]
             for vecs in (vectors, dead, vectors + dead):
-                got = syzygies(f.target, vecs)
+                got = syzygies(f.target, Matrix(
+                    ring, [list(r) for r in zip(*vecs)], ncols=len(vecs)))
                 want = syzygies_reference(f.target, vecs)
                 if not f.target.relations.rows:
                     assert got == want

@@ -738,7 +738,7 @@ class TestRingDot:
     @pytest.mark.parametrize("R", DOT_RINGS, ids=str)
     def test_syzygies_in_zero_ambient(self, R):
         # Every coefficient vector is a syzygy of vectors in a zero module.
-        syz = syzygies(FPModule.free(R, 0), [[], [], []])
+        syz = syzygies(FPModule.free(R, 0), Matrix(R, [], ncols=3))
         assert all(len(v) == 3 for v in syz)
         identity = [[R.one if i == j else R.zero for j in range(3)]
                     for i in range(3)]
