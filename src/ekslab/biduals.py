@@ -48,7 +48,7 @@ from .modules import (
     free_map,
     solve_map,
 )
-from .rings import Matrix, det_ring
+from .rings import Matrix, minors
 # Unused here: perfbench/tests checks that the tracer wraps this module's
 # binding of kernel_int.
 from .rings import kernel_int  # noqa: F401
@@ -190,13 +190,8 @@ def exterior_map(f: ModuleMap, r: int):
     ext_s = ExteriorPower(f.source, r)
     ext_t = ExteriorPower(f.target, r)
     M = f.matrix
-    rows = []
-    for J in ext_t.subsets:
-        row = []
-        for I in ext_s.subsets:
-            sub = [[M.rows[j][i] for i in I] for j in J]
-            row.append(det_ring(ring, sub))
-        rows.append(row)
+    rows = [minors(ring, [M.rows[j] for j in J], f.source.ngens)
+            for J in ext_t.subsets]
     mat = Matrix(ring, rows, ncols=len(ext_s.subsets))
     return ModuleMap(ext_s.module, ext_t.module, mat)
 
@@ -309,13 +304,11 @@ class ExteriorBidual:
         """
         ring = self.X.ring
         ext = ExteriorPower(self.X, self.r)
+        values = [minors(ring, [self.Y.rows[a] for a in A], self.X.ngens)
+                  for A in self.wedge.subsets]
         cols = []
-        for I in ext.subsets:
-            tbl = []
-            for A in self.wedge.subsets:
-                sub = [[self.Y.rows[a][i] for i in I] for a in A]
-                tbl.append(det_ring(ring, sub))
-            coords = self.from_table(tbl)
+        for c in range(len(ext.subsets)):
+            coords = self.from_table([v[c] for v in values])
             if coords is None:
                 raise RuntimeError("xi value is not a functional on the wedge")
             cols.append(coords)

@@ -27,6 +27,7 @@ from .rings import (
     kernel_matrix,
     kernel_vectors,
     membership_int,
+    minors,
     row_module_size,
     smith_int,
     span_rows_base,
@@ -592,10 +593,9 @@ def fitting_ideal(module: FPModule, i: int = 0) -> Ideal:
     the invariants ``chain_invariants``, from one Smith form per module: with
     M = sum of R/(p^e_j) over n summands, Fitt_i(M) = (p^e), e the sum of
     the n - i smallest e_j, and e >= m gives the zero ideal.  Over a group
-    ring the minors are expanded.
+    ring the minors of each s-subset of the rows come from one ``minors``
+    call.
     """
-    from .rings import det_ring
-
     ring = module.ring
     g = module.ngens
     s = g - i
@@ -614,9 +614,7 @@ def fitting_ideal(module: FPModule, i: int = 0) -> Ideal:
         return Ideal.zero(ring)
     dets = []
     for rsel in itertools.combinations(range(k), s):
-        for csel in itertools.combinations(range(g), s):
-            sub = [[rel[a][b] for b in csel] for a in rsel]
-            d = det_ring(ring, sub)
+        for d in minors(ring, [rel[a] for a in rsel], g):
             if ring.is_unit(d):
                 return Ideal.unit(ring)
             if d != ring.zero:

@@ -21,6 +21,7 @@ makes ideals and submodules comparable by simple equality.
 from __future__ import annotations
 
 from functools import cache, cached_property
+from itertools import combinations
 from operator import mul
 
 
@@ -654,7 +655,9 @@ def solve_int(A, b, p: int, m: int):
 
 
 def det_int(A, p: int, m: int) -> int:
-    """Determinant over Z/p^m by exact chain-ring elimination."""
+    """Determinant over Z/p^m by exact chain-ring elimination.  No package
+    code calls it: it is the tests' chain-ring reference for ``minors``, and
+    perfbench's tracer still wraps it."""
     n = p ** m
     size = len(A)
     if size == 0:
@@ -692,18 +695,49 @@ def det_int(A, p: int, m: int) -> int:
     return det_unit * (p ** det_valuation) % n
 
 
-def _det_small(A, n: int) -> int:
-    """Determinant mod n of a square matrix of size 0 to 3, by cofactors."""
-    size = len(A)
-    if size == 0:
-        return 1 % n
-    if size == 1:
-        return A[0][0] % n
-    if size == 2:
-        (a, b), (c, d) = A
-        return (a * d - b * c) % n
-    (a, b, c), (d, e, f), (g, h, i) = A
-    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % n
+@cache
+def _laplace_plan(n: int, k: int) -> tuple:
+    """Per k-subset C of range(n), in lexicographic order, the triples
+    (c, sign, b) over the columns c of C: the cofactor sign of c's place in
+    C, and the index b of C without c among the (k-1)-subsets."""
+    smaller = {B: b for b, B in enumerate(combinations(range(n), k - 1))}
+    return tuple(
+        tuple((c, -1 if t % 2 else 1, smaller[C[:t] + C[t + 1:]])
+              for t, c in enumerate(C))
+        for C in combinations(range(n), k))
+
+
+def minors(ring, rows, ncols: int) -> list:
+    """The k x k minors of k rows on every k-subset of range(ncols), in
+    lexicographic order (``biduals.r_subsets``): the coordinates of
+    row_1 wedge ... wedge row_k.
+
+    Laplace expansion along the first row, built from the last row up: the
+    minors of the rows from j on are row j against the minors of the rows
+    after it on the subsets one smaller, so each smaller minor is computed
+    once.  Over a chain ring each sum accumulates in one int, reduced once;
+    over a group ring in one ``ring.dot``.  No rows give the one empty minor
+    1; more rows than columns give none.
+    """
+    out = [ring.one]
+    k = len(rows)
+    for j in range(k - 1, -1, -1):
+        row = rows[j]
+        plan = _laplace_plan(ncols, k - j)
+        if ring.rank == 1:
+            modulus = ring.n
+            prev, out = out, []
+            for terms in plan:
+                acc = 0
+                for c, s, b in terms:
+                    acc += s * row[c] * prev[b]
+                out.append(acc % modulus)
+        else:
+            signed = {1: row, -1: [ring.neg(x) for x in row]}
+            out = [ring.dot([signed[s][c] for c, s, _ in terms],
+                            [out[b] for _, _, b in terms])
+                   for terms in plan]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -916,50 +950,12 @@ def howell_form(A: Matrix):
 
 
 def det_ring(ring, rows) -> object:
-    """Determinant of a square matrix over the ring.
-
-    Chain rings expand minors of size up to 3 by cofactors and use exact
-    elimination (``det_int``, the reference) beyond; group rings use a
-    division-free subset expansion (Laplace over column subsets with
-    memoization), which is exact over any commutative ring and fast at the
-    sizes that occur here.
-    """
+    """Determinant of a square matrix over the ring: its one maximal minor
+    (``minors``)."""
     size = len(rows)
     if size and len(rows[0]) != size:
         raise ValueError("determinant of a non-square matrix")
-    if ring.rank == 1:
-        if size <= 3:
-            return _det_small(rows, ring.n)
-        return det_int(rows, ring.p, ring.m)
-    if size == 0:
-        return ring.one
-    full = (1 << size) - 1
-    memo = {0: ring.one}
-
-    def rec(cols_mask: int) -> object:
-        # Determinant of the lower-right block: rows from ``depth`` on, with
-        # the columns still available in cols_mask.
-        if cols_mask in memo:
-            return memo[cols_mask]
-        depth = size - bin(cols_mask).count("1")
-        row = rows[depth]
-        acc = ring.zero
-        sign = 0
-        rest = cols_mask
-        while rest:
-            low = rest & (-rest)
-            j = low.bit_length() - 1
-            entry = row[j]
-            if entry != ring.zero:
-                sub = rec(cols_mask ^ low)
-                term = ring.mul(entry, sub)
-                acc = ring.add(acc, term) if sign % 2 == 0 else ring.sub(acc, term)
-            sign += 1
-            rest ^= low
-        memo[cols_mask] = acc
-        return acc
-
-    return rec(full)
+    return minors(ring, rows, size)[0]
 
 
 # ---------------------------------------------------------------------------

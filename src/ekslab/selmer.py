@@ -36,6 +36,7 @@ from .rings import (
     int_from_json,
     matrix_from_json,
     matrix_to_json,
+    minors,
     power_exponent,
     ring_from_json,
     ring_to_json,
@@ -49,16 +50,6 @@ PROFILES = ("generic", "class-trivial", "pir-basis", "degenerate")
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(ring, a, b):
-    out = [ring.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == ring.zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
-    return out
-
-
 def _poly_eval(ring, poly, x):
     powers = [ring.one]
     for _ in poly[1:]:
@@ -67,25 +58,17 @@ def _poly_eval(ring, poly, x):
 
 
 def _det_one_minus_x(ring, rows):
-    """det(1 - x M) as a coefficient list, by permutation expansion."""
+    """det(1 - x M) as a coefficient list: the coefficient of x^k is (-1)^k
+    times the sum of the principal k x k minors of M."""
     a = len(rows)
-    det = [ring.zero]
-    for perm in itertools.permutations(range(a)):
-        inv = sum(1 for i in range(a) for j in range(i + 1, a)
-                  if perm[i] > perm[j])
-        term = [ring.one]
-        for i in range(a):
-            entry = ring.neg(rows[i][perm[i]])
-            linear = ([ring.one, entry] if i == perm[i]
-                      else [ring.zero, entry])
-            term = _poly_mul(ring, term, linear)
-        if inv % 2:
-            term = [ring.neg(c) for c in term]
-        width = max(len(det), len(term))
-        det = [ring.add(det[k] if k < len(det) else ring.zero,
-                        term[k] if k < len(term) else ring.zero)
-               for k in range(width)]
-    return det
+    out = []
+    for k in range(a + 1):
+        total = ring.zero
+        for S in itertools.combinations(range(a), k):
+            principal = [[rows[i][j] for j in S] for i in S]
+            total = ring.add(total, minors(ring, principal, k)[0])
+        out.append(ring.neg(total) if k % 2 else total)
+    return out
 
 
 def _divide_by_x_minus_one(ring, poly):

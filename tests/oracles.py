@@ -38,7 +38,6 @@ from ekslab.rings import (
     Matrix,
     _val,
     det_int,
-    det_ring,
     howell_int,
     kernel_int,
     kernel_matrix,
@@ -264,6 +263,39 @@ def det_permutation_expansion(ring, rows):
     return acc
 
 
+def _poly_mul(ring, a, b):
+    out = [ring.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == ring.zero:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+    return out
+
+
+def det_one_minus_x_permutation_expansion(ring, rows):
+    """det(1 - x M) as a coefficient list of length size + 1, by expanding
+    over permutations with the entries as linear polynomials in x."""
+    a = len(rows)
+    det = [ring.zero]
+    for perm in itertools.permutations(range(a)):
+        inv = sum(1 for i in range(a) for j in range(i + 1, a)
+                  if perm[i] > perm[j])
+        term = [ring.one]
+        for i in range(a):
+            entry = ring.neg(rows[i][perm[i]])
+            linear = ([ring.one, entry] if i == perm[i]
+                      else [ring.zero, entry])
+            term = _poly_mul(ring, term, linear)
+        if inv % 2:
+            term = [ring.neg(c) for c in term]
+        width = max(len(det), len(term))
+        det = [ring.add(det[k] if k < len(det) else ring.zero,
+                        term[k] if k < len(term) else ring.zero)
+               for k in range(width)]
+    return det
+
+
 def smith_int_dense(A, p: int, m: int):
     """Smith form over Z/p^m with a dense left transform: (exps, P, Q) with
     P.A.Q = diag(p^e), P built and updated row by row.  The reference for
@@ -368,7 +400,8 @@ def fitting_ideal_minors(module: FPModule, i: int) -> Ideal:
     rel = [row for row in module.relations.rows
            if any(x != ring.zero for x in row)]
     return Ideal(ring, [
-        det_ring(ring, [[rel[a][b] for b in cols] for a in rows])
+        det_permutation_expansion(
+            ring, [[rel[a][b] for b in cols] for a in rows])
         for rows in itertools.combinations(range(len(rel)), s)
         for cols in itertools.combinations(range(g), s)])
 
@@ -612,14 +645,12 @@ def wedge_coeffs(ring, rows, n: int) -> list:
     """Coefficients of row_1 wedge ... wedge row_r on the r-subsets of range(n).
 
     The coefficient on a subset A is the r x r minor of the stacked rows at
-    the columns of A.
+    the columns of A, by permutation expansion.
     """
     r = len(rows)
-    out = []
-    for A in r_subsets(n, r):
-        sub = [[row[j] for j in A] for row in rows]
-        out.append(det_ring(ring, sub))
-    return out
+    return [det_permutation_expansion(ring, [[row[j] for j in A]
+                                             for row in rows])
+            for A in r_subsets(n, r)]
 
 
 def restricts_to_dual_reference(big, ell) -> bool:

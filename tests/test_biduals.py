@@ -43,7 +43,7 @@ from ekslab.modules import (
     present_submodule,
     solve_map,
 )
-from ekslab.rings import ChainRing, Matrix, det_ring, make_ring, \
+from ekslab.rings import ChainRing, Matrix, make_ring, \
     membership_int, row_module_size
 from oracles import (
     all_functionals,
@@ -52,6 +52,7 @@ from oracles import (
     contract_pullback_reference,
     contraction_map,
     contraction_matrix_reference,
+    det_permutation_expansion,
     exterior_relations_reference,
     free_system,
     restricts_to_dual_reference,
@@ -165,7 +166,7 @@ class TestSubsetCalculus:
                 phi = wedge_coeffs(ring, fs, n)
                 out = contract_table(ring, n, r, r, phi, table)
                 gram = [[sum_dot(ring, f, x) for x in xs] for f in fs]
-                assert out == [det_ring(ring, gram)]
+                assert out == [det_permutation_expansion(ring, gram)]
 
     @pytest.mark.parametrize("ring", [Z9, Z8, make_ring(5, 2),
                                       make_ring(3, 3), F3C3], ids=str)
@@ -340,7 +341,8 @@ class TestContractionMap:
                 f1 = [ring.random_element(rng) for _ in range(2)]
                 f2 = [ring.random_element(rng) for _ in range(2)]
                 c = contraction_map(X, [f1, f2], 2)
-                det = det_ring(ring, [[f1[0], f1[1]], [f2[0], f2[1]]])
+                det = det_permutation_expansion(
+                    ring, [[f1[0], f1[1]], [f2[0], f2[1]]])
                 assert c.matrix.rows == [[det]]
 
     def test_module_and_table_contraction_agree(self):
@@ -392,7 +394,8 @@ def _free_table(bid, coeff_vec):
             continue
         for a, A in enumerate(bid.wedge.subsets):
             sub = [[bid.Y.rows[y][i] for i in I] for y in A]
-            tbl[a] = ring.add(tbl[a], ring.mul(c, det_ring(ring, sub)))
+            tbl[a] = ring.add(tbl[a], ring.mul(
+                c, det_permutation_expansion(ring, sub)))
     return tbl
 
 

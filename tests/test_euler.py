@@ -416,8 +416,6 @@ class TestLevelOperationsAgainstBranched:
                 pairing_determinant_det_int(tower, d)
 
     def test_pairing_determinants_of_four_primes(self):
-        # Past three primes ``det_ring`` eliminates instead of expanding
-        # cofactors.
         tower = _pairing_tower()
         for k in range(5):
             for d in itertools.permutations(range(4), k):

@@ -28,6 +28,7 @@ from ekslab.rings import (
     matrix_from_json,
     matrix_to_json,
     membership_int,
+    minors,
     power_exponent,
     ring_from_json,
     ring_to_json,
@@ -608,6 +609,60 @@ class TestDeterminants:
             B = [[rng.randrange(8) for _ in range(3)] for _ in range(3)]
             AB = Matrix(R, A).mul(Matrix(R, B)).rows
             assert det_int(AB, 2, 3) == det_int(A, 2, 3) * det_int(B, 2, 3) % 8
+
+
+MINOR_GROUP_RINGS = [
+    make_ring(3, 2, (3,)),      # (Z/9)[C3]
+    make_ring(2, 3, (4,)),      # (Z/8)[C4]
+    make_ring(5, 2, (5,)),      # (Z/25)[C5]
+]
+
+
+def _minor_rows(R, rng, k, ncols):
+    """k rows of unreduced entries (see ``_unreduced``), one of them
+    sometimes zero."""
+    rows = [[_unreduced(R, rng) for _ in range(ncols)] for _ in range(k)]
+    if k and rng.random() < 0.3:
+        rows[rng.randrange(k)] = [R.zero] * ncols
+    return rows
+
+
+class TestMinors:
+    """``minors`` against an elimination (chain rings) and a permutation
+    expansion (group rings) of each minor, k = 0..4 rows on 5 columns or
+    fewer."""
+
+    @pytest.mark.parametrize("R", CHAIN_RINGS, ids=str)
+    def test_chain_rings_against_det_int(self, R):
+        rng = random.Random(61 + R.n)
+        for k in range(5):
+            for ncols in range(k, 6):
+                for _ in range(6):
+                    rows = _minor_rows(R, rng, k, ncols)
+                    assert minors(R, rows, ncols) == [
+                        det_int([[row[c] for c in C] for row in rows],
+                                R.p, R.m)
+                        for C in itertools.combinations(range(ncols), k)]
+
+    @pytest.mark.parametrize("R", MINOR_GROUP_RINGS, ids=str)
+    def test_group_rings_against_permutation_expansion(self, R):
+        rng = random.Random(67 + R.base.n)
+        for k in range(5):
+            for ncols in range(k, 6):
+                for _ in range(2):
+                    rows = _minor_rows(R, rng, k, ncols)
+                    reduced = [[R.reduce(x) for x in row] for row in rows]
+                    assert minors(R, rows, ncols) == [
+                        det_permutation_expansion(
+                            R, [[row[c] for c in C] for row in reduced])
+                        for C in itertools.combinations(range(ncols), k)]
+
+    @pytest.mark.parametrize("R", [make_ring(3, 2), MINOR_GROUP_RINGS[0]],
+                             ids=str)
+    def test_no_rows_and_too_many_rows(self, R):
+        assert minors(R, [], 0) == minors(R, [], 3) == [R.one]
+        assert minors(R, [[R.one, R.one]] * 3, 2) == []
+        assert det_ring(R, []) == R.one
 
 
 class TestMatrixApi:

@@ -38,7 +38,7 @@ from ekslab.selmer import (
     instance_to_json,
     min_generators,
 )
-from oracles import same_submodule
+from oracles import det_one_minus_x_permutation_expansion, same_submodule
 
 Z4 = make_ring(2, 2)
 Z9 = make_ring(3, 2)
@@ -98,6 +98,26 @@ class TestFrobeniusData:
                 pad = lambda v: v + [ring.zero] * (width - len(v))
                 assert pad(prod) == pad(char)
                 assert ring.is_unit(fd.fs_unit)
+
+    @pytest.mark.parametrize("ring", ALL_RINGS + [make_ring(2, 3, (4,))],
+                             ids=str)
+    def test_det_one_minus_x_against_permutation_expansion(self, ring):
+        # The coefficient of x^k is (-1)^k times the sum of the principal
+        # k x k minors; sizes 0 to 4, with a zero row and unreduced entries.
+        rng = random.Random(41 + ring.size)
+        n = ring.base.n
+        for a in range(5):
+            for _ in range(3):
+                rows = [[ring.random_element(rng) for _ in range(a)]
+                        for _ in range(a)]
+                if a and rng.random() < 0.3:
+                    rows[rng.randrange(a)] = [ring.zero] * a
+                want = det_one_minus_x_permutation_expansion(ring, rows)
+                assert len(want) == a + 1
+                if ring.rank == 1:
+                    rows = [[x + rng.randint(-2, 2) * n for x in row]
+                            for row in rows]
+                assert selmer._det_one_minus_x(ring, rows) == want
 
 
 def _char_poly(ring, fr):
