@@ -257,7 +257,9 @@ def suite_stark(data: StarkData):
 def suite_kolyvagin(sdata: StarkData, kdata: KolyvaginData | None = None):
     """The contraction side: the comparison relation for the regulator
     image of the canonical basis family, and the Fitting-ideal facts of
-    the structure theorem.  ``kdata`` is the bundle's shared
+    the structure theorem.  A false fact's witness names each level i
+    that fails it, with ``level-ideal`` and ``fitting``, or each divisor,
+    with ``content`` and ``fitt0``.  ``kdata`` is the bundle's shared
     KolyvaginData; without one the suite builds its own, which it drops
     on return."""
     checks, witnesses, data = {}, {}, {}
@@ -279,7 +281,20 @@ def suite_kolyvagin(sdata: StarkData, kdata: KolyvaginData | None = None):
             for d, q in failures]
     facts = verify_main_theorem(ksystem)
     for key in THEOREM_FACTS:
-        checks[f"theorem/{key.replace('_', '-')}"] = facts[key]
+        name = f"theorem/{key.replace('_', '-')}"
+        checks[name] = facts[key]
+        if key.startswith("levels"):
+            witness = [{"level": i,
+                        "level-ideal": ideal_json(facts["levels"][i]),
+                        "fitting": ideal_json(facts["fitting"][i])}
+                       for i in facts["failing"][key]]
+        else:
+            witness = [{"divisor": divisor_name(instance, d),
+                        "content": ideal_json(facts["contents"][d]),
+                        "fitt0": ideal_json(facts["fitt0"][d])}
+                       for d in facts["failing"][key]]
+        if witness:
+            witnesses[name] = witness
     checks["theorem-verdict"] = main_theorem_holds(
         facts, canonical_is_basis(sdata))
     data["level-ideals"] = [ideal_json(I) for I in facts["levels"]]
@@ -295,22 +310,23 @@ def derivative_checks(kdata: KolyvaginData, tables: dict):
 
     ``membership``: every derived table lies in the degree-r bidual of the
     Selmer module at its divisor; ``comparison-relation``: the tables satisfy the
-    Kolyvagin relation at every (divisor, prime); ``containment/i*``: each
+    Kolyvagin relation at every (divisor, prime), read on the ambient tables
+    whether or not they lie in those biduals; ``containment/i*``: each
     level ideal of the Kolyvagin system lies in the Fitting ideal of the
     same index.  Returns the checks and witnesses with the Kolyvagin
     system ``ksystem`` and its ``level_table`` (both None when a table is
     not in its bidual)."""
     ksystem, malformed = system_from_ambient_tables(kdata, tables)
-    checks, witnesses, table = {"membership": not malformed}, {}, None
+    failures = relation_failures(kdata, tables)
+    checks = {"membership": not malformed,
+              "comparison-relation": not failures}
+    witnesses, table = {}, None
     if malformed:
         witnesses["membership"] = [_level_name(d) for d in malformed]
-        checks["comparison-relation"] = False
-    else:
-        failures = relation_failures(kdata, tables)
-        checks["comparison-relation"] = not failures
-        if failures:
-            witnesses["comparison-relation"] = [
-                f"{_level_name(d)}@{q}" for d, q in failures]
+    if failures:
+        witnesses["comparison-relation"] = [
+            f"{_level_name(d)}@{q}" for d, q in failures]
+    if not malformed:
         table = level_table(ksystem)
         checks.update({f"containment/i{i}": ok
                        for i, ok in enumerate(table["contained"])})

@@ -315,21 +315,27 @@ def verify_main_theorem(system: Family) -> dict:
     every component's content sits inside (``im_in_fitt0``) and equals
     (``im_equals_fitt0``) its ``fitt0``, and whether every level ideal sits
     inside (``levels_in_fitt``) and equals (``levels_equal_fitt``) its
-    ``fitting``.  The containments hold for every system in the
-    defining-relation module; the equalities are the claims for bases, the
-    level one over chain rings (``main_theorem_holds``).
+    ``fitting``.  ``failing`` names, per fact, the divisors d (the ``im_*``
+    facts) or the levels i (the ``levels_*`` facts) where it fails, so a
+    fact holds exactly when its list is empty.  The containments hold for
+    every system in the defining-relation module; the equalities are the
+    claims for bases, the level one over chain rings
+    (``main_theorem_holds``).
     """
     inst = system.data.instance
     table = level_table(system)
     contents = table["contents"]
     fitt0 = table["fitt0"] = {d: inst.dual_fitting(0, d) for d in contents}
-    table.update(
-        chain_ring=system.data.ring.rank == 1,
-        im_in_fitt0=all(contents[d].leq(fitt0[d]) for d in contents),
-        im_equals_fitt0=all(contents[d] == fitt0[d] for d in contents),
-        levels_in_fitt=all(table["contained"]),
-        levels_equal_fitt=all(table["equal"]),
-    )
+    failing = table["failing"] = {
+        "im_in_fitt0": [d for d in contents if not contents[d].leq(fitt0[d])],
+        "im_equals_fitt0": [d for d in contents if contents[d] != fitt0[d]],
+        "levels_in_fitt": [i for i, ok in enumerate(table["contained"])
+                           if not ok],
+        "levels_equal_fitt": [i for i, ok in enumerate(table["equal"])
+                              if not ok],
+    }
+    table["chain_ring"] = system.data.ring.rank == 1
+    table.update((key, not failing[key]) for key in THEOREM_FACTS)
     return table
 
 

@@ -82,14 +82,16 @@ GOLDEN = {
     # Two reports that fail the structure theorem's level equality, recorded
     # before its facts were gathered into one table: over Z/9 the verdict
     # fails with it, over (Z/9)[C9] (not a chain ring) the verdict passes.
+    # Both reports were re-recorded when a false theorem fact gained its
+    # witness: the failing level with its level ideal and Fitting ideal.
     "z9-r1-s2-seed1.json":
         "04aaf0948e190c4d7cec89d887324d694bae9f01439c98b8289aa0734b403596",
     "z9-r1-s2-seed1.report.json":
-        "3f35fc09f76873061dc791ba0c078ee83c700ef302a081490e17385658d25b25",
+        "85665e08d7e7531bc8d16bdb4cb3d7fc981c33c15b31302f483d3e293ffbdca8",
     "z9c9-r1-s1.json":
         "c1350525f8178102b75fde89c0719fc9946e5829e841a8be9558ce4b08a76679",
     "z9c9-r1-s1.report.json":
-        "a842b54c66643a5f77398eee5123c974aeb7f782ee58cf34b29fa324da5b3268",
+        "ea6b380b883837db479e26dbd0e5d84a4fceaa70c7a87ba000cddd61110ad9a4",
     # Two group-ring sizes that pass every check, recorded while kernels
     # and duals still presented every lifted generator.
     "z9c3-r1-s3-seed2.json":
@@ -186,9 +188,20 @@ class TestGoldenBytes:
                          "--seed", "0", "--out", str(report)])
         assert code == 1
         assert _digest(report) == GOLDEN[f"{stem}.report.json"]
-        checks = json.loads(report.read_text())["checks"]
+        doc = json.loads(report.read_text())
+        checks = doc["checks"]
         assert not checks["kolyvagin/theorem/levels-equal-fitt"]
         assert checks["kolyvagin/theorem-verdict"] is verdict
+        # Every false theorem fact, and only those, names the levels where
+        # the two ideals it compares differ.
+        facts = [key for key in checks if key.startswith("kolyvagin/theorem/")]
+        assert sorted(key for key in facts if key in doc["witnesses"]) == \
+            sorted(key for key in facts if not checks[key])
+        witness = doc["witnesses"]["kolyvagin/theorem/levels-equal-fitt"]
+        assert witness and all(w["level-ideal"] != w["fitting"]
+                               for w in witness)
+        ideals = doc["data"]["kolyvagin"]["level-ideals"]
+        assert all(w["level-ideal"] == ideals[w["level"]] for w in witness)
 
     def test_graph(self, tmp_path):
         artifact = _gen(tmp_path, "z9-r1-s3.json", "3,2", 1, 3)

@@ -818,9 +818,13 @@ class TestOnlyTheSolvedSystemDerives:
             assert not derived["checks"]["membership"]
             assert not derived["checks"]["comparison-relation"]
             assert derived["witnesses"]["membership"]
-            # The check reads False once membership fails; the relation
-            # itself fails too.
-            assert relation_failures(kdata, tables)
+            # The relation is read on the ambient tables even though they
+            # lie outside the biduals, and its witness names every failing
+            # (divisor, prime) pair.
+            failures = relation_failures(kdata, tables)
+            assert failures
+            assert derived["witnesses"]["comparison-relation"] == [
+                f"{cli._level_name(d)}@{q}" for d, q in failures]
 
 
 class TestSerialization:

@@ -414,6 +414,19 @@ class TestMainTheorem:
         assert table["equal"] == [I == F for I, F in
                                   zip(table["levels"], table["fitting"])]
         assert not table["chain_ring"]
+        contents, fitt0 = table["contents"], table["fitt0"]
+        assert table["failing"] == {
+            "im_in_fitt0": [d for d in contents
+                            if not contents[d].leq(fitt0[d])],
+            "im_equals_fitt0": [d for d in contents
+                                if contents[d] != fitt0[d]],
+            "levels_in_fitt": [i for i, ok in enumerate(table["contained"])
+                               if not ok],
+            "levels_equal_fitt": [i for i, ok in enumerate(table["equal"])
+                                  if not ok],
+        }
+        for key in THEOREM_FACTS:
+            assert table[key] is not bool(table["failing"][key])
 
     def test_kolyvagin_ideals_match_contraction_system_ideals(self):
         # over a chain ring the two ideal ladders of a basis agree: both

@@ -140,18 +140,21 @@ def _census_tool():
 
 def test_census_of_a_failing_and_a_passing_run():
     # Z/9 r1 s2 seed 1 is one of the false FAILs of the verdict items: it
-    # fails two kolyvagin checks with empty witnesses.  When those are
-    # mended, its line and the summary here change.
+    # fails two kolyvagin checks.  The level equality names its failing
+    # level and the two ideals; the verdict has no witness of its own.
+    # When the false FAIL is mended, its line and the summary here change.
     grid = [("generic", "3,2", 1, 2, range(2))]
     assert _census_tool().census(ROOT, grid) == [
         "generic 3,2 r1 s2 seed 0: gen 0; verify 0",
         "generic 3,2 r1 s2 seed 1: gen 0; verify 1 failed "
         "kolyvagin/theorem-verdict (no witness), "
-        "kolyvagin/theorem/levels-equal-fitt (no witness)",
+        "kolyvagin/theorem/levels-equal-fitt "
+        '([{"fitting": {"exponent": 0, "generators": [[1]]}, "level": 2, '
+        '"level-ideal": {"exponent": 1, "generators": [[3]]}}])',
         "runs: 2; failing check keys: 2",
         "kolyvagin/theorem-verdict: failed in 1 run(s), 1 with no witness",
         "kolyvagin/theorem/levels-equal-fitt: failed in 1 run(s), "
-        "1 with no witness",
+        "0 with no witness",
     ]
 
 
