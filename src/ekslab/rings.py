@@ -699,7 +699,9 @@ def det_int(A, p: int, m: int) -> int:
 def _laplace_plan(n: int, k: int) -> tuple:
     """Per k-subset C of range(n), in lexicographic order, the triples
     (c, sign, b) over the columns c of C: the cofactor sign of c's place in
-    C, and the index b of C without c among the (k-1)-subsets."""
+    C, and the index b of C without c among the (k-1)-subsets.
+    ``biduals._contraction_plan(n, k, 1)`` holds the same incidences,
+    grouped by the (k-1)-subset instead."""
     smaller = {B: b for b, B in enumerate(combinations(range(n), k - 1))}
     return tuple(
         tuple((c, -1 if t % 2 else 1, smaller[C[:t] + C[t + 1:]])

@@ -33,10 +33,10 @@ from .modules import (
 )
 from .rings import (
     Matrix,
+    det_ring,
     int_from_json,
     matrix_from_json,
     matrix_to_json,
-    minors,
     power_exponent,
     ring_from_json,
     ring_to_json,
@@ -66,7 +66,7 @@ def _det_one_minus_x(ring, rows):
         total = ring.zero
         for S in itertools.combinations(range(a), k):
             principal = [[rows[i][j] for j in S] for i in S]
-            total = ring.add(total, minors(ring, principal, k)[0])
+            total = ring.add(total, det_ring(ring, principal))
         out.append(ring.neg(total) if k % 2 else total)
     return out
 
